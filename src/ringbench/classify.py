@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bitsets import bools_from_mask, indices_from_mask, is_subset, mask_from_bools
-from .grading import GradedRing
+from .grading import GradedRing, product_slots
 from .ideals import (
     TWO_SIDED,
     EnumerationCapError,
@@ -157,8 +157,7 @@ def _hom_kernel(gr: GradedRing) -> dict:
     M1 = mul[np.ix_(H, H)]
     # V3[i, j, k] = H[i] * H[j] * H[k]; all values are homogeneous
     V3 = mul[M1[:, :, None], H[None, None, :]]
-    slots = pos[V3]
-    assert slots.min() >= 0
+    slots = product_slots(gr, pos, V3, (H, H, H), "a homogeneous component")
     rows = np.broadcast_to(
         np.arange(hm, dtype=np.int64)[:, None, None] * hm
         + np.arange(hm, dtype=np.int64)[None, None, :],
@@ -264,8 +263,7 @@ def _g_kernel(gr: GradedRing, g: int) -> dict:
     pos2[C2] = np.arange(m2, dtype=np.int32)
     M1g = mul[np.ix_(Rg, Re)]
     V3g = mul[M1g[:, :, None], Rg[None, None, :]]
-    slots = pos2[V3g]
-    assert slots.min() >= 0
+    slots = product_slots(gr, pos2, V3g, (Rg, Re, Rg), f"component {g2}")
     rows = np.broadcast_to(
         np.arange(m, dtype=np.int64)[:, None, None] * m
         + np.arange(m, dtype=np.int64)[None, None, :],

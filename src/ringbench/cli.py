@@ -3,7 +3,8 @@ ideals, run the property suite over a corpus, hunt for counterexamples, and
 tabulate triple-zero censuses.
 
 Exit codes: 0 success (zero violations), 1 violations or counterexamples
-found, 2 malformed input or exceeded caps. With --report, a JSON document
+found, 2 malformed input, exceeded caps or exhausted memory, 3 internal
+error. With --report, a JSON document
 (schema ringbench-report/1) is written; identical inputs give byte-identical
 reports regardless of worker count.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .bitsets import popcount
@@ -110,6 +112,11 @@ def _corpus_for(args) -> list:
     if args.corpus == "default":
         return default_corpus(args.ring_cap, args.ideal_cap)
     return directory_corpus(args.corpus)
+
+
+def _worker_count(args, corpus: list) -> int:
+    """More workers than members or CPUs only adds idle processes."""
+    return max(1, min(args.workers, len(corpus), os.cpu_count() or 1))
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +264,7 @@ def _cmd_census(args) -> tuple[int, dict]:
 
 def _cmd_theorems(args) -> tuple[int, dict]:
     corpus = _corpus_for(args)
-    results = run_all_properties(corpus, workers=args.workers,
+    results = run_all_properties(corpus, workers=_worker_count(args, corpus),
                                  ideal_cap=args.ideal_cap,
                                  ring_cap=args.ring_cap)
     report = _report_skeleton("theorems")
@@ -280,7 +287,7 @@ def _cmd_theorems(args) -> tuple[int, dict]:
 
 def _cmd_search_q1(args) -> tuple[int, dict]:
     corpus = _corpus_for(args)
-    findings = search_question1(corpus, workers=args.workers,
+    findings = search_question1(corpus, workers=_worker_count(args, corpus),
                                 ideal_cap=args.ideal_cap,
                                 ring_cap=args.ring_cap)
     report = _report_skeleton("search-q1")
@@ -318,6 +325,16 @@ def _cmd_search_q1(args) -> tuple[int, dict]:
 # argument plumbing
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_caps(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--ideal-cap", type=int, default=DEFAULT_IDEAL_CAP,
                      help="abort ideal enumeration beyond this many ideals")
@@ -349,8 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(name, help=doc)
         sub.add_argument("--corpus", default="default",
                          help="'default' or a directory of spec files")
-        sub.add_argument("--workers", type=int, default=1,
-                         help="worker processes for corpus members")
+        sub.add_argument("--workers", type=_positive_int, default=1,
+                         help="worker processes for corpus members, at most "
+                              "one per member and per CPU")
         _add_caps(sub)
 
     return parser
@@ -373,6 +391,13 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ValueError, OSError, EnumerationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory; lower --ring-cap to reject larger rings",
+              file=sys.stderr)
+        return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     if args.report:
         report["exit"] = code
         with open(args.report, "w", encoding="utf-8") as fh:

@@ -2,7 +2,7 @@
 
 Rings are not assumed commutative or unital. Elements are dense indices
 0..order-1, zero is always index 0, and tables are numpy uint16 arrays
-(the carrier cap keeps orders far below the dtype limit).
+(no carrier may exceed the 65536 indices that dtype can hold).
 
 Validation is exact at every size without the O(n^3) triple scan: once the
 additive structure and both distributive laws hold, the associator
@@ -14,11 +14,13 @@ checks against the generators, which costs O(g * n^2) total.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 DEFAULT_RING_CAP = 4096
+_MAX_ORDER = 1 << 16     # element indices are stored as uint16
 
 
 class RingTooLargeError(ValueError):
@@ -67,8 +69,9 @@ class RingValidation:
 
 
 def _check_cap(order: int, cap: int, what: str):
-    if order > cap:
-        raise RingTooLargeError(f"{what} has order {order}, exceeding the carrier cap {cap}")
+    limit = min(cap, _MAX_ORDER)
+    if order > limit:
+        raise RingTooLargeError(f"{what} has order {order}, exceeding the carrier cap {limit}")
 
 
 def make_zn(n: int, cap: int = DEFAULT_RING_CAP) -> FiniteRing:
@@ -122,6 +125,29 @@ def _encode_digits(digits: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
+def _digit_table(radices: tuple[int, ...], terms) -> np.ndarray:
+    """(order, order) uint16 table over a mixed-radix digit encoding.
+
+    Elements have digits in `radices`, most significant first. terms[d] is
+    (xs, ys, small): output digit d is small[x-digits xs, y-digits ys], with
+    xs and ys ascending. Each weighted small table is broadcast into a view
+    with one axis per x-digit and one per y-digit, so nothing of size
+    order^2 is indexed or held in a wider dtype. Partial sums stay at most
+    order - 1, which fits uint16.
+    """
+    ndig = len(radices)
+    order = math.prod(radices)
+    out = np.zeros(tuple(radices) * 2, dtype=np.uint16)
+    weight = order
+    for d, (xs, ys, small) in enumerate(terms):
+        weight //= radices[d]
+        shape = [1] * (2 * ndig)
+        for a in (*xs, *(ndig + y for y in ys)):
+            shape[a] = radices[a % ndig]
+        out += (small.astype(np.uint16) * np.uint16(weight)).reshape(shape)
+    return out.reshape(order, order)
+
+
 def make_matrix_ring(base: FiniteRing, k: int, cap: int = DEFAULT_RING_CAP) -> FiniteRing:
     """k x k matrices over a finite base ring, row-major digit encoding."""
     if k <= 0:
@@ -135,21 +161,17 @@ def make_matrix_ring(base: FiniteRing, k: int, cap: int = DEFAULT_RING_CAP) -> F
     for d in range(k * k - 1, -1, -1):
         digits[:, d] = rest % m
         rest //= m
-    badd = base.add.astype(np.int64)
-    bmul = base.mul.astype(np.int64)
 
-    add = np.zeros((order, order), dtype=np.int64)
-    for d in range(k * k):
-        add = add * m + badd[digits[:, d][:, None], digits[:, d][None, :]]
-
-    mul = np.zeros((order, order), dtype=np.int64)
-    for r in range(k):
-        for c in range(k):
-            acc = bmul[digits[:, r * k][:, None], digits[:, c][None, :]]
-            for j in range(1, k):
-                term = bmul[digits[:, r * k + j][:, None], digits[:, j * k + c][None, :]]
-                acc = badd[acc, term]
-            mul = mul * m + acc
+    # dot[a_0..a_{k-1}, b_0..b_{k-1}] = sum_j a_j * b_j in the base ring
+    grid = np.ogrid[(slice(0, m),) * (2 * k)]
+    dot = base.mul[grid[0], grid[k]]
+    for j in range(1, k):
+        dot = base.add[dot, base.mul[grid[j], grid[k + j]]]
+    radices = (m,) * (k * k)
+    add = _digit_table(radices, [((d,), (d,), base.add) for d in range(k * k)])
+    mul = _digit_table(radices, [
+        ([r * k + j for j in range(k)], [j * k + c for j in range(k)], dot)
+        for r in range(k) for c in range(k)])
 
     neg = _encode_digits(base.neg[digits], m)
     unity = None
@@ -163,8 +185,8 @@ def make_matrix_ring(base: FiniteRing, k: int, cap: int = DEFAULT_RING_CAP) -> F
             "[" + ",".join(base.name(int(row[r * k + c])) for c in range(k)) + "]"
             for r in range(k))
         names.append(f"[{rows}]")
-    return FiniteRing(order, add.astype(np.uint16), neg.astype(np.uint16),
-                      mul.astype(np.uint16), unity=unity, element_names=names,
+    return FiniteRing(order, add, neg.astype(np.uint16), mul,
+                      unity=unity, element_names=names,
                       kind="matrix", params={"base": base, "k": k, "digits": digits})
 
 
@@ -173,19 +195,16 @@ def make_product_ring(r1: FiniteRing, r2: FiniteRing, cap: int = DEFAULT_RING_CA
     n1, n2 = r1.order, r2.order
     order = n1 * n2
     _check_cap(order, cap, "product ring")
-    ids = np.arange(order, dtype=np.int64)
-    u, v = ids // n2, ids % n2
-    ux, uy = u[:, None], u[None, :]
-    vx, vy = v[:, None], v[None, :]
-    add = r1.add[ux, uy].astype(np.int64) * n2 + r2.add[vx, vy]
-    mul = r1.mul[ux, uy].astype(np.int64) * n2 + r2.mul[vx, vy]
+    u, v = np.divmod(np.arange(order, dtype=np.int64), n2)
+    add = _digit_table((n1, n2), [((0,), (0,), r1.add), ((1,), (1,), r2.add)])
+    mul = _digit_table((n1, n2), [((0,), (0,), r1.mul), ((1,), (1,), r2.mul)])
     neg = r1.neg[u].astype(np.int64) * n2 + r2.neg[v]
     unity = None
     if r1.unity is not None and r2.unity is not None:
         unity = r1.unity * n2 + r2.unity
     names = [f"({r1.name(int(a))}, {r2.name(int(b))})" for a, b in zip(u, v)]
-    return FiniteRing(order, add.astype(np.uint16), neg.astype(np.uint16),
-                      mul.astype(np.uint16), unity=unity, element_names=names,
+    return FiniteRing(order, add, neg.astype(np.uint16), mul,
+                      unity=unity, element_names=names,
                       kind="product", params={"factors": (r1, r2)})
 
 

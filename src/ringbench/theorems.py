@@ -46,7 +46,7 @@ from .constructions import (
     quotient_bimodule,
     regular_bimodule,
 )
-from .grading import GradedRing, Grading, attach_grading
+from .grading import GradedRing, Grading, attach_grading, product_slots
 from .ideals import (
     LEFT,
     RIGHT,
@@ -552,12 +552,13 @@ def _check_p10(ctx: RingContext) -> PropertyOutcome:
         m = len(Rg)
         posRg = np.full(gr.order, -1, dtype=np.int64)
         posRg[Rg] = np.arange(m)
-        C2 = gr.component_indices(gr.group.mul(g, g))
+        g2 = gr.group.mul(g, g)
+        C2 = gr.component_indices(g2)
         pos2 = np.full(gr.order, -1, dtype=np.int64)
         pos2[C2] = np.arange(len(C2))
         # XRY[i, r, j] = Rg[i] * Re[r] * Rg[j], always inside the g*g component
-        xry = pos2[mul[mul[np.ix_(Rg, Re)][:, :, None], Rg[None, None, :]]]
-        assert xry.min() >= 0
+        xry = mul[mul[np.ix_(Rg, Re)][:, :, None], Rg[None, None, :]]
+        xry = product_slots(gr, pos2, xry, (Rg, Re, Rg), f"component {g2}")
         for p in ctx.lattice():
             if p & comp == comp or not ctx.g_weakly(p, g):
                 continue
@@ -1011,6 +1012,8 @@ def _member_task(args: tuple) -> tuple[str, list[dict]]:
 
 
 def _map_over_corpus(task, args_list: list[tuple], workers: int) -> list:
+    # the pool starts all its processes at once, so never more than tasks
+    workers = min(workers, len(args_list))
     if workers <= 1:
         return [task(a) for a in args_list]
     with ProcessPoolExecutor(max_workers=workers) as pool:

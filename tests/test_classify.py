@@ -27,8 +27,12 @@ from ringbench.classify import (
     raw_product_mask,
     verify_witness,
 )
+from ringbench.grading import GradedRing, Grading, GradingError, validate_grading
+from ringbench.groups import make_cyclic
 from ringbench.ideals import IdealSubset, generate_ideal
+from ringbench.rings import make_matrix_ring, make_product_ring, make_zn
 from ringbench.specs import build_document, parse_document
+from ringbench.theorems import run_property
 
 SMALL_RINGS = [
     "ring: zn(8)",
@@ -299,3 +303,33 @@ def test_report_to_dict_shape():
     assert "0" in d["g_variants"]
     d2 = report.to_dict(include_timings=True)
     assert "timings" in d2 and d2["timings"]
+
+
+def test_unvalidated_grading_raises_grading_error():
+    """A GradedRing built without validate_grading whose components are not
+    multiplicative: the kernels name the stray product instead of reading a
+    -1 slot as the last element."""
+    def span(a, b):
+        return 1 | 1 << a | 1 << b | 1 << (a ^ b)
+
+    # M_2(Z_2) split into two additive subgroups that are not closed under products
+    ring = make_matrix_ring(make_zn(2), 2)
+    grading = Grading(make_cyclic(2), [span(1, 2), span(4, 9)])
+    assert not validate_grading(ring, grading)
+    gr = GradedRing(ring, grading)
+    stray = r"product \[\[0,1\],\[0,0\]\]\*\[\[0,0\],\[0,1\]\]\*\[\[0,0\],\[1,0\]\] = "
+    with pytest.raises(GradingError, match=stray + r".*homogeneous component"):
+        is_graded_2_absorbing(gr, 1)
+    with pytest.raises(GradingError, match=stray):
+        classify_ideal(gr, 1)
+
+    # Z_2 x Z_2 with (1,1) in degree 0 and (0,1) in degree 1
+    ring = make_product_ring(make_zn(2), make_zn(2))
+    grading = Grading(make_cyclic(2), [1 | 1 << 3, 1 | 1 << 1])
+    assert not validate_grading(ring, grading)
+    gr = GradedRing(ring, grading)
+    stray = r"product \(0, 1\)\*\(1, 1\)\*\(0, 1\) = \(0, 1\) is not in component 0"
+    with pytest.raises(GradingError, match=stray):
+        is_g_weakly_2_absorbing(gr, 1, 1)
+    with pytest.raises(GradingError, match=stray):
+        run_property(gr, "P10")

@@ -6,6 +6,8 @@ import io
 import json
 import sys
 
+import pytest
+
 from ringbench import cli
 from ringbench.ideals import generate_ideal
 from ringbench.specs import build_document, parse_document
@@ -205,3 +207,56 @@ def test_search_counterexample_exit_1(monkeypatch, capsys):
     code, out, _ = run_cli(["search-q1"], capsys)
     assert code == 1
     assert "counterexamples found: 1" in out
+
+
+def test_workers_below_one_rejected(capsys):
+    for bad in ("0", "-3", "two"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["theorems", "--workers", bad])
+        assert exc.value.code == 2
+        assert "argument --workers" in capsys.readouterr().err
+
+
+def test_workers_clamped_to_members_and_cpus(monkeypatch, tmp_path, capsys):
+    corpus = str(_write_mini_corpus(tmp_path))   # two members
+    seen = []
+
+    def fake_run(corpus, workers, ideal_cap, ring_cap):
+        seen.append(workers)
+        return {"corpus": ["r"], "violations_total": 0, "properties": []}
+
+    def fake_search(corpus, workers, ideal_cap, ring_cap):
+        seen.append(workers)
+        return {"corpus": ["r"], "eligible_ideals": [],
+                "counters": {"triples_scanned": 0, "triples_nonzero": 0,
+                             "triples_hypothesis": 0},
+                "counterexamples": [], "discarded_candidates": 0,
+                "exhausted": True, "skips": []}
+    monkeypatch.setattr(cli, "run_all_properties", fake_run)
+    monkeypatch.setattr(cli, "search_question1", fake_search)
+    for cpus, workers, want in ((64, "1000", 2), (64, "1", 1), (1, "1000", 1),
+                                (None, "1000", 1)):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        for command in ("theorems", "search-q1"):
+            seen.clear()
+            code, _, _ = run_cli([command, "--corpus", corpus, "--workers", workers],
+                                 capsys)
+            assert code == 0 and seen == [want], (command, cpus, workers)
+
+
+def test_memory_error_exits_2_naming_ring_cap(monkeypatch, capsys):
+    def out_of_memory(args):
+        raise MemoryError
+    monkeypatch.setitem(cli._HANDLERS, "validate", out_of_memory)
+    code, out, err = run_cli(["validate", "-"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: out of memory") and "--ring-cap" in err
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    def broken(args):
+        raise KeyError("boom")
+    monkeypatch.setitem(cli._HANDLERS, "census", broken)
+    code, out, err = run_cli(["census", "-"], capsys)
+    assert code == 3 and out == ""
+    assert err == "internal error: KeyError: 'boom'\n"

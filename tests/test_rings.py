@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -173,3 +176,103 @@ def test_additive_generators_cover():
             new = {int(r.add[x, s]) for s in span}
             frontier.extend(v for v in new if v not in span)
         assert span == set(range(r.order))
+
+
+def matrix_oracle(base: FiniteRing, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """add/mul of M_k(base) from the definitions: entrywise sums and row-by-
+    column sums of products, through the base ring's own tables."""
+    m = base.order
+    badd, bmul = base.add.tolist(), base.mul.tolist()
+    n = m ** (k * k)
+
+    def entries(x):
+        digits = []
+        for _ in range(k * k):
+            x, d = divmod(x, m)
+            digits.append(d)
+        return digits[::-1]
+
+    def encode(digits):
+        return reduce(lambda acc, d: acc * m + d, digits, 0)
+
+    mats = [entries(x) for x in range(n)]
+    add = [[encode([badd[a][b] for a, b in zip(X, Y)]) for Y in mats] for X in mats]
+    # entry (r, c) of XY only depends on row r of X and column c of Y
+    dot = {}
+
+    def row_col(row, col):
+        key = (row, col)
+        if key not in dot:
+            dot[key] = reduce(lambda acc, t: badd[acc][t],
+                              (bmul[a][b] for a, b in zip(row, col)))
+        return dot[key]
+
+    mul = []
+    for X in mats:
+        rows = [tuple(X[r * k:(r + 1) * k]) for r in range(k)]
+        line = []
+        for Y in mats:
+            cols = [tuple(Y[c::k]) for c in range(k)]
+            line.append(encode([row_col(row, col) for row in rows for col in cols]))
+        mul.append(line)
+    return np.array(add), np.array(mul)
+
+
+def product_oracle(r1: FiniteRing, r2: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
+    """add/mul of R1 x R2 from the definitions: componentwise on (u, v) pairs."""
+    n2 = r2.order
+    pairs = [divmod(x, n2) for x in range(r1.order * n2)]
+    tables = []
+    for t1, t2 in ((r1.add, r2.add), (r1.mul, r2.mul)):
+        tables.append(np.array([[int(t1[a, c]) * n2 + int(t2[b, d]) for c, d in pairs]
+                                for a, b in pairs]))
+    return tables[0], tables[1]
+
+
+def row_vectors() -> FiniteRing:
+    """Matrices [[a,b],[0,0]] over Z_2 at index 2a + b: non-commutative and
+    non-unital, since (a,b)(c,d) = (ac, ad)."""
+    pairs = [divmod(x, 2) for x in range(4)]
+    add = [[x ^ y for y in range(4)] for x in range(4)]
+    mul = [[(a * c) * 2 + a * d for c, d in pairs] for a, b in pairs]
+    return make_table_ring(add, mul)
+
+
+@pytest.mark.parametrize("base, k", [
+    (make_zn(4), 2), (make_zn(3), 2), (make_gaussian(2), 2), (make_zn(2), 3),
+    (row_vectors(), 2)],
+    ids=["zn4-k2", "zn3-k2", "gaussian2-k2", "zn2-k3", "rowvec-k2"])
+def test_matrix_ring_tables_match_definitions(base, k):
+    r = make_matrix_ring(base, k)
+    add, mul = matrix_oracle(base, k)
+    for tab, want in ((r.add, add), (r.mul, mul)):
+        assert tab.dtype == np.uint16 and tab.flags["C_CONTIGUOUS"]
+        assert np.array_equal(tab, want)
+
+
+@pytest.mark.parametrize("r1, r2", [
+    (make_zn(4), make_gaussian(2)),
+    (make_matrix_ring(make_zn(2), 2), make_zn(3)),
+    (make_zn(3), make_matrix_ring(make_zn(2), 2))],
+    ids=["zn4-gaussian2", "matrix-zn3", "zn3-matrix"])
+def test_product_ring_tables_match_definitions(r1, r2):
+    r = make_product_ring(r1, r2)
+    add, mul = product_oracle(r1, r2)
+    for tab, want in ((r.add, add), (r.mul, mul)):
+        assert tab.dtype == np.uint16 and tab.flags["C_CONTIGUOUS"]
+        assert np.array_equal(tab, want)
+
+
+def test_matrix_zn8_table_digests():
+    # bytes of M_2(Z_8) as built by the int64 gather construction
+    r = make_matrix_ring(make_zn(8), 2)
+    assert r.add.dtype == np.uint16 and r.mul.dtype == np.uint16
+    assert hashlib.sha256(r.add.tobytes()).hexdigest() == (
+        "fcc16b5d3e72beee64f7e4c7878b9374b734164e928d4c4b33e9bcfbb6dd2183")
+    assert hashlib.sha256(r.mul.tobytes()).hexdigest() == (
+        "69022b3243c6fe5c50a36f8d251000a328d27751e747b9812786f89460b72aa2")
+
+
+def test_cap_cannot_exceed_uint16_indices():
+    with pytest.raises(RingTooLargeError, match="carrier cap 65536"):
+        make_product_ring(make_zn(256), make_zn(257), cap=1 << 20)

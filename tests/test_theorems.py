@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from ringbench import theorems
 from ringbench.theorems import (
     PROPERTY_IDS,
     PROPERTY_SUMMARIES,
@@ -143,3 +144,29 @@ def test_default_corpus_shape():
             if not x.startswith(("quotient(", "idealization("))]
     assert len(base) == 15
     assert "zn(8)" in base and "matrix(zn(8), 2)" in base
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts nothing."""
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_pool_never_larger_than_task_list(monkeypatch):
+    monkeypatch.setattr(theorems, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    assert theorems._map_over_corpus(abs, [-1, -2, -3], 1000) == [1, 2, 3]
+    assert theorems._map_over_corpus(abs, [-1], 1000) == [1]
+    assert theorems._map_over_corpus(abs, [], 1000) == []
+    assert _SerialPool.sizes == [3]
