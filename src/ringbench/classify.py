@@ -4,9 +4,15 @@ Element-wise predicates reduce sandwich conditions x*R*y*R*z to homogeneous
 multipliers: a general multiplier is a sum of homogeneous ones, products
 distribute over those sums, and the target sets (an ideal, or {0}) are
 additively closed, so the full sandwich lies in the target iff the
-homogeneous-multiplier sandwich does. sandwich_values and g_sandwich_values
-evaluate the raw definitions without that reduction and exist so results can
-be cross-checked through an independent route.
+homogeneous-multiplier sandwich does.
+
+As x*S*y*S*z = (x*S*y)*S*z, a triple's verdict depends only on the value
+set x*S*y and on z; sandwich_kernel keeps the few distinct value sets, so an
+ideal costs two small products and a bit-packed triple scan, not O(h^3).
+
+sandwich_values and g_sandwich_values evaluate the raw definitions without
+these reductions and exist so results can be cross-checked through an
+independent route.
 
 Ideal-wise predicates (prime, weakly prime, strongly weakly 2-absorbing)
 quantify over the graded two-sided ideal lattice.
@@ -118,20 +124,22 @@ def _full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
-def as_ideal_subset(gr: GradedRing, P: IdealSubset | int) -> IdealSubset:
-    if isinstance(P, IdealSubset):
-        return P
-    return IdealSubset(int(P), TWO_SIDED, graded=graded_defect(gr, int(P)) is None)
+def _ideal_check(gr: GradedRing, mask: int) -> tuple[bool, tuple | None, int | None]:
+    """check_closure's (ok, witness) and graded_defect, once per ring and mask."""
+    key = ("ideal_check", mask)
+    if key not in gr._cache:
+        gr._cache[key] = (*check_closure(gr, mask, TWO_SIDED), graded_defect(gr, mask))
+    return gr._cache[key]
 
 
 def require_graded_ideal(gr: GradedRing, P: IdealSubset | int,
                          proper: bool = True) -> IdealSubset:
     """Validate the subset is a graded two-sided ideal (and proper when asked)."""
-    P = as_ideal_subset(gr, P)
-    ok, witness = check_closure(gr, P.mask, TWO_SIDED)
+    if not isinstance(P, IdealSubset):
+        P = IdealSubset(int(P), TWO_SIDED, graded=True)
+    ok, witness, defect = _ideal_check(gr, P.mask)
     if not ok:
         raise NotIdealError(f"subset is not a two-sided ideal: failed {witness}")
-    defect = graded_defect(gr, P.mask)
     if defect is not None:
         raise NotGradedIdealError(
             f"ideal is not graded: member {gr.name(defect)} has a homogeneous "
@@ -142,59 +150,134 @@ def require_graded_ideal(gr: GradedRing, P: IdealSubset | int,
 
 
 # ---------------------------------------------------------------------------
-# homogeneous sandwich kernel
+# sandwich kernel
+
+_BLOCK = 1 << 20     # bytes of the largest temporary in a triple scan
 
 
-def _hom_kernel(gr: GradedRing) -> dict:
-    ker = gr._cache.get("hom_kernel")
-    if ker is not None:
-        return ker
+def sandwich_kernel(gr: GradedRing, left: int | None, mult: int | None,
+                    right: int | None) -> dict:
+    """Distinct value sets V(x, y) = x*S*y for x in L, y in R, s in S.
+
+    Arguments are degrees naming components, or None for every homogeneous
+    element. The values land in T: the product degree's component, or the
+    homogeneous elements when an argument is None. U (u, |T|) holds the u
+    distinct sets as bit rows, inv[i, k] the row of (L[i], R[k]) and zero[r]
+    whether row r is {0}. Keyed by the index sets, so a trivially graded
+    ring shares one kernel between None and the identity degree.
+    """
+    L, S, R = (gr.hom_indices() if d is None else gr.component_indices(d)
+               for d in (left, mult, right))
+    if None in (left, mult, right):
+        T, where = gr.hom_indices(), "a homogeneous component"
+    else:
+        d = gr.group.mul(gr.group.mul(left, mult), right)
+        T, where = gr.component_indices(d), f"component {d}"
+    key = ("sandwich",) + tuple(s.tobytes() for s in (L, S, R, T))
+    if key in gr._cache:
+        return gr._cache[key]
     mul = gr.ring.mul
-    H = gr.hom_indices()
-    hm = len(H)
     pos = np.full(gr.order, -1, dtype=np.int32)
-    pos[H] = np.arange(hm, dtype=np.int32)
-    M1 = mul[np.ix_(H, H)]
-    # V3[i, j, k] = H[i] * H[j] * H[k]; all values are homogeneous
-    V3 = mul[M1[:, :, None], H[None, None, :]]
-    slots = product_slots(gr, pos, V3, (H, H, H), "a homogeneous component")
-    rows = np.broadcast_to(
-        np.arange(hm, dtype=np.int64)[:, None, None] * hm
-        + np.arange(hm, dtype=np.int64)[None, None, :],
-        V3.shape)
-    # Vb[(x, y) pair, slot of v] marks v in V(x, y) = x * h(R) * y
-    Vb = np.zeros((hm * hm, hm), dtype=bool)
-    Vb[rows.ravel(), slots.ravel()] = True
-    Vf = Vb.astype(np.float32)
-    # kill[v, z]: v * s * z = 0 for every homogeneous s
-    kill = (V3 == 0).all(axis=1)
-    iszero = (Vf @ (~kill).astype(np.float32)) == 0
-    ker = {
-        "H": H, "pos": pos, "hm": hm, "M1": M1, "V3": V3, "Vf": Vf,
-        "iszero": iszero.reshape(hm, hm, hm),
-    }
-    gr._cache["hom_kernel"] = ker
-    return ker
+    pos[T] = np.arange(len(T), dtype=np.int32)
+    # V(x, y) = (x * S) * y, so pairs whose x share the set x * S share rows
+    left_sets: dict[bytes, int] = {}
+    left_of = [left_sets.setdefault(np.unique(mul[x, S]).tobytes(), len(left_sets))
+               for x in L]
+    rows: dict[bytes, int] = {}
+    row_of = np.empty((len(left_sets), len(R)), dtype=np.int32)
+    for a, xs in enumerate(left_sets):
+        slots = pos[mul[np.ix_(np.frombuffer(xs, dtype=mul.dtype), R)]]
+        if slots.min() < 0:
+            for x in L:     # name the first stray x*s*y
+                product_slots(gr, pos, mul[mul[x, S][:, None], R][None],
+                              ([x], S, R), where)
+        bits = np.zeros((len(R), len(T)), dtype=bool)
+        bits[np.arange(len(R))[None, :], slots] = True
+        packed = np.packbits(bits, axis=1).tobytes()
+        w = len(packed) // len(R)
+        row_of[a] = [rows.setdefault(packed[j:j + w], len(rows))
+                     for j in range(0, len(packed), w)]
+    U = np.unpackbits(np.frombuffer(b"".join(rows), dtype=np.uint8)
+                      .reshape(len(rows), -1), axis=1, count=len(T)).astype(bool)
+    gr._cache[key] = {"key": key, "T": T, "R": R, "U": U, "inv": row_of[left_of],
+                      "zero": ~U[:, T != 0].any(axis=1)}
+    return gr._cache[key]
 
 
-def _ideal_kernel(gr: GradedRing, pmask: int) -> dict:
-    cache = gr._cache.setdefault("ideal_kernels", OrderedDict())
-    ker = cache.get(pmask)
-    if ker is not None:
-        return ker
-    hk = _hom_kernel(gr)
-    Pb = bools_from_mask(pmask, gr.order)
-    hm = hk["hm"]
-    # good[v, z]: v * s * z in P for every homogeneous s
-    good = Pb[hk["V3"]].all(axis=1)
-    subseteq = ((hk["Vf"] @ (~good).astype(np.float32)) == 0).reshape(hm, hm, hm)
-    PP = Pb[hk["M1"]]
-    pair_any = PP[:, :, None] | PP[None, :, :] | PP[:, None, :]
-    ker = {"Pb": Pb, "PP": PP, "pair_any": pair_any, "subseteq": subseteq}
-    while len(cache) >= 8:
-        cache.popitem(last=False)
-    cache[pmask] = ker
-    return ker
+def _none_in(U: np.ndarray, bad: np.ndarray) -> np.ndarray:
+    """[r, ...]: no member of row r of U lies in bad (indexed by slot)."""
+    r, s = np.nonzero(U)       # every row is nonempty
+    return ~np.logical_or.reduceat(bad[s], np.flatnonzero(np.diff(r, prepend=-1)), axis=0)
+
+
+def _kernel(gr: GradedRing, g: int | None, pmask: int) -> tuple[dict, np.ndarray, np.ndarray]:
+    """(tk, inside, outside) for x*S*y*S*z = (x*S*y)*S*z over x, y, z in X.
+
+    g None: X and S are the homogeneous elements. A degree g: X = R_g and
+    S = R_e, and the z side sandwiches C_{g^2}*R_e*R_g. tk["zero"][r, m]
+    says row r times S times X[m] vanishes, inside[r, m] that it lies in P;
+    outside[a, b] says X[a]*X[b] is not in P.
+    """
+    if g is None:
+        k1 = k2 = sandwich_kernel(gr, None, None, None)
+    else:
+        e = gr.group.identity
+        k1, k2 = sandwich_kernel(gr, g, e, g), sandwich_kernel(gr, gr.group.mul(g, g), e, g)
+    key = ("triple", k1["key"], k2["key"])
+    if key not in gr._cache:
+        X = k1["R"]
+        gr._cache[key] = {"X": X, "inv": k1["inv"],
+                          "zero": _none_in(k1["U"], ~k2["zero"][k2["inv"]]),
+                          "prods": gr.ring.mul[np.ix_(X, X)]}
+    tk = gr._cache[key]
+    cache = gr._cache.setdefault("ideal_rows", OrderedDict())
+    if (key, pmask) not in cache:
+        Pb = bools_from_mask(pmask, gr.order)
+        good = _none_in(k2["U"], ~Pb[k2["T"]])[k2["inv"]]
+        while len(cache) >= 64:
+            cache.popitem(last=False)
+        cache[key, pmask] = (_none_in(k1["U"], ~good), ~Pb[tk["prods"]])
+    return (tk, *cache[key, pmask])
+
+
+def _triples(rows: np.ndarray, inv: np.ndarray, outside: np.ndarray,
+             first: bool) -> np.ndarray:
+    """(i, k, m), lexicographically, with rows[inv[i, k], m] set and the
+    pairs (i, k), (k, m), (i, m) all outside; only the first when asked.
+
+    Bits along m are packed into 64-bit words and i is taken in blocks.
+    """
+    h = outside.shape[0]
+    nbytes = -(-h // 64) * 8
+
+    def words(bits: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(bits), nbytes), dtype=np.uint8)
+        out[:, :-(-h // 8)] = np.packbits(bits, axis=1)
+        return out.view(np.uint64)
+
+    # pairs (i, k) that are not outside read an appended empty row
+    packed = words(np.vstack([rows, np.zeros(h, dtype=bool)]))
+    idx = np.where(outside, inv, np.intp(len(rows)))
+    out_w = words(outside)
+    step = max(1, _BLOCK // (h * nbytes))
+    found = []
+    for i0 in range(0, h, step):
+        blk = packed[idx[i0:i0 + step]] & out_w[None, :, :] & out_w[i0:i0 + step, None, :]
+        live = blk.any(axis=2)
+        if not live.any():
+            continue
+        if first:
+            i, k = np.argwhere(live)[0]
+            return np.array([[i0 + i, k, np.argmax(np.unpackbits(blk[i, k].view(np.uint8)))]])
+        found.append(np.argwhere(np.unpackbits(blk.view(np.uint8), axis=2, count=h))
+                     + [i0, 0, 0])
+    return np.concatenate(found) if found else np.empty((0, 3), dtype=np.int64)
+
+
+def _first_triple(gr: GradedRing, X: np.ndarray, rows: np.ndarray,
+                  inv: np.ndarray, outside: np.ndarray) -> Verdict:
+    hit = _triples(rows, inv, outside, first=True)
+    return Verdict(False, _triple_witness(gr, *X[hit[0]])) if len(hit) else Verdict(True)
 
 
 def _triple_witness(gr: GradedRing, x: int, y: int, z: int) -> dict:
@@ -204,103 +287,26 @@ def _triple_witness(gr: GradedRing, x: int, y: int, z: int) -> dict:
     }
 
 
-def _first_triple(viol: np.ndarray, H: np.ndarray) -> tuple[int, int, int]:
-    i, k, m = np.argwhere(viol)[0]
-    return int(H[i]), int(H[k]), int(H[m])
-
-
 def is_graded_2_absorbing(gr: GradedRing, P: IdealSubset | int) -> Verdict:
     """x*R*y*R*z inside P forces a pairwise product into P (x, y, z homogeneous)."""
-    P = require_graded_ideal(gr, P)
-    hk, ik = _hom_kernel(gr), _ideal_kernel(gr, P.mask)
-    viol = ik["subseteq"] & ~ik["pair_any"]
-    if viol.any():
-        x, y, z = _first_triple(viol, hk["H"])
-        return Verdict(False, _triple_witness(gr, x, y, z))
-    return Verdict(True)
+    tk, inside, outside = _kernel(gr, None, require_graded_ideal(gr, P).mask)
+    return _first_triple(gr, tk["X"], inside, tk["inv"], outside)
 
 
 def is_graded_weakly_2_absorbing(gr: GradedRing, P: IdealSubset | int) -> Verdict:
     """Nonzero x*R*y*R*z inside P forces a pairwise product into P."""
-    P = require_graded_ideal(gr, P)
-    hk, ik = _hom_kernel(gr), _ideal_kernel(gr, P.mask)
-    viol = ik["subseteq"] & ~hk["iszero"] & ~ik["pair_any"]
-    if viol.any():
-        x, y, z = _first_triple(viol, hk["H"])
-        return Verdict(False, _triple_witness(gr, x, y, z))
-    return Verdict(True)
+    tk, inside, outside = _kernel(gr, None, require_graded_ideal(gr, P).mask)
+    return _first_triple(gr, tk["X"], inside & ~tk["zero"], tk["inv"], outside)
 
 
 def is_graded_completely_weakly_2_absorbing(gr: GradedRing,
                                             P: IdealSubset | int) -> Verdict:
     """Nonzero product xyz in P forces a pairwise product into P."""
     P = require_graded_ideal(gr, P)
-    hk, ik = _hom_kernel(gr), _ideal_kernel(gr, P.mask)
-    xyz = hk["V3"]
-    viol = ik["Pb"][xyz] & (xyz != 0) & ~ik["pair_any"]
-    if viol.any():
-        x, y, z = _first_triple(viol, hk["H"])
-        return Verdict(False, _triple_witness(gr, x, y, z))
-    return Verdict(True)
-
-
-# ---------------------------------------------------------------------------
-# degree-local kernel (multipliers from the identity component)
-
-
-def _g_kernel(gr: GradedRing, g: int) -> dict:
-    cache = gr._cache.setdefault("g_kernels", {})
-    ker = cache.get(g)
-    if ker is not None:
-        return ker
-    mul = gr.ring.mul
-    g2 = gr.group.mul(g, g)
-    Rg = gr.component_indices(g)
-    Re = gr.component_indices(gr.group.identity)
-    C2 = gr.component_indices(g2)
-    m, m2 = len(Rg), len(C2)
-    pos2 = np.full(gr.order, -1, dtype=np.int32)
-    pos2[C2] = np.arange(m2, dtype=np.int32)
-    M1g = mul[np.ix_(Rg, Re)]
-    V3g = mul[M1g[:, :, None], Rg[None, None, :]]
-    slots = product_slots(gr, pos2, V3g, (Rg, Re, Rg), f"component {g2}")
-    rows = np.broadcast_to(
-        np.arange(m, dtype=np.int64)[:, None, None] * m
-        + np.arange(m, dtype=np.int64)[None, None, :],
-        V3g.shape)
-    Vbg = np.zeros((m * m, m2), dtype=bool)
-    Vbg[rows.ravel(), slots.ravel()] = True
-    Vfg = Vbg.astype(np.float32)
-    W = mul[mul[np.ix_(C2, Re)][:, :, None], Rg[None, None, :]]
-    killg = (W == 0).all(axis=1)
-    iszero = (Vfg @ (~killg).astype(np.float32)) == 0
-    PRg = mul[np.ix_(Rg, Rg)]
-    ker = {
-        "Rg": Rg, "m": m, "Vfg": Vfg, "W": W,
-        "iszero": iszero.reshape(m, m, m), "PRg": PRg,
-    }
-    cache[g] = ker
-    return ker
-
-
-def _g_ideal_kernel(gr: GradedRing, g: int, pmask: int) -> dict:
-    cache = gr._cache.setdefault("g_ideal_kernels", OrderedDict())
-    key = (g, pmask)
-    ker = cache.get(key)
-    if ker is not None:
-        return ker
-    gk = _g_kernel(gr, g)
-    Pb = bools_from_mask(pmask, gr.order)
-    m = gk["m"]
-    good = Pb[gk["W"]].all(axis=1)
-    subseteq = ((gk["Vfg"] @ (~good).astype(np.float32)) == 0).reshape(m, m, m)
-    PPg = Pb[gk["PRg"]]
-    pair_any = PPg[:, :, None] | PPg[None, :, :] | PPg[:, None, :]
-    ker = {"Pb": Pb, "pair_any": pair_any, "subseteq": subseteq}
-    while len(cache) >= 16:
-        cache.popitem(last=False)
-    cache[key] = ker
-    return ker
+    tk, _, outside = _kernel(gr, None, P.mask)
+    az = gr.ring.mul[:, tk["X"]]      # rows[a, m]: a*X[m] is nonzero and in P
+    rows = bools_from_mask(P.mask, gr.order)[az] & (az != 0)
+    return _first_triple(gr, tk["X"], rows, tk["prods"], outside)
 
 
 def _require_degree(gr: GradedRing, P: IdealSubset, g: int) -> None:
@@ -321,17 +327,12 @@ def is_g_weakly_2_absorbing(gr: GradedRing, P: IdealSubset | int, g: int,
     drops the nonzero hypothesis."""
     P = require_graded_ideal(gr, P, proper=False)
     _require_degree(gr, P, g)
-    gk, ik = _g_kernel(gr, g), _g_ideal_kernel(gr, g, P.mask)
-    if mode == "weakly":
-        viol = ik["subseteq"] & ~gk["iszero"] & ~ik["pair_any"]
-    elif mode == "plain":
-        viol = ik["subseteq"] & ~ik["pair_any"]
-    else:
+    if mode not in ("weakly", "plain"):
         raise ValueError(f"unknown mode {mode!r}")
-    if viol.any():
-        x, y, z = _first_triple(viol, gk["Rg"])
-        return Verdict(False, _triple_witness(gr, x, y, z))
-    return Verdict(True)
+    tk, inside, outside = _kernel(gr, g, P.mask)
+    if mode == "weakly":
+        inside = inside & ~tk["zero"]
+    return _first_triple(gr, tk["X"], inside, tk["inv"], outside)
 
 
 def find_g_triple_zeros(gr: GradedRing, P: IdealSubset | int,
@@ -340,12 +341,10 @@ def find_g_triple_zeros(gr: GradedRing, P: IdealSubset | int,
     product in P, in lexicographic order."""
     P = require_graded_ideal(gr, P, proper=False)
     _require_degree(gr, P, g)
-    gk, ik = _g_kernel(gr, g), _g_ideal_kernel(gr, g, P.mask)
-    hits = np.argwhere(gk["iszero"] & ~ik["pair_any"])
-    Rg = gk["Rg"]
-    triples = [(int(Rg[i]), int(Rg[k]), int(Rg[m])) for i, k, m in hits]
+    tk, _, outside = _kernel(gr, g, P.mask)
+    hits = tk["X"][_triples(tk["zero"], tk["inv"], outside, first=False)]
     weakly = is_g_weakly_2_absorbing(gr, P, g, "weakly")
-    return GTripleZeroCensus(g, triples, weakly.value)
+    return GTripleZeroCensus(g, [tuple(map(int, t)) for t in hits], weakly.value)
 
 
 def is_free_g_triple_zero(gr: GradedRing, P: IdealSubset | int,

@@ -46,7 +46,7 @@ from .constructions import (
     quotient_bimodule,
     regular_bimodule,
 )
-from .grading import GradedRing, Grading, attach_grading, product_slots
+from .grading import GradedRing, Grading, attach_grading
 from .ideals import (
     LEFT,
     RIGHT,
@@ -328,19 +328,17 @@ def _check_p2(ctx: RingContext) -> PropertyOutcome:
     primes = [p for p in ctx.proper_ideals() if ctx.weakly_prime(p)]
     if not primes:
         return out
-    hk = classify._hom_kernel(gr)
-    H = hk["H"]
     for p in primes:
-        ik = classify._ideal_kernel(gr, p)
-        hyp = ik["subseteq"] & ~hk["iszero"]
-        in_p = ik["Pb"][H]
-        concl = in_p[:, None, None] | in_p[None, :, None] | in_p[None, None, :]
-        out.hit(int(hyp.sum()))
-        viol = hyp & ~concl
-        if viol.any():
-            i, j, k = np.argwhere(viol)[0]
+        tk, inside, _ = classify._kernel(gr, None, p)
+        hyp = inside & ~tk["zero"]         # rows: a nonzero sandwich inside P
+        out.hit(int(hyp.sum(axis=1)[tk["inv"]].sum()))
+        # x, y, z all outside P: every pair of them counts as outside
+        notin = ~ctx.pb(p)[tk["X"]]
+        viol = classify._triples(hyp, tk["inv"], notin[:, None] & notin[None, :], True)
+        if len(viol):
+            x, y, z = tk["X"][viol[0]]
             out.violate(P=_ideal_info(gr, p),
-                        x=_elem(gr, H[i]), y=_elem(gr, H[j]), z=_elem(gr, H[k]))
+                        x=_elem(gr, x), y=_elem(gr, y), z=_elem(gr, z))
     return out
 
 
@@ -544,7 +542,6 @@ def _check_p10(ctx: RingContext) -> PropertyOutcome:
     out = PropertyOutcome("P10", ctx.label)
     gr = ctx.gr
     mul = gr.ring.mul
-    Re = gr.component_indices(gr.group.identity)
     lefts = ctx.one_sided(LEFT)
     for g in range(gr.group.order):
         comp = gr.component_mask(g)
@@ -552,13 +549,9 @@ def _check_p10(ctx: RingContext) -> PropertyOutcome:
         m = len(Rg)
         posRg = np.full(gr.order, -1, dtype=np.int64)
         posRg[Rg] = np.arange(m)
-        g2 = gr.group.mul(g, g)
-        C2 = gr.component_indices(g2)
-        pos2 = np.full(gr.order, -1, dtype=np.int64)
-        pos2[C2] = np.arange(len(C2))
-        # XRY[i, r, j] = Rg[i] * Re[r] * Rg[j], always inside the g*g component
-        xry = mul[mul[np.ix_(Rg, Re)][:, :, None], Rg[None, None, :]]
-        xry = product_slots(gr, pos2, xry, (Rg, Re, Rg), f"component {g2}")
+        # the value sets Rg[i] * Re * Rg[j], inside the g*g component C2
+        xry = classify.sandwich_kernel(gr, g, gr.group.identity, g)
+        C2 = xry["T"]
         for p in ctx.lattice():
             if p & comp == comp or not ctx.g_weakly(p, g):
                 continue
@@ -568,7 +561,7 @@ def _check_p10(ctx: RingContext) -> PropertyOutcome:
             for k in lefts:
                 kg = indices_from_mask(k & comp, gr.order)
                 ok_c2 = Pb[mul[np.ix_(C2, kg)]].all(axis=1)
-                sandwich_in = ok_c2[xry].all(axis=1)
+                sandwich_in = classify._none_in(xry["U"], ~ok_c2)[xry["inv"]]
                 tz = np.zeros((m, m), dtype=bool)
                 for (x, y, z) in census.triples:
                     if (k >> z) & 1:

@@ -5,7 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import build_ring, raw_sandwich_kernels, raw_triple_verdicts
+from conftest import (
+    build_ring,
+    counted_sandwich_kernels,
+    kernel_arrays,
+    raw_g_sandwich_kernels,
+    raw_sandwich_kernels,
+    raw_triple_verdicts,
+)
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from ringbench import classify
 from ringbench.bitsets import popcount
 from ringbench.classify import (
@@ -50,11 +59,87 @@ def test_dual_route_kernels_agree():
         gr = build_ring(text)
         for sub in graded_ideal_lattice(gr):
             raw = raw_sandwich_kernels(gr, sub.mask)
-            hk = classify._hom_kernel(gr)
-            ik = classify._ideal_kernel(gr, sub.mask)
-            assert np.array_equal(ik["subseteq"], raw["subseteq"]), text
-            assert np.array_equal(hk["iszero"], raw["iszero"]), text
-            assert np.array_equal(ik["pair_any"], raw["pair_any"]), text
+            fast = kernel_arrays(gr, sub.mask)
+            assert np.array_equal(fast["subseteq"], raw["subseteq"]), text
+            assert np.array_equal(fast["iszero"], raw["iszero"]), text
+            assert np.array_equal(fast["pair_any"], raw["pair_any"]), text
+
+
+def test_g_kernel_matches_raw_route():
+    """Degree-local kernel against the definition with multipliers from R_e,
+    for every graded ideal and every degree it leaves uncovered."""
+    checked = 0
+    for text in SMALL_RINGS:
+        gr = build_ring(text)
+        for sub in graded_ideal_lattice(gr):
+            for g in range(gr.group.order):
+                comp = gr.component_mask(g)
+                if sub.mask & comp == comp:
+                    continue
+                raw = raw_g_sandwich_kernels(gr, g, sub.mask)
+                fast = kernel_arrays(gr, sub.mask, g)
+                assert np.array_equal(fast["X"], raw["Rg"]), (text, g)
+                for key in ("subseteq", "iszero", "pair_any"):
+                    assert np.array_equal(fast[key], raw[key]), (text, sub.mask, g, key)
+                checked += 1
+    assert checked > 0
+
+
+def test_hom_kernel_matches_raw_route_at_order_256():
+    """The shape the idealization properties run on: n = h = 256, 23 ideals.
+    counted_sandwich_kernels is first checked against raw_sandwich_kernels,
+    whose (h, n, h, h) temporary would be 4 GB here."""
+    small = build_ring("ring: idealization(zn(4), regular)")
+    masks = [s.mask for s in graded_ideal_lattice(small)]
+    for pmask, counted in counted_sandwich_kernels(small, masks):
+        raw = raw_sandwich_kernels(small, pmask)
+        for key in ("subseteq", "iszero", "pair_any"):
+            assert np.array_equal(counted[key], raw[key]), (pmask, key)
+
+    gr = build_ring("ring: idealization(zn(16), regular)")
+    lattice = graded_ideal_lattice(gr)
+    assert (gr.order, len(gr.hom_indices()), len(lattice)) == (256, 256, 23)
+    for pmask, raw in counted_sandwich_kernels(gr, [s.mask for s in lattice]):
+        fast = kernel_arrays(gr, pmask)
+        for key in ("subseteq", "iszero", "pair_any"):
+            assert np.array_equal(fast[key], raw[key]), (pmask, key)
+
+
+def test_trivial_grading_builds_one_kernel():
+    """Trivially graded: H = R_e, so the homogeneous kernel and the g = e
+    kernel are one cache entry; a Z_2-graded ring keeps two."""
+    def kernels(gr):
+        return [k for k in gr._cache if isinstance(k, tuple) and k[0] == "sandwich"]
+
+    gr = build_ring("ring: zn(16)")
+    is_graded_2_absorbing(gr, 1)
+    is_g_weakly_2_absorbing(gr, 1, 0)
+    find_g_triple_zeros(gr, 1, 0)
+    assert len(kernels(gr)) == 1
+    assert len([k for k in gr._cache if isinstance(k, tuple) and k[0] == "triple"]) == 1
+
+    gauss = build_ring("ring: gaussian(3)")
+    is_graded_2_absorbing(gauss, 1)
+    is_g_weakly_2_absorbing(gauss, 1, 0)
+    assert len(kernels(gauss)) == 2
+
+
+def test_ideal_check_runs_once_per_mask(monkeypatch):
+    calls = []
+    real = classify.check_closure
+    monkeypatch.setattr(classify, "check_closure",
+                        lambda *a: calls.append(a[1]) or real(*a))
+    gr = build_ring("ring: zn(8)")
+    four = generate_ideal(gr, [4])
+    for _ in range(3):
+        is_graded_2_absorbing(gr, four)
+        is_graded_weakly_2_absorbing(gr, four.mask)
+        is_g_weakly_2_absorbing(gr, four, 0)
+    assert calls == [four.mask]
+    for _ in range(2):
+        with pytest.raises(NotIdealError, match=r"failed \('add', 2, 2\)"):
+            is_graded_2_absorbing(gr, 0b101)
+    assert calls == [four.mask, 0b101]
 
 
 def test_dual_route_verdicts_agree():
@@ -333,3 +418,99 @@ def test_unvalidated_grading_raises_grading_error():
         is_g_weakly_2_absorbing(gr, 1, 1)
     with pytest.raises(GradingError, match=stray):
         run_property(gr, "P10")
+
+
+def test_unvalidated_grading_names_stray_z_side_product():
+    """R_g*R_e*R_g stays in C_{g^2}, but C_{g^2}*R_e*R_g escapes C_{g^3}.
+
+    F_2^3 graded over Z_3 by a = (1, (1, 0)) in degree 0, b = (0, (1, 1)) in
+    degree 1 and c = ab = (0, (1, 0)) in degree 2: b*a*b = c lies in C_2,
+    while c*a*b = c is not in C_0.
+    """
+    ring = make_product_ring(make_zn(2), make_product_ring(make_zn(2), make_zn(2)))
+    a, b, c = 6, 3, 2
+    assert [ring.name(x) for x in (a, b, c)] == ["(1, (1, 0))", "(0, (1, 1))",
+                                                "(0, (1, 0))"]
+    grading = Grading(make_cyclic(3), [1 | 1 << a, 1 | 1 << b, 1 | 1 << c])
+    assert not validate_grading(ring, grading)
+    gr = GradedRing(ring, grading)
+    classify.sandwich_kernel(gr, 1, 0, 1)      # the x-side sandwich is fine
+    stray = (r"product \(0, \(1, 0\)\)\*\(1, \(1, 0\)\)\*\(0, \(1, 1\)\) = "
+             r"\(0, \(1, 0\)\) is not in component 0")
+    with pytest.raises(GradingError, match=stray):
+        is_g_weakly_2_absorbing(gr, 1, 1)
+    with pytest.raises(GradingError, match=stray):
+        find_g_triple_zeros(gr, 1, 1)
+
+
+_LEAVES = [f"zn({n})" for n in range(2, 9)] + ["gaussian(2)"]
+
+
+@st.composite
+def graded_cases(draw):
+    """A spec-built ring of order <= 64, optionally a quotient by a drawn
+    homogeneous non-unit, a graded ideal (proper when there is one) and a
+    degree (one the ideal leaves uncovered when there is one)."""
+    expr = draw(st.one_of(
+        st.integers(2, 64).map(lambda n: f"zn({n})"),
+        st.integers(2, 8).map(lambda n: f"gaussian({n})"),
+        st.just("matrix(zn(2), 2)"),
+        st.tuples(st.sampled_from(_LEAVES), st.sampled_from(_LEAVES))
+          .map(lambda ab: f"product({ab[0]}, {ab[1]})")))
+    gr = build_ring("ring: " + expr)
+    full = (1 << gr.order) - 1
+    nonunits = [x for x in gr.hom_indices().tolist()
+                if x and generate_ideal(gr, [x]).mask != full]
+    if nonunits and draw(st.booleans()):
+        x = draw(st.sampled_from(nonunits))
+        expr = f"quotient({expr}, [{gr.name(x)}])"
+        gr = build_ring("ring: " + expr)
+        full = (1 << gr.order) - 1
+    lattice = graded_ideal_lattice(gr)
+    sub = draw(st.sampled_from([s for s in lattice if s.mask != full] or lattice))
+    degrees = [g for g in range(gr.group.order)
+               if sub.mask & gr.component_mask(g) != gr.component_mask(g)]
+    return expr, gr, sub, draw(st.sampled_from(degrees or [0]))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(graded_cases())
+def test_kernel_fuzz_against_raw_route(case):
+    expr, gr, sub, g = case
+    assert gr.order <= 64, expr
+    raw = raw_sandwich_kernels(gr, sub.mask)
+    fast = kernel_arrays(gr, sub.mask)
+    for key in ("subseteq", "iszero", "pair_any"):
+        assert np.array_equal(fast[key], raw[key]), (expr, sub.mask, key)
+    if sub.mask != (1 << gr.order) - 1:
+        expected = raw_triple_verdicts(gr, sub.mask)
+        for key, fn in (("graded_2_absorbing", is_graded_2_absorbing),
+                        ("graded_weakly_2_absorbing", is_graded_weakly_2_absorbing),
+                        ("graded_completely_weakly_2_absorbing",
+                         classify.is_graded_completely_weakly_2_absorbing)):
+            verdict = fn(gr, sub)
+            assert verdict.value == expected[key], (expr, sub.mask, key)
+            if not verdict.value:
+                assert verify_witness(gr, sub, key, verdict.witness), (expr, key)
+    comp = gr.component_mask(g)
+    if sub.mask & comp == comp:
+        return
+    rawg = raw_g_sandwich_kernels(gr, g, sub.mask)
+    fastg = kernel_arrays(gr, sub.mask, g)
+    for key in ("subseteq", "iszero", "pair_any"):
+        assert np.array_equal(fastg[key], rawg[key]), (expr, sub.mask, g, key)
+    open_ = rawg["subseteq"] & ~rawg["pair_any"]
+    for mode, kind, viol in (("weakly", "g_weakly_2_absorbing", open_ & ~rawg["iszero"]),
+                             ("plain", "g_plain_2_absorbing", open_)):
+        verdict = is_g_weakly_2_absorbing(gr, sub, g, mode)
+        assert verdict.value == (not viol.any()), (expr, sub.mask, g, mode)
+        if not verdict.value:
+            assert verify_witness(gr, sub, kind, verdict.witness, g), (expr, mode)
+    Rg = rawg["Rg"]
+    census = find_g_triple_zeros(gr, sub, g)
+    assert census.triples == [(int(Rg[i]), int(Rg[k]), int(Rg[m]))
+                              for i, k, m in np.argwhere(rawg["iszero"] & ~rawg["pair_any"])]
+    for x, y, z in census.triples[:3]:
+        assert verify_witness(gr, sub, "g_triple_zero",
+                              {"x": x, "y": y, "z": z}, g), (expr, g)
