@@ -15,7 +15,12 @@ these reductions and exist so results can be cross-checked through an
 independent route.
 
 Ideal-wise predicates (prime, weakly prime, strongly weakly 2-absorbing)
-quantify over the graded two-sided ideal lattice.
+quantify over the graded two-sided ideal lattice. lattice_table holds it once
+per ring and sidedness as positions: containment sub[i, j] and products
+prod[i, j], since a product of graded ideals of one sidedness is again one.
+Each predicate is then an array expression over (L, L) or (L, L, L) positions,
+taken in blocks of the first index and read in C order, so the witness is the
+lexicographically first violation, as a loop over the sorted lattice finds it.
 """
 
 from __future__ import annotations
@@ -33,8 +38,8 @@ from .ideals import (
     EnumerationCapError,
     IdealSubset,
     check_closure,
-    enumerate_graded_ideals,
     graded_defect,
+    graded_ideal_masks,
     minimal_homogeneous_generators,
 )
 
@@ -344,7 +349,7 @@ def find_g_triple_zeros(gr: GradedRing, P: IdealSubset | int,
     tk, _, outside = _kernel(gr, g, P.mask)
     hits = tk["X"][_triples(tk["zero"], tk["inv"], outside, first=False)]
     weakly = is_g_weakly_2_absorbing(gr, P, g, "weakly")
-    return GTripleZeroCensus(g, [tuple(map(int, t)) for t in hits], weakly.value)
+    return GTripleZeroCensus(g, list(zip(*hits.T.tolist())), weakly.value)
 
 
 def is_free_g_triple_zero(gr: GradedRing, P: IdealSubset | int,
@@ -389,123 +394,176 @@ def is_free_g_triple_zero(gr: GradedRing, P: IdealSubset | int,
 
 
 def graded_ideal_lattice(gr: GradedRing, cap: int = DEFAULT_IDEAL_CAP) -> list[IdealSubset]:
-    key = f"lattice:{cap}"
-    lattice = gr._cache.get(key)
-    if lattice is None:
-        lattice = enumerate_graded_ideals(gr, TWO_SIDED, cap)
-        gr._cache[key] = lattice
-    return lattice
+    return [IdealSubset(mask, TWO_SIDED, graded=True)
+            for mask in graded_ideal_masks(gr, TWO_SIDED, cap)]
 
 
-def _product_of_masks(gr: GradedRing, a: int, b: int) -> int:
-    """Ideal product of two graded ideals, by bit-packed member sets."""
-    cache = gr._cache.setdefault("ideal_products", {})
-    got = cache.get((a, b))
-    if got is not None:
-        return got
-    ia = indices_from_mask(a & gr.hom_mask, gr.order)
-    ib = indices_from_mask(b & gr.hom_mask, gr.order)
-    prods = np.unique(gr.ring.mul[np.ix_(ia, ib)])
-    span = np.zeros(gr.order, dtype=bool)
-    span[0] = True
-    add = gr.ring.add
-    for x in prods:
-        if not span[x]:
-            out = span.copy()
-            idx = np.nonzero(span)[0]
-            jx = int(x)
-            while not span[jx]:
-                out[add[jx, idx]] = True
-                jx = int(add[jx, x])
-            span = out
-    got = int(mask_from_bools(span))
-    cache[(a, b)] = got
-    return got
+def _words(masks, n: int) -> np.ndarray:
+    """Masks as rows of little-endian 64-bit words."""
+    w = -(-n // 64)
+    return np.frombuffer(b"".join(m.to_bytes(8 * w, "little") for m in masks),
+                         dtype="<u8").reshape(-1, w)
 
 
-def _ideal_witness(gr: GradedRing, label_masks: dict[str, int]) -> dict:
-    out = {}
-    for label, mask in label_masks.items():
-        sub = IdealSubset(mask, TWO_SIDED, graded=True)
-        gens = minimal_homogeneous_generators(gr, sub)
-        out[label] = {
-            "mask": mask,
-            "size": sub.size,
-            "generators": gens,
-            "generator_names": [gr.name(x) for x in gens],
-        }
-    return out
+def _inside(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[i, k]: bit row a[i] lies inside bit row b[k], in blocks of i."""
+    step = max(1, _BLOCK // b.nbytes)
+    return np.vstack([~(a[i:i + step, None, :] & ~b[None, :, :]).any(axis=2)
+                      for i in range(0, len(a), step)])
+
+
+@dataclass(frozen=True)
+class LatticeTable:
+    """The graded ideals of one sidedness: masks sorted, index[mask] the
+    position of a mask, words the masks as bit rows, sub[i, j] ideal i lies
+    inside ideal j, prod[i, j] the position of the product I*J (again a
+    graded ideal of the sidedness) and zero the position of {0}."""
+
+    masks: tuple[int, ...]
+    index: dict[int, int]
+    words: np.ndarray
+    sub: np.ndarray
+    prod: np.ndarray
+    zero: int
+
+    def inside(self, pmask: int) -> np.ndarray:
+        """[i]: ideal i lies inside the set pmask."""
+        return _inside(self.words, _words([pmask], self.words.shape[1] * 64))[:, 0]
+
+
+def lattice_table(gr: GradedRing, sidedness: str = TWO_SIDED,
+                  cap: int = DEFAULT_IDEAL_CAP) -> LatticeTable:
+    """The lattice table of one sidedness, built once per ring.
+
+    I*J is the additive span of hom(I)*hom(J) and a lattice member, so it is
+    the smallest member containing those products.
+    """
+    masks = graded_ideal_masks(gr, sidedness, cap)
+    key = ("lattice_table", sidedness)
+    if key in gr._cache:
+        return gr._cache[key]
+    n, L = gr.order, len(masks)
+    words = _words(masks, n)
+    sizes = np.array([m.bit_count() for m in masks])
+    H = gr.hom_indices()
+    homs = np.unpackbits(words.view(np.uint8), axis=1, count=n,
+                         bitorder="little").astype(bool)[:, H]
+    # the products hom(I)*b for b in H, in chunks of H; every ideal holds 0
+    step = max(1, _BLOCK // (n + 8 * L * words.shape[1]))
+    chunks = []
+    for c0 in range(0, len(H), step):
+        r, s = np.nonzero(homs[:, c0:c0 + step])
+        if len(r):
+            starts = np.flatnonzero(np.diff(r, prepend=-1))
+            chunks.append((H[c0:c0 + step], r[starts], s, starts))
+    prod = np.empty((L, L), dtype=np.min_scalar_type(L - 1))
+    for i in range(L):
+        hi = H[homs[i]]
+        vals = np.zeros((L, words.shape[1]), dtype="<u8")
+        for cols, rows, s, starts in chunks:
+            bits = np.zeros((len(cols), 64 * words.shape[1]), dtype=bool)
+            bits[np.arange(len(cols))[None, :], gr.ring.mul[np.ix_(hi, cols)]] = True
+            packed = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+            vals[rows] |= np.bitwise_or.reduceat(packed[s], starts, axis=0)
+        prod[i] = np.where(_inside(vals, words), sizes, n + 1).argmin(axis=1)
+    table = LatticeTable(masks, {m: i for i, m in enumerate(masks)}, words,
+                         _inside(words, words), prod, masks.index(1))
+    gr._cache[key] = table
+    return table
+
+
+def _ideal_triples(t: LatticeTable, rows: np.ndarray | None = None):
+    """(a, abc) over blocks of first indices a (from rows, default all):
+    abc[i, b, c] is the position of (A*B)*C for A = a[i]."""
+    rows = np.arange(len(t.masks)) if rows is None else rows
+    step = max(1, _BLOCK // t.prod.nbytes)
+    for i0 in range(0, len(rows), step):
+        a = rows[i0:i0 + step]
+        yield a, t.prod[t.prod[a]]
+
+
+def _first(viol: np.ndarray):
+    """The first set position of viol in C order, or None."""
+    return np.unravel_index(np.argmax(viol), viol.shape) if viol.any() else None
+
+
+def _first_ideal_triple(t: LatticeTable, inP: np.ndarray,
+                        rows: np.ndarray | None = None) -> tuple[int, int, int] | None:
+    """First (a, b, c), lexicographically and with a from rows, where
+    0 != A*B*C lies inside P and none of AB, AC, BC does; inP from t.inside."""
+    out = ~inP[t.prod]
+    for a, abc in _ideal_triples(t, rows):
+        hit = _first(_ideal_triple_violations(t, inP, out, a, abc))
+        if hit is not None:
+            return int(a[hit[0]]), int(hit[1]), int(hit[2])
+    return None
+
+
+def _ideal_triple_violations(t: LatticeTable, inP: np.ndarray, out: np.ndarray,
+                             a: np.ndarray, abc: np.ndarray) -> np.ndarray:
+    """[i, b, c] over one block of _ideal_triples: 0 != A*B*C inside P with
+    AB, AC and BC all outside P (out = ~inP[t.prod])."""
+    viol = inP[abc]
+    viol &= abc != t.zero
+    viol &= out[a][:, :, None]
+    viol &= out[a][:, None, :]
+    viol &= out[None, :, :]
+    return viol
+
+
+def ideal_info(gr: GradedRing, mask: int) -> dict:
+    """A graded two-sided ideal as reported: mask, size and a small
+    homogeneous generating set."""
+    gens = minimal_homogeneous_generators(gr, IdealSubset(mask, TWO_SIDED, graded=True))
+    return {"mask": int(mask), "size": mask.bit_count(), "generators": gens,
+            "generator_names": [gr.name(x) for x in gens]}
+
+
+def _prime_pair(gr: GradedRing, P: IdealSubset | int, cap: int, weakly: bool) -> Verdict:
+    """First (I, J), lexicographically, with I, J outside P and IJ inside P
+    (and IJ != 0 when weakly)."""
+    P = require_graded_ideal(gr, P)
+    t = lattice_table(gr, TWO_SIDED, cap)
+    inP = t.inside(P.mask)
+    L = len(t.masks)
+    step = max(1, _BLOCK // L)
+    for i0 in range(0, L, step):
+        ij = t.prod[i0:i0 + step]
+        viol = ~inP[i0:i0 + step, None] & ~inP[None, :] & inP[ij]
+        if weakly:
+            viol &= ij != t.zero
+        hit = _first(viol)
+        if hit is not None:
+            i, j = i0 + hit[0], hit[1]
+            return Verdict(False, {k: ideal_info(gr, t.masks[x])
+                                   for k, x in (("I", i), ("J", j), ("product", t.prod[i, j]))})
+    return Verdict(True)
 
 
 def is_graded_prime(gr: GradedRing, P: IdealSubset | int,
-                    cap: int = DEFAULT_IDEAL_CAP,
-                    lattice: list[IdealSubset] | None = None) -> Verdict:
+                    cap: int = DEFAULT_IDEAL_CAP) -> Verdict:
     """I*J inside P forces I or J inside P, over graded two-sided ideals."""
-    P = require_graded_ideal(gr, P)
-    if lattice is None:
-        lattice = graded_ideal_lattice(gr, cap)
-    pm = P.mask
-    for I in lattice:
-        if is_subset(I.mask, pm):
-            continue
-        for J in lattice:
-            if is_subset(J.mask, pm):
-                continue
-            ij = _product_of_masks(gr, I.mask, J.mask)
-            if is_subset(ij, pm):
-                return Verdict(False, _ideal_witness(
-                    gr, {"I": I.mask, "J": J.mask, "product": ij}))
-    return Verdict(True)
+    return _prime_pair(gr, P, cap, weakly=False)
 
 
 def is_graded_weakly_prime(gr: GradedRing, P: IdealSubset | int,
-                           cap: int = DEFAULT_IDEAL_CAP,
-                           lattice: list[IdealSubset] | None = None) -> Verdict:
+                           cap: int = DEFAULT_IDEAL_CAP) -> Verdict:
     """Nonzero I*J inside P forces I or J inside P."""
-    P = require_graded_ideal(gr, P)
-    if lattice is None:
-        lattice = graded_ideal_lattice(gr, cap)
-    pm = P.mask
-    for I in lattice:
-        if is_subset(I.mask, pm):
-            continue
-        for J in lattice:
-            if is_subset(J.mask, pm):
-                continue
-            ij = _product_of_masks(gr, I.mask, J.mask)
-            if ij != 1 and is_subset(ij, pm):
-                return Verdict(False, _ideal_witness(
-                    gr, {"I": I.mask, "J": J.mask, "product": ij}))
-    return Verdict(True)
+    return _prime_pair(gr, P, cap, weakly=True)
 
 
 def is_graded_strongly_weakly_2_absorbing(
         gr: GradedRing, P: IdealSubset | int,
-        cap: int = DEFAULT_IDEAL_CAP,
-        lattice: list[IdealSubset] | None = None) -> Verdict:
+        cap: int = DEFAULT_IDEAL_CAP) -> Verdict:
     """Nonzero A*B*C inside P forces a pairwise ideal product inside P."""
     P = require_graded_ideal(gr, P)
-    if lattice is None:
-        lattice = graded_ideal_lattice(gr, cap)
-    pm = P.mask
-    masks = [I.mask for I in lattice]
-    for a in masks:
-        for b in masks:
-            ab = _product_of_masks(gr, a, b)
-            ab_in = is_subset(ab, pm)
-            for c in masks:
-                abc = _product_of_masks(gr, ab, c)
-                if abc == 1 or not is_subset(abc, pm):
-                    continue
-                if ab_in:
-                    continue
-                if is_subset(_product_of_masks(gr, a, c), pm):
-                    continue
-                if is_subset(_product_of_masks(gr, b, c), pm):
-                    continue
-                return Verdict(False, _ideal_witness(
-                    gr, {"A": a, "B": b, "C": c, "product": abc}))
-    return Verdict(True)
+    t = lattice_table(gr, TWO_SIDED, cap)
+    hit = _first_ideal_triple(t, t.inside(P.mask))
+    if hit is None:
+        return Verdict(True)
+    a, b, c = hit
+    return Verdict(False, {k: ideal_info(gr, t.masks[x]) for k, x in (
+        ("A", a), ("B", b), ("C", c), ("product", t.prod[t.prod[a, b], c]))})
 
 
 # ---------------------------------------------------------------------------

@@ -210,36 +210,72 @@ def ideal_sum(gr: GradedRing, a: IdealSubset, b: IdealSubset) -> IdealSubset:
     return IdealSubset(mask, sidedness, graded=graded_defect(gr, mask) is None)
 
 
+def _cap_error(cap: int, sidedness: str) -> EnumerationCapError:
+    return EnumerationCapError(f"more than {cap} graded {sidedness} ideals; "
+                               f"raise the ideal cap to enumerate them")
+
+
+def _enumerate(gr: GradedRing, sidedness: str, cap: int) -> tuple[int, ...]:
+    """Sorted masks of the graded ideals: the distinct principal ideals of
+    homogeneous elements, closed under sums.
+
+    Every graded ideal is generated by its homogeneous members, so it is the
+    sum of their principal ideals. A sum I + J of additive subgroups is the
+    set of sums i + j, so it needs one gather and no re-closure; and as
+    |I + J| = |I| |J| / |I & J|, a known member of that size holding I and J
+    is the sum, so no gather at all.
+    """
+    left, right = _flags(sidedness)
+    add, n = gr.ring.add, gr.order
+    members: dict[int, np.ndarray] = {}
+    by_size: dict[int, list[int]] = {}
+
+    def keep(flags: np.ndarray) -> int:
+        mask = int(mask_from_bools(flags))
+        if mask not in members:
+            if len(members) >= cap:
+                raise _cap_error(cap, sidedness)
+            members[mask] = np.flatnonzero(flags)
+            by_size.setdefault(mask.bit_count(), []).append(mask)
+        return mask
+
+    principal = list(dict.fromkeys(
+        keep(_close(gr, None, [int(x)], left, right)) for x in gr.hom_indices()))
+    for p in principal:
+        for mask in list(members):
+            size = mask.bit_count() * p.bit_count() // (mask & p).bit_count()
+            if not any((mask | p) & ~m == 0 for m in by_size.get(size, ())):
+                flags = np.zeros(n, dtype=bool)
+                flags[add[members[mask][:, None], members[p]]] = True
+                keep(flags)
+    return tuple(sorted(members))
+
+
 def enumerate_graded_ideals(gr: GradedRing, sidedness: str = TWO_SIDED,
                             cap: int = 10000) -> list[IdealSubset]:
     """All graded ideals of the given sidedness, sorted by member bitset.
 
-    Frontier growth: every graded ideal is generated by its homogeneous
-    members, so extending each known ideal by one outside homogeneous element
-    and closing reaches the whole lattice.
+    Enumerated once per ring and sidedness; a run that exceeds the cap is
+    not kept. Every call returns a fresh list and checks its own cap.
     """
-    left, right = _flags(sidedness)
-    hom = [int(h) for h in gr.hom_indices()]
-    zero = np.zeros(gr.order, dtype=bool)
-    zero[0] = True
-    start = _close(gr, None, [], left, right)
-    seen = {int(mask_from_bools(start))}
-    frontier = [start]
-    while frontier:
-        base = frontier.pop()
-        for a in hom:
-            if base[a]:
-                continue
-            ext = _close(gr, base, [a], left, right)
-            key = int(mask_from_bools(ext))
-            if key not in seen:
-                if len(seen) >= cap:
-                    raise EnumerationCapError(
-                        f"more than {cap} graded {sidedness} ideals; "
-                        f"raise the ideal cap to enumerate them")
-                seen.add(key)
-                frontier.append(ext)
-    return [IdealSubset(mask, sidedness, graded=True) for mask in sorted(seen)]
+    key = f"lattice:{sidedness}"
+    if key not in gr._cache:
+        gr._cache[key] = _enumerate(gr, sidedness, cap)
+    return [IdealSubset(mask, sidedness, graded=True)
+            for mask in graded_ideal_masks(gr, sidedness, cap)]
+
+
+def graded_ideal_masks(gr: GradedRing, sidedness: str = TWO_SIDED,
+                       cap: int = 10000) -> tuple[int, ...]:
+    """The sorted masks enumerate_graded_ideals lists, read from its memo
+    (enumerating through it on a miss)."""
+    key = f"lattice:{sidedness}"
+    if key not in gr._cache:
+        enumerate_graded_ideals(gr, sidedness, cap)
+    masks = gr._cache[key]
+    if len(masks) > cap:
+        raise _cap_error(cap, sidedness)
+    return masks
 
 
 def minimal_homogeneous_generators(gr: GradedRing, ideal: IdealSubset) -> list[int]:

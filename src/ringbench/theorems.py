@@ -25,7 +25,7 @@ from .bitsets import bools_from_mask, indices_from_mask, is_subset, mask_from_bo
 from .classify import (
     DEFAULT_IDEAL_CAP,
     find_g_triple_zeros,
-    graded_ideal_lattice,
+    ideal_info,
     is_g_weakly_2_absorbing,
     is_graded_2_absorbing,
     is_graded_strongly_weakly_2_absorbing,
@@ -55,6 +55,7 @@ from .ideals import (
     IdealSubset,
     check_closure,
     enumerate_graded_ideals,
+    graded_ideal_masks,
     minimal_homogeneous_generators,
 )
 from .rings import DEFAULT_RING_CAP
@@ -113,17 +114,6 @@ class PropertyOutcome:
             self.violations.append({"ring": self.ring, **detail})
 
 
-def _ideal_info(gr: GradedRing, mask: int) -> dict:
-    sub = IdealSubset(mask, TWO_SIDED, graded=True)
-    gens = minimal_homogeneous_generators(gr, sub)
-    return {
-        "mask": int(mask),
-        "size": popcount(mask),
-        "generators": gens,
-        "generator_names": [gr.name(x) for x in gens],
-    }
-
-
 def _elem(gr: GradedRing, x: int) -> dict:
     return {"index": int(x), "name": gr.name(int(x))}
 
@@ -139,7 +129,12 @@ class RingContext:
         self.label = label
         self.ideal_cap = ideal_cap
         self.ring_cap = ring_cap
-        self._memo: dict = {}
+        self._memos: dict = {}
+
+    def _memo(self, key, fn):
+        if key not in self._memos:
+            self._memos[key] = fn()
+        return self._memos[key]
 
     @property
     def unital(self) -> bool:
@@ -152,63 +147,34 @@ class RingContext:
     def subset(self, mask: int) -> IdealSubset:
         return IdealSubset(mask, TWO_SIDED, graded=True)
 
-    def lattice(self) -> list[int]:
-        got = self._memo.get("lattice")
-        if got is None:
-            got = [i.mask for i in graded_ideal_lattice(self.gr, self.ideal_cap)]
-            self._memo["lattice"] = got
-        return got
+    def _sidedness(self, sidedness: str) -> str:
+        """One-sided ideals of a commutative ring are its two-sided ones."""
+        if sidedness == TWO_SIDED or self._memo("commutative", self.gr.ring.is_commutative):
+            return TWO_SIDED
+        return sidedness
+
+    def lattice(self) -> tuple[int, ...]:
+        return graded_ideal_masks(self.gr, TWO_SIDED, self.ideal_cap)
 
     def proper_ideals(self) -> list[int]:
         return [m for m in self.lattice() if m != self.full_mask]
 
-    def one_sided(self, sidedness: str) -> list[int]:
-        key = ("one_sided", sidedness)
-        got = self._memo.get(key)
-        if got is None:
-            if self.gr.ring.is_commutative():
-                got = self.lattice()
-            else:
-                got = [i.mask for i in
-                       enumerate_graded_ideals(self.gr, sidedness, self.ideal_cap)]
-            self._memo[key] = got
-        return got
+    def one_sided(self, sidedness: str) -> tuple[int, ...]:
+        return graded_ideal_masks(self.gr, self._sidedness(sidedness), self.ideal_cap)
+
+    def table(self, sidedness: str = TWO_SIDED) -> classify.LatticeTable:
+        return classify.lattice_table(self.gr, self._sidedness(sidedness),
+                                      self.ideal_cap)
 
     def pb(self, mask: int) -> np.ndarray:
-        key = ("pb", mask)
-        got = self._memo.get(key)
-        if got is None:
-            got = bools_from_mask(mask, self.gr.order)
-            self._memo[key] = got
-        return got
-
-    def hom(self, mask: int) -> np.ndarray:
-        key = ("hom", mask)
-        got = self._memo.get(key)
-        if got is None:
-            got = indices_from_mask(mask & self.gr.hom_mask, self.gr.order)
-            self._memo[key] = got
-        return got
-
-    def product(self, a: int, b: int) -> int:
-        return classify._product_of_masks(self.gr, a, b)
+        return self._memo(("pb", mask), lambda: bools_from_mask(mask, self.gr.order))
 
     def _verdict(self, name: str, fn, *args) -> bool:
-        key = (name, *args)
-        got = self._memo.get(key)
-        if got is None:
-            got = fn(self.gr, *args).value
-            self._memo[key] = got
-        return got
+        return self._memo((name, *args), lambda: fn(self.gr, *args).value)
 
     def weakly_prime(self, p: int) -> bool:
-        key = ("wprime", p)
-        got = self._memo.get(key)
-        if got is None:
-            got = is_graded_weakly_prime(self.gr, self.subset(p),
-                                         self.ideal_cap).value
-            self._memo[key] = got
-        return got
+        return self._memo(("wprime", p), lambda: is_graded_weakly_prime(
+            self.gr, self.subset(p), self.ideal_cap).value)
 
     def two_absorbing(self, p: int) -> bool:
         return self._verdict("2abs", is_graded_2_absorbing, self.subset(p))
@@ -217,76 +183,49 @@ class RingContext:
         return self._verdict("w2abs", is_graded_weakly_2_absorbing, self.subset(p))
 
     def strongly_weakly(self, p: int) -> bool:
-        key = ("sw2abs", p)
-        got = self._memo.get(key)
-        if got is None:
-            got = is_graded_strongly_weakly_2_absorbing(
-                self.gr, self.subset(p), self.ideal_cap).value
-            self._memo[key] = got
-        return got
+        return self._memo(("sw2abs", p), lambda: is_graded_strongly_weakly_2_absorbing(
+            self.gr, self.subset(p), self.ideal_cap).value)
 
     def g_weakly(self, p: int, g: int) -> bool:
-        key = ("gweak", p, g)
-        got = self._memo.get(key)
-        if got is None:
-            got = is_g_weakly_2_absorbing(self.gr, self.subset(p), g, "weakly").value
-            self._memo[key] = got
-        return got
+        return self._memo(("gweak", p, g), lambda: is_g_weakly_2_absorbing(
+            self.gr, self.subset(p), g, "weakly").value)
 
     def g_plain(self, p: int, g: int) -> bool:
-        key = ("gplain", p, g)
-        got = self._memo.get(key)
-        if got is None:
-            got = is_g_weakly_2_absorbing(self.gr, self.subset(p), g, "plain").value
-            self._memo[key] = got
-        return got
+        return self._memo(("gplain", p, g), lambda: is_g_weakly_2_absorbing(
+            self.gr, self.subset(p), g, "plain").value)
 
     def census(self, p: int, g: int):
-        key = ("census", p, g)
-        got = self._memo.get(key)
-        if got is None:
-            got = find_g_triple_zeros(self.gr, self.subset(p), g)
-            self._memo[key] = got
-        return got
+        return self._memo(("census", p, g),
+                          lambda: find_g_triple_zeros(self.gr, self.subset(p), g))
 
     def valid_degrees(self, p: int) -> list[int]:
         return [g for g in range(self.gr.group.order)
                 if p & self.gr.component_mask(g) != self.gr.component_mask(g)]
 
     def quotient(self, kmask: int):
-        key = ("quot", kmask)
-        got = self._memo.get(key)
-        if got is None:
-            got = make_quotient(self.gr, self.subset(kmask))
-            self._memo[key] = got
-        return got
+        return self._memo(("quot", kmask),
+                          lambda: make_quotient(self.gr, self.subset(kmask)))
 
     def bimodules(self) -> list[tuple[str, GradedBimodule]]:
         """Regular bimodule plus every quotient bimodule by a proper nonzero
         graded ideal, keeping only those whose idealization fits the cap."""
-        got = self._memo.get("bimodules")
-        if got is not None:
-            return got
+        return self._memo("bimodules", self._bimodules)
+
+    def _bimodules(self) -> list[tuple[str, GradedBimodule]]:
         n = self.gr.order
         candidates: list[tuple[str, GradedBimodule]] = [
             ("regular", regular_bimodule(self.gr))]
         for kmask in self.lattice():
             if kmask == 1 or kmask == self.full_mask:
                 continue
-            info = _ideal_info(self.gr, kmask)
+            info = ideal_info(self.gr, kmask)
             label = "quotient([" + ", ".join(info["generator_names"]) + "])"
             candidates.append((label, quotient_bimodule(self.gr, kmask)))
-        got = [(lbl, M) for lbl, M in candidates if n * M.order <= self.ring_cap]
-        self._memo["bimodules"] = got
-        return got
+        return [(lbl, M) for lbl, M in candidates if n * M.order <= self.ring_cap]
 
     def idealization(self, mlabel: str, M: GradedBimodule) -> GradedRing:
-        key = ("idealization", mlabel)
-        got = self._memo.get(key)
-        if got is None:
-            got = make_idealization(self.gr, M, self.ring_cap)
-            self._memo[key] = got
-        return got
+        return self._memo(("idealization", mlabel),
+                          lambda: make_idealization(self.gr, M, self.ring_cap))
 
 
 # ---------------------------------------------------------------------------
@@ -302,21 +241,16 @@ def _check_p1(ctx: RingContext) -> PropertyOutcome:
     if not primes:
         return out
     for sidedness in (RIGHT, LEFT):
-        ideals = ctx.one_sided(sidedness)
-        for a in ideals:
-            ha = ctx.hom(a)
-            for b in ideals:
-                prods = np.unique(gr.ring.mul[np.ix_(ha, ctx.hom(b))])
-                if not (prods != 0).any():
-                    continue
-                for p in primes:
-                    if not ctx.pb(p)[prods].all():
-                        continue
-                    out.hit()
-                    if not (is_subset(a, p) or is_subset(b, p)):
-                        out.violate(
-                            sidedness=sidedness, P=_ideal_info(gr, p),
-                            I=_ideal_info(gr, a), J=_ideal_info(gr, b))
+        t = ctx.table(sidedness)
+        found = []
+        for p in primes:
+            inP = t.inside(p)
+            hyp = (t.prod != t.zero) & inP[t.prod]
+            out.hit(int(hyp.sum()))
+            found += [(a, b, p) for a, b in np.argwhere(hyp & ~inP[:, None] & ~inP[None, :])]
+        for a, b, p in sorted(found)[:_MAX_WITNESSES]:
+            out.violate(sidedness=sidedness, P=ideal_info(gr, p),
+                        I=ideal_info(gr, t.masks[a]), J=ideal_info(gr, t.masks[b]))
     return out
 
 
@@ -337,7 +271,7 @@ def _check_p2(ctx: RingContext) -> PropertyOutcome:
         viol = classify._triples(hyp, tk["inv"], notin[:, None] & notin[None, :], True)
         if len(viol):
             x, y, z = tk["X"][viol[0]]
-            out.violate(P=_ideal_info(gr, p),
+            out.violate(P=ideal_info(gr, p),
                         x=_elem(gr, x), y=_elem(gr, y), z=_elem(gr, z))
     return out
 
@@ -350,7 +284,7 @@ def _check_p3(ctx: RingContext) -> PropertyOutcome:
             continue
         out.hit()
         if not ctx.weakly_2_absorbing(p):
-            out.violate(P=_ideal_info(ctx.gr, p))
+            out.violate(P=ideal_info(ctx.gr, p))
     return out
 
 
@@ -364,8 +298,8 @@ def _check_p4(ctx: RingContext) -> PropertyOutcome:
             out.hit()
             inter = p & q
             if not ctx.weakly_2_absorbing(inter):
-                out.violate(P=_ideal_info(ctx.gr, p), K=_ideal_info(ctx.gr, q),
-                            intersection=_ideal_info(ctx.gr, inter))
+                out.violate(P=ideal_info(ctx.gr, p), K=ideal_info(ctx.gr, q),
+                            intersection=ideal_info(ctx.gr, inter))
     return out
 
 
@@ -377,35 +311,14 @@ def _check_p5(ctx: RingContext) -> PropertyOutcome:
     if not ctx.unital:
         out.skipped = "requires unity"
         return out
-    gr = ctx.gr
-    lefts = ctx.one_sided(LEFT)
-    # span(AB) is graded, so its homogeneous members generate it additively;
-    # per-triple value bitmasks make the per-P subset tests integer operations
-    triple_vals: dict[tuple[int, int, int], int] = {}
-    for a in lefts:
-        for b in lefts:
-            hab = ctx.hom(ctx.product(a, b))
-            for c in lefts:
-                vals = np.unique(gr.ring.mul[np.ix_(hab, ctx.hom(c))])
-                flags = np.zeros(gr.order, dtype=bool)
-                flags[vals] = True
-                triple_vals[(a, b, c)] = int(mask_from_bools(flags))
+    # (AB)C != 0 inside P with AB, AC and BC outside P, over graded left ideals
+    t = ctx.table(LEFT)
     for p in ctx.proper_ideals():
-        holds = True
-        for (a, b, c), vals_mask in triple_vals.items():
-            if vals_mask == 1 or not is_subset(vals_mask, p):
-                continue
-            if (is_subset(ctx.product(a, c), p)
-                    or is_subset(ctx.product(b, c), p)
-                    or is_subset(ctx.product(a, b), p)):
-                continue
-            holds = False
-            break
-        if not holds:
+        if classify._first_ideal_triple(t, t.inside(p)) is not None:
             continue
         out.hit()
         if not ctx.weakly_2_absorbing(p):
-            out.violate(P=_ideal_info(gr, p))
+            out.violate(P=ideal_info(ctx.gr, p))
     return out
 
 
@@ -424,7 +337,7 @@ def _check_p6(ctx: RingContext) -> PropertyOutcome:
             out.hit()
             pq = q.projection.image_mask(p)
             if not is_graded_weakly_2_absorbing(q.graded_ring, ctx.subset(pq)).value:
-                out.violate(P=_ideal_info(gr, p), K=_ideal_info(gr, k),
+                out.violate(P=ideal_info(gr, p), K=ideal_info(gr, k),
                             quotient_ideal_mask=int(pq))
     return out
 
@@ -446,7 +359,7 @@ def _check_p7(ctx: RingContext) -> PropertyOutcome:
                 continue
             out.hit()
             if not ctx.weakly_2_absorbing(p):
-                out.violate(P=_ideal_info(gr, p), K=_ideal_info(gr, k))
+                out.violate(P=ideal_info(gr, p), K=ideal_info(gr, k))
     return out
 
 
@@ -514,8 +427,8 @@ def _check_p9(ctx: RingContext) -> PropertyOutcome:
             ok, _ = check_closure(T, fp.mask, TWO_SIDED)
             if not (ok and fp.graded is True
                     and is_graded_weakly_2_absorbing(T, fp).value):
-                out.violate(direction="image", P=_ideal_info(gr, p),
-                            K=_ideal_info(gr, k), image_mask=int(fp.mask))
+                out.violate(direction="image", P=ideal_info(gr, p),
+                            K=ideal_info(gr, k), image_mask=int(fp.mask))
         if not ctx.weakly_2_absorbing(k):
             continue
         t_full = (1 << T.order) - 1
@@ -529,7 +442,7 @@ def _check_p9(ctx: RingContext) -> PropertyOutcome:
             ok, _ = check_closure(gr, pre.mask, TWO_SIDED)
             if not (ok and pre.graded is True
                     and is_graded_weakly_2_absorbing(gr, pre).value):
-                out.violate(direction="preimage", K=_ideal_info(gr, k),
+                out.violate(direction="preimage", K=ideal_info(gr, k),
                             target_ideal_mask=int(i.mask),
                             preimage_mask=int(pre.mask))
     return out
@@ -572,8 +485,8 @@ def _check_p10(ctx: RingContext) -> PropertyOutcome:
                 viol = hyp & ~(xk_in[:, None] | xk_in[None, :])
                 if viol.any():
                     i, j = np.argwhere(viol)[0]
-                    out.violate(degree=int(g), P=_ideal_info(gr, p),
-                                K=_ideal_info(gr, k),
+                    out.violate(degree=int(g), P=ideal_info(gr, p),
+                                K=ideal_info(gr, k),
                                 x=_elem(gr, Rg[i]), y=_elem(gr, Rg[j]))
     return out
 
@@ -619,8 +532,8 @@ def _check_p11(ctx: RingContext) -> PropertyOutcome:
                         if not pointwise.all():
                             i, j, l = np.argwhere(~pointwise)[0]
                             out.violate(degree=int(g), form="pointwise",
-                                        P=_ideal_info(gr, p), A=_ideal_info(gr, a),
-                                        B=_ideal_info(gr, b), K=_ideal_info(gr, k),
+                                        P=ideal_info(gr, p), A=ideal_info(gr, a),
+                                        B=ideal_info(gr, b), K=ideal_info(gr, k),
                                         x=_elem(gr, ag[i]), y=_elem(gr, bg[j]),
                                         z=_elem(gr, kg[l]))
                         if not (t != 0).any():
@@ -628,8 +541,8 @@ def _check_p11(ctx: RingContext) -> PropertyOutcome:
                         out.hit()
                         if not (pak.all() or pbk.all() or pab.all()):
                             out.violate(degree=int(g), form="setwise",
-                                        P=_ideal_info(gr, p), A=_ideal_info(gr, a),
-                                        B=_ideal_info(gr, b), K=_ideal_info(gr, k))
+                                        P=ideal_info(gr, p), A=ideal_info(gr, a),
+                                        B=ideal_info(gr, b), K=ideal_info(gr, k))
     return out
 
 
@@ -663,7 +576,7 @@ def _check_p12(ctx: RingContext) -> PropertyOutcome:
                 failed = sorted(nm for nm, vals in sets.items()
                                 if (np.asarray(vals) != 0).any())
                 if failed:
-                    out.violate(degree=int(g), P=_ideal_info(gr, p),
+                    out.violate(degree=int(g), P=ideal_info(gr, p),
                                 x=_elem(gr, x), y=_elem(gr, y), z=_elem(gr, z),
                                 nonzero_sets=failed)
     return out
@@ -689,15 +602,15 @@ def _check_p13(ctx: RingContext) -> PropertyOutcome:
             if cube_nonzero:
                 out.hit()
                 if weakly != plain:
-                    out.violate(degree=int(g), P=_ideal_info(gr, p),
+                    out.violate(degree=int(g), P=ideal_info(gr, p),
                                 form="nonzero cube", weakly=weakly, plain=plain)
             if weakly and not plain:
                 out.hit()
                 if cube_nonzero:
-                    out.violate(degree=int(g), P=_ideal_info(gr, p),
+                    out.violate(degree=int(g), P=ideal_info(gr, p),
                                 form="cube not annihilated")
                 elif ctx.census(p, g).count == 0:
-                    out.violate(degree=int(g), P=_ideal_info(gr, p),
+                    out.violate(degree=int(g), P=ideal_info(gr, p),
                                 form="no triple-zero found")
     return out
 
@@ -721,7 +634,7 @@ def _check_p14(ctx: RingContext) -> PropertyOutcome:
             lhs = is_graded_2_absorbing(X, pxm).value
             rhs = ctx.two_absorbing(p)
             if lhs != rhs:
-                out.violate(module=mlabel, P=_ideal_info(ctx.gr, p),
+                out.violate(module=mlabel, P=ideal_info(ctx.gr, p),
                             idealization_side=lhs, base_side=rhs)
     return out
 
@@ -745,7 +658,7 @@ def _check_p15(ctx: RingContext) -> PropertyOutcome:
                 continue
             out.hit()
             if not ctx.weakly_2_absorbing(p):
-                out.violate(module=mlabel, P=_ideal_info(ctx.gr, p))
+                out.violate(module=mlabel, P=ideal_info(ctx.gr, p))
     return out
 
 
@@ -796,7 +709,7 @@ def _check_p16(ctx: RingContext) -> PropertyOutcome:
                 rhs = base and annihilated
                 if lhs != rhs:
                     out.violate(module=mlabel, degree=int(g),
-                                P=_ideal_info(gr, p), idealization_side=lhs,
+                                P=ideal_info(gr, p), idealization_side=lhs,
                                 base_g_weakly=base, annihilated=annihilated,
                                 triple=detail)
     return out
@@ -807,35 +720,17 @@ def _check_p17(ctx: RingContext) -> PropertyOutcome:
     holds for triples whose first ideal contains P."""
     out = PropertyOutcome("P17", ctx.label)
     gr = ctx.gr
-    lattice = ctx.lattice()
+    t = ctx.table()
     for p in ctx.proper_ideals():
         out.hit()
         lhs = ctx.strongly_weakly(p)
-        rhs = True
-        witness = None
-        for a in lattice:
-            if not is_subset(p, a):
-                continue
-            for b in lattice:
-                ab = ctx.product(a, b)
-                ab_in = is_subset(ab, p)
-                for c in lattice:
-                    abc = ctx.product(ab, c)
-                    if abc == 1 or not is_subset(abc, p):
-                        continue
-                    if ab_in or is_subset(ctx.product(a, c), p) \
-                            or is_subset(ctx.product(b, c), p):
-                        continue
-                    rhs = False
-                    witness = {"A": _ideal_info(gr, a), "B": _ideal_info(gr, b),
-                               "C": _ideal_info(gr, c)}
-                    break
-                if not rhs:
-                    break
-            if not rhs:
-                break
+        hit = classify._first_ideal_triple(t, t.inside(p),
+                                           np.flatnonzero(t.sub[t.index[p]]))
+        rhs = hit is None
+        witness = None if rhs else {
+            k: ideal_info(gr, t.masks[i]) for k, i in zip("ABC", hit)}
         if lhs != rhs:
-            out.violate(P=_ideal_info(gr, p), strongly_weakly=lhs,
+            out.violate(P=ideal_info(gr, p), strongly_weakly=lhs,
                         restricted_triples=rhs, witness=witness)
     return out
 
@@ -843,19 +738,16 @@ def _check_p17(ctx: RingContext) -> PropertyOutcome:
 def _collapse_law_holds(ctx: RingContext) -> tuple[bool, dict | None]:
     """Every graded ideal triple satisfies IJ == IJK, IK == IJK, JK == IJK,
     or IJK == 0 (as ideals)."""
-    lattice = ctx.lattice()
-    for i in lattice:
-        for j in lattice:
-            ij = ctx.product(i, j)
-            for k in lattice:
-                ijk = ctx.product(ij, k)
-                if ijk == 1 or ij == ijk:
-                    continue
-                if ctx.product(i, k) == ijk or ctx.product(j, k) == ijk:
-                    continue
-                return False, {"I": _ideal_info(ctx.gr, i),
-                               "J": _ideal_info(ctx.gr, j),
-                               "K": _ideal_info(ctx.gr, k)}
+    t = ctx.table()
+    for a, ijk in classify._ideal_triples(t):
+        ij, ik = t.prod[a][:, :, None], t.prod[a][:, None, :]
+        hit = classify._first((ijk != t.zero) & (ij != ijk) & (ik != ijk)
+                              & (t.prod[None, :, :] != ijk))
+        if hit is not None:
+            i, j, k = int(a[hit[0]]), int(hit[1]), int(hit[2])
+            return False, {"I": ideal_info(ctx.gr, t.masks[i]),
+                           "J": ideal_info(ctx.gr, t.masks[j]),
+                           "K": ideal_info(ctx.gr, t.masks[k])}
     return True, None
 
 
@@ -877,13 +769,14 @@ def _check_p19(ctx: RingContext) -> PropertyOutcome:
     out = PropertyOutcome("P19", ctx.label)
     if not all(ctx.strongly_weakly(p) for p in ctx.proper_ideals()):
         return out
-    for i in ctx.lattice():
-        out.hit()
-        sq = ctx.product(i, i)
-        cube = ctx.product(sq, i)
-        if cube != sq and cube != 1:
-            out.violate(I=_ideal_info(ctx.gr, i), square_mask=int(sq),
-                        cube_mask=int(cube))
+    t = ctx.table()
+    ii = np.arange(len(t.masks))
+    sq = t.prod[ii, ii]
+    cube = t.prod[sq, ii]
+    out.hit(len(ii))
+    for i in np.flatnonzero((cube != sq) & (cube != t.zero)):
+        out.violate(I=ideal_info(ctx.gr, t.masks[i]), square_mask=t.masks[sq[i]],
+                    cube_mask=t.masks[cube[i]])
     return out
 
 
@@ -1076,7 +969,7 @@ def search_ring(gr: GradedRing, label: str,
     product route before reporting it."""
     ctx = RingContext(gr, label, ideal_cap)
     try:
-        lattice = ctx.lattice()
+        t = ctx.table()
     except EnumerationCapError as exc:
         return {"skipped": str(exc), "eligible_ideals": [],
                 "counters": {"triples_scanned": 0, "triples_nonzero": 0,
@@ -1087,38 +980,34 @@ def search_ring(gr: GradedRing, label: str,
     scanned = nonzero = hypothesis = discarded = 0
     counterexamples: list[dict] = []
     for p in eligible:
-        for a in lattice:
-            for b in lattice:
-                ab = ctx.product(a, b)
-                for k in lattice:
-                    scanned += 1
-                    abk = ctx.product(ab, k)
-                    if abk == 1:
-                        continue
-                    nonzero += 1
-                    if not is_subset(abk, p):
-                        continue
-                    hypothesis += 1
-                    if (is_subset(ab, p) or is_subset(ctx.product(a, k), p)
-                            or is_subset(ctx.product(b, k), p)):
-                        continue
-                    raw_ab = raw_product_mask(gr, a, b)
-                    raw_abk = raw_product_mask(gr, raw_ab, k)
-                    confirmed = (
-                        raw_abk != 1 and is_subset(raw_abk, p)
-                        and not is_subset(raw_ab, p)
-                        and not is_subset(raw_product_mask(gr, a, k), p)
-                        and not is_subset(raw_product_mask(gr, b, k), p))
-                    if confirmed:
-                        counterexamples.append({
-                            "ring": label, "P": _ideal_info(gr, p),
-                            "A": _ideal_info(gr, a), "B": _ideal_info(gr, b),
-                            "K": _ideal_info(gr, k),
-                            "product_mask": int(abk)})
-                    else:
-                        discarded += 1
+        inP = t.inside(p)
+        out = ~inP[t.prod]
+        for rows, abk in classify._ideal_triples(t):
+            scanned += abk.size
+            hyp = abk != t.zero
+            nonzero += int(np.count_nonzero(hyp))
+            hyp &= inP[abk]
+            hypothesis += int(np.count_nonzero(hyp))
+            for i, jb, jk in np.argwhere(
+                    classify._ideal_triple_violations(t, inP, out, rows, abk)):
+                a, b, k = t.masks[rows[i]], t.masks[jb], t.masks[jk]
+                raw_ab = raw_product_mask(gr, a, b)
+                raw_abk = raw_product_mask(gr, raw_ab, k)
+                confirmed = (
+                    raw_abk != 1 and is_subset(raw_abk, p)
+                    and not is_subset(raw_ab, p)
+                    and not is_subset(raw_product_mask(gr, a, k), p)
+                    and not is_subset(raw_product_mask(gr, b, k), p))
+                if confirmed:
+                    counterexamples.append({
+                        "ring": label, "P": ideal_info(gr, p),
+                        "A": ideal_info(gr, a), "B": ideal_info(gr, b),
+                        "K": ideal_info(gr, k),
+                        "product_mask": t.masks[abk[i, jb, jk]]})
+                else:
+                    discarded += 1
     return {
-        "eligible_ideals": [_ideal_info(gr, p) for p in eligible],
+        "eligible_ideals": [ideal_info(gr, p) for p in eligible],
         "counters": {"triples_scanned": scanned, "triples_nonzero": nonzero,
                      "triples_hypothesis": hypothesis},
         "counterexamples": counterexamples,
@@ -1181,12 +1070,12 @@ def triple_zero_census(gr: GradedRing, ideals: list[int] | None = None,
         for g in chosen:
             comp = gr.component_mask(g)
             if p & comp == comp:
-                rows.append({"ideal": _ideal_info(gr, p), "degree": int(g),
+                rows.append({"ideal": ideal_info(gr, p), "degree": int(g),
                              "skip": "component covered by the ideal"})
                 continue
             census = ctx.census(p, g)
             rows.append({
-                "ideal": _ideal_info(gr, p),
+                "ideal": ideal_info(gr, p),
                 "degree": int(g),
                 "count": census.count,
                 "g_weakly_2_absorbing": census.p_is_g_weakly_2_absorbing,

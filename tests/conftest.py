@@ -3,6 +3,8 @@ the sandwich kernels the classifier computes with its cached fast path."""
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from ringbench import classify
@@ -12,6 +14,37 @@ from ringbench.specs import build_document, parse_document
 
 def build_ring(text: str):
     return build_document(parse_document(text)).graded_ring
+
+
+def _table_spec(moduli, mul) -> str:
+    """A table-ring spec on tuples mod moduli (first coordinate fastest),
+    added coordinatewise, multiplied by mul."""
+    elements = [t[::-1] for t in itertools.product(*(range(m) for m in moduli[::-1]))]
+    idx = {e: i for i, e in enumerate(elements)}
+
+    def table(op):
+        return [[idx[op(x, y)] for y in elements] for x in elements]
+
+    add = table(lambda x, y: tuple((u + v) % m for u, v, m in zip(x, y, moduli)))
+    return f"ring: table({add}, {table(mul)})".replace(" ", "")
+
+
+# [[a, b], [0, 0]] over F_2: a left unity only; 5 left, 3 right, 3 two-sided ideals
+ROW_MATRICES_F2 = _table_spec((2, 2), lambda x, y: (x[0] * y[0], x[0] * y[1]))
+# [[a, b], [0, d]] over F_2: unital, non-commutative, I*J != J*I for two-sided ideals
+UPPER_TRIANGULAR_F2 = _table_spec(
+    (2, 2, 2), lambda x, y: (x[0] * y[0], (x[0] * y[1] + x[1] * y[2]) % 2, x[2] * y[2]))
+# [[a, b], [0, d]] with a, b mod 2 and d mod 4: 8 two-sided, 12 left and 11 right
+# ideals, and a strongly weakly violation with (A*B)*C != (A*C)*B
+TRIANGULAR_Z2_Z4 = _table_spec(
+    (2, 2, 4), lambda x, y: (x[0] * y[0], (x[0] * y[1] + x[1] * y[2]) % 2,
+                             x[2] * y[2] % 4))
+
+
+def _all_over_middle(ok: np.ndarray, mid: np.ndarray) -> np.ndarray:
+    """[i, k, m]: ok[mid[i, r, k], m] for every r, one i at a time, so the
+    peak is one (r, k, m) slice rather than the whole (i, r, k, m) array."""
+    return np.stack([ok[mid_i].all(axis=0) for mid_i in mid])
 
 
 def raw_sandwich_kernels(gr, pmask: int) -> dict:
@@ -33,8 +66,8 @@ def raw_sandwich_kernels(gr, pmask: int) -> dict:
     in_p2 = Pb[out].all(axis=1)        # a*R*z inside P
     zero2 = (out == 0).all(axis=1)     # a*R*z identically zero
     mid = out[np.ix_(H, np.arange(n), H)]
-    subseteq = in_p2[:, H][mid].all(axis=1)
-    iszero = zero2[:, H][mid].all(axis=1)
+    subseteq = _all_over_middle(in_p2[:, H], mid)
+    iszero = _all_over_middle(zero2[:, H], mid)
     pp = Pb[mul[np.ix_(H, H)]]
     pair_any = pp[:, :, None] | pp[None, :, :] | pp[:, None, :]
     xyz = mul[mul[np.ix_(H, H)][:, :, None], H[None, None, :]]
@@ -70,8 +103,8 @@ def raw_g_sandwich_kernels(gr, g: int, pmask: int) -> dict:
     in_p2 = Pb[out].all(axis=1)        # a*R_e*z inside P
     zero2 = (out == 0).all(axis=1)     # a*R_e*z identically zero
     mid = out[np.ix_(Rg, np.arange(len(Re)), Rg)]
-    subseteq = in_p2[:, Rg][mid].all(axis=1)
-    iszero = zero2[:, Rg][mid].all(axis=1)
+    subseteq = _all_over_middle(in_p2[:, Rg], mid)
+    iszero = _all_over_middle(zero2[:, Rg], mid)
     pp = Pb[mul[np.ix_(Rg, Rg)]]
     pair_any = pp[:, :, None] | pp[None, :, :] | pp[:, None, :]
     return {"Rg": Rg, "subseteq": subseteq, "iszero": iszero, "pair_any": pair_any}
@@ -114,3 +147,37 @@ def raw_triple_verdicts(gr, pmask: int) -> dict:
     return {"graded_2_absorbing": plain,
             "graded_weakly_2_absorbing": weakly,
             "graded_completely_weakly_2_absorbing": cw}
+
+
+def raw_ideal_verdicts(gr, pmask: int) -> dict:
+    """(value, witness masks) for graded prime, graded weakly prime and graded
+    strongly weakly 2-absorbing, by the definitions' loops over the graded
+    ideal lattice in mask order, every ideal product recomputed from all
+    members by raw_product_mask. The witness is the first violation met."""
+    masks = [s.mask for s in classify.graded_ideal_lattice(gr)]
+    products: dict = {}
+
+    def prod(a: int, b: int) -> int:
+        if (a, b) not in products:
+            products[a, b] = classify.raw_product_mask(gr, a, b)
+        return products[a, b]
+
+    def inside(m: int) -> bool:
+        return m & ~pmask == 0
+
+    def first(violations):
+        return next(((False, w) for w in violations), (True, None))
+
+    out = {}
+    for kind, weakly in (("graded_prime", False), ("graded_weakly_prime", True)):
+        out[kind] = first({"I": i, "J": j, "product": prod(i, j)}
+                          for i in masks for j in masks
+                          if not inside(i) and not inside(j) and inside(prod(i, j))
+                          and not (weakly and prod(i, j) == 1))
+    out["graded_strongly_weakly_2_absorbing"] = first(
+        {"A": a, "B": b, "C": c, "product": prod(prod(a, b), c)}
+        for a in masks for b in masks for c in masks
+        if prod(prod(a, b), c) != 1 and inside(prod(prod(a, b), c))
+        and not inside(prod(a, b)) and not inside(prod(a, c))
+        and not inside(prod(b, c)))
+    return out

@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import (
+    ROW_MATRICES_F2,
+    TRIANGULAR_Z2_Z4,
+    UPPER_TRIANGULAR_F2,
     build_ring,
     counted_sandwich_kernels,
     kernel_arrays,
     raw_g_sandwich_kernels,
+    raw_ideal_verdicts,
     raw_sandwich_kernels,
     raw_triple_verdicts,
 )
@@ -38,7 +42,14 @@ from ringbench.classify import (
 )
 from ringbench.grading import GradedRing, Grading, GradingError, validate_grading
 from ringbench.groups import make_cyclic
-from ringbench.ideals import IdealSubset, generate_ideal
+from ringbench.ideals import (
+    LEFT,
+    RIGHT,
+    TWO_SIDED,
+    IdealSubset,
+    enumerate_graded_ideals,
+    generate_ideal,
+)
 from ringbench.rings import make_matrix_ring, make_product_ring, make_zn
 from ringbench.specs import build_document, parse_document
 from ringbench.theorems import run_property
@@ -227,6 +238,92 @@ def test_strongly_weakly_matches_brute_force():
             if not got.value:
                 assert verify_witness(
                     gr, sub, "graded_strongly_weakly_2_absorbing", got.witness)
+
+
+IDEAL_PREDICATES = (("graded_prime", is_graded_prime),
+                    ("graded_weakly_prime", is_graded_weakly_prime),
+                    ("graded_strongly_weakly_2_absorbing",
+                     is_graded_strongly_weakly_2_absorbing))
+
+
+def check_ideal_predicates(gr, pmask: int, where) -> int:
+    """The table predicates against the loop oracle: verdict and first
+    witness; returns how many verdicts were False."""
+    expected = raw_ideal_verdicts(gr, pmask)
+    false = 0
+    for kind, fn in IDEAL_PREDICATES:
+        verdict = fn(gr, pmask)
+        value, witness = expected[kind]
+        assert verdict.value == value, (where, pmask, kind)
+        if not value:
+            assert {k: w["mask"] for k, w in verdict.witness.items()} == witness, \
+                (where, pmask, kind)
+            assert verify_witness(gr, pmask, kind, verdict.witness)
+            false += 1
+    return false
+
+
+def test_ideal_predicates_match_loop_oracle():
+    false = 0
+    for text in SMALL_RINGS + ["ring: zn(16)", "ring: product(zn(4), zn(4))",
+                               ROW_MATRICES_F2, UPPER_TRIANGULAR_F2, TRIANGULAR_Z2_Z4]:
+        gr = build_ring(text)
+        full = (1 << gr.order) - 1
+        for sub in graded_ideal_lattice(gr):
+            if sub.mask != full:
+                false += check_ideal_predicates(gr, sub.mask, text)
+    assert false > 0
+
+
+def test_lattice_table_matches_raw_products():
+    """Positions, containment, zero and every product I*J against
+    raw_product_mask: two-sided on SMALL_RINGS, all three sidednesses on
+    four non-commutative rings."""
+    cases = [(text, TWO_SIDED) for text in SMALL_RINGS] + [
+        (text, s) for text in ("ring: matrix(zn(2), 2)", ROW_MATRICES_F2,
+                               UPPER_TRIANGULAR_F2, TRIANGULAR_Z2_Z4)
+        for s in (TWO_SIDED, LEFT, RIGHT)]
+    for text, sidedness in cases:
+        gr = build_ring(text)
+        t = classify.lattice_table(gr, sidedness)
+        masks = [s.mask for s in enumerate_graded_ideals(gr, sidedness)]
+        assert list(t.masks) == masks and t.masks[t.zero] == 1
+        for i, a in enumerate(masks):
+            assert t.index[a] == i
+            assert list(t.inside(a)) == [b & ~a == 0 for b in masks]
+            for j, b in enumerate(masks):
+                assert t.sub[i, j] == (a & ~b == 0)
+                assert t.masks[t.prod[i, j]] == raw_product_mask(gr, a, b), \
+                    (text, sidedness, a, b)
+        assert classify.lattice_table(gr, sidedness) is t
+
+
+def test_lattice_table_of_256_ideals():
+    """Z_2^8 has 256 graded ideals, as many positions as one byte holds; in
+    a Boolean ring the product I*J is the intersection."""
+    gr = build_ring("ring: " + "product(zn(2), " * 7 + "zn(2)" + ")" * 7)
+    t = classify.lattice_table(gr)
+    assert len(t.masks) == 256 and (t.prod.min(), t.prod.max()) == (0, 255)
+    assert all(t.masks[t.prod[i, j]] == a & b
+               for i, a in enumerate(t.masks) for j, b in enumerate(t.masks))
+
+
+def test_ideal_predicates_keep_blocks_small(monkeypatch):
+    """With blocks of one index (and one homogeneous element per product
+    chunk) the table and the predicates' verdicts and witnesses agree."""
+    def run(text):
+        gr = build_ring(text)
+        masks = [s.mask for s in graded_ideal_lattice(gr)][:-1]
+        t = classify.lattice_table(gr)
+        return t, [[fn(gr, p) for _, fn in IDEAL_PREDICATES] for p in masks]
+
+    for text in ("ring: zn(16)", "ring: idealization(zn(4), regular)", TRIANGULAR_Z2_Z4):
+        t, want = run(text)
+        with monkeypatch.context() as m:
+            m.setattr(classify, "_BLOCK", 1)
+            small, got = run(text)
+        assert np.array_equal(small.prod, t.prod) and np.array_equal(small.sub, t.sub)
+        assert got == want
 
 
 def test_strongly_weakly_frozen_values():
@@ -493,6 +590,7 @@ def test_kernel_fuzz_against_raw_route(case):
             assert verdict.value == expected[key], (expr, sub.mask, key)
             if not verdict.value:
                 assert verify_witness(gr, sub, key, verdict.witness), (expr, key)
+        check_ideal_predicates(gr, sub.mask, expr)
     comp = gr.component_mask(g)
     if sub.mask & comp == comp:
         return

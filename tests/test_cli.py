@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from ringbench import cli
+from ringbench import cli, ideals
 from ringbench.ideals import generate_ideal
 from ringbench.specs import build_document, parse_document
 
@@ -96,6 +96,18 @@ def test_classify_fallback_enumerates_proper_ideals(monkeypatch, capsys, tmp_pat
     names = [c["name"] for c in report["classifications"]]
     assert names == ["I0", "I1", "I2"]
     assert [c["ideal_size"] for c in report["classifications"]] == [1, 2, 4]
+
+
+def test_classify_enumerates_the_lattice_once(monkeypatch, capsys):
+    """The fallback's enumeration and the ideal-wise predicates share one."""
+    runs = []
+    real = ideals._enumerate
+    monkeypatch.setattr(ideals, "_enumerate",
+                        lambda gr, s, cap: runs.append(s) or real(gr, s, cap))
+    monkeypatch.setattr(sys, "stdin", io.StringIO("ring: gaussian(4)"))
+    code, out, _ = run_cli(["classify", "-"], capsys)
+    assert code == 0 and "graded_strongly_weakly_2_absorbing" in out
+    assert runs == [ideals.TWO_SIDED]
 
 
 def test_classify_degrees_flag(monkeypatch, capsys):

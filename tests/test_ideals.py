@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import ROW_MATRICES_F2, TRIANGULAR_Z2_Z4, UPPER_TRIANGULAR_F2
+from ringbench import ideals
 from ringbench.bitsets import indices_from_mask, popcount
 from ringbench.grading import attach_grading, make_gaussian_grading, make_trivial_grading
 from ringbench.groups import make_cyclic
@@ -18,6 +20,7 @@ from ringbench.ideals import (
     enumerate_graded_ideals,
     generate_ideal,
     graded_component,
+    graded_ideal_masks,
     graded_defect,
     ideal_product,
     ideal_sum,
@@ -130,6 +133,64 @@ def test_one_sided_enumeration_matches_brute_force():
     two = len(enumerate_graded_ideals(gr, TWO_SIDED))
     left = len(enumerate_graded_ideals(gr, LEFT))
     assert two == 2 and left > two
+
+
+def test_principal_enumeration_matches_brute_force_every_sidedness():
+    """Sums of principal ideals against the subset scan, for two-sided,
+    left and right ideals, on commutative and non-commutative rings (the
+    last has a left unity only)."""
+    cases = [
+        "ring: matrix(zn(2), 2)",
+        "ring: product(zn(2), zn(4))",
+        "ring: gaussian(3)",
+        "ring: idealization(zn(4), quotient([2]))",
+        UPPER_TRIANGULAR_F2,
+        TRIANGULAR_Z2_Z4,
+        ROW_MATRICES_F2,
+    ]
+    for text in cases:
+        gr = build(text)
+        for sidedness in (TWO_SIDED, LEFT, RIGHT):
+            got = [i.mask for i in enumerate_graded_ideals(gr, sidedness)]
+            assert got == brute_graded_ideals(gr, sidedness), (text, sidedness)
+    assert [len(enumerate_graded_ideals(gr, s)) for s in (TWO_SIDED, LEFT, RIGHT)] \
+        == [3, 5, 3]
+
+
+def test_enumeration_memo(monkeypatch):
+    """One enumeration per ring and sidedness, a fresh list per call, the
+    caller's cap checked on every read, and a run over the cap not kept."""
+    runs = []
+    real = ideals._enumerate
+    monkeypatch.setattr(ideals, "_enumerate",
+                        lambda gr, s, cap: runs.append(s) or real(gr, s, cap))
+    gr = build("ring: zn(16)")
+    first = enumerate_graded_ideals(gr)
+    second = enumerate_graded_ideals(gr)
+    assert first == second and first is not second
+    assert graded_ideal_masks(gr) == tuple(i.mask for i in first)
+    assert runs == [TWO_SIDED]
+    enumerate_graded_ideals(gr, LEFT)
+    assert runs == [TWO_SIDED, LEFT]
+    message = "more than 3 graded two-sided ideals; raise the ideal cap to enumerate them"
+    for read in (enumerate_graded_ideals, graded_ideal_masks):
+        with pytest.raises(EnumerationCapError) as exc:
+            read(gr, TWO_SIDED, 3)
+        assert str(exc.value) == message
+    assert runs == [TWO_SIDED, LEFT]
+
+    assert len(enumerate_graded_ideals(gr, TWO_SIDED, 5)) == 5
+    with pytest.raises(EnumerationCapError, match="more than 4 graded"):
+        graded_ideal_masks(gr, TWO_SIDED, 4)
+
+    fresh = build("ring: zn(16)")
+    for cap in (3, 4):
+        with pytest.raises(EnumerationCapError) as exc:
+            enumerate_graded_ideals(fresh, TWO_SIDED, cap)
+        assert str(exc.value) == message.replace("3", str(cap))
+    assert [i.mask for i in enumerate_graded_ideals(fresh, TWO_SIDED, 5)] \
+        == [i.mask for i in first]
+    assert runs == [TWO_SIDED, LEFT, TWO_SIDED, TWO_SIDED, TWO_SIDED]
 
 
 def test_enumeration_cap():

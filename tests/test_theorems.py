@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from ringbench import theorems
+from conftest import TRIANGULAR_Z2_Z4, UPPER_TRIANGULAR_F2, build_ring
+from ringbench import classify, theorems
+from ringbench.classify import graded_ideal_lattice, raw_product_mask
 from ringbench.theorems import (
     PROPERTY_IDS,
     PROPERTY_SUMMARIES,
@@ -16,6 +19,7 @@ from ringbench.theorems import (
     run_all_properties,
     run_property,
     search_question1,
+    search_ring,
     triple_zero_census,
 )
 
@@ -107,6 +111,112 @@ def test_search_mini_corpus_exhausts():
     assert res["eligible_ideals"][0]["mask"] == 1
     assert res["counters"]["triples_scanned"] == 64
     assert res["counters"]["triples_hypothesis"] == 0
+
+
+def loop_search(gr, eligible: list[int]) -> tuple[dict, list[tuple]]:
+    """search_ring's counters and counterexamples (P, A, B, K, ABK masks) by
+    the definition's loops, every product from raw_product_mask."""
+    masks = [s.mask for s in graded_ideal_lattice(gr)]
+    products: dict = {}
+
+    def prod(a, b):
+        if (a, b) not in products:
+            products[a, b] = raw_product_mask(gr, a, b)
+        return products[a, b]
+
+    counters = {"triples_scanned": 0, "triples_nonzero": 0, "triples_hypothesis": 0}
+    found = []
+    for p in eligible:
+        for a in masks:
+            for b in masks:
+                for k in masks:
+                    counters["triples_scanned"] += 1
+                    abk = prod(prod(a, b), k)
+                    if abk == 1:
+                        continue
+                    counters["triples_nonzero"] += 1
+                    if abk & ~p:
+                        continue
+                    counters["triples_hypothesis"] += 1
+                    if all(m & ~p for m in (prod(a, b), prod(a, k), prod(b, k))):
+                        found.append((p, a, b, k, abk))
+    return counters, found
+
+
+def test_search_ring_matches_loop_oracle(monkeypatch):
+    """On zn(8) its one eligible ideal; then, with every proper ideal made
+    eligible, hypotheses and counterexamples on zn(16), Z_4 x Z_4 and two
+    non-commutative triangular rings."""
+    def compare(gr, label):
+        got = search_ring(gr, label)
+        eligible = [e["mask"] for e in got["eligible_ideals"]]
+        counters, found = loop_search(gr, eligible)
+        assert got["counters"] == counters, label
+        assert [(c["P"]["mask"], c["A"]["mask"], c["B"]["mask"], c["K"]["mask"],
+                 c["product_mask"]) for c in got["counterexamples"]] == found, label
+        assert got["discarded"] == 0
+        return got
+
+    got = compare(build_ring("ring: zn(8)"), "zn(8)")
+    assert [e["mask"] for e in got["eligible_ideals"]] == [1]
+    monkeypatch.setattr(theorems.RingContext, "weakly_2_absorbing", lambda self, p: True)
+    monkeypatch.setattr(theorems.RingContext, "two_absorbing", lambda self, p: False)
+    found = 0
+    for text in ("ring: zn(16)", "ring: product(zn(4), zn(4))", UPPER_TRIANGULAR_F2,
+                 TRIANGULAR_Z2_Z4):
+        got = compare(build_ring(text), text)
+        assert got["counters"]["triples_hypothesis"] > 0
+        found += len(got["counterexamples"])
+    assert found > 0
+
+
+def test_collapse_law_and_restricted_triples_match_loops():
+    """P18's collapse law and P17's triples whose first ideal contains P,
+    verdicts and first witnesses, against loops over raw products."""
+    failed = 0
+    for text in ("ring: zn(8)", "ring: zn(16)", "ring: gaussian(4)",
+                 "ring: product(zn(4), zn(4))", UPPER_TRIANGULAR_F2, TRIANGULAR_Z2_Z4):
+        gr = build_ring(text)
+        ctx = theorems.RingContext(gr, text)
+        for pid in ("P17", "P18", "P19"):
+            assert theorems.run_property(gr, pid, ctx=ctx).violations == [], (text, pid)
+        masks = list(ctx.lattice())
+        products: dict = {}
+
+        def prod(a, b):
+            if (a, b) not in products:
+                products[a, b] = raw_product_mask(gr, a, b)
+            return products[a, b]
+
+        want = next(((i, j, k) for i in masks for j in masks for k in masks
+                     if prod(prod(i, j), k) != 1 and prod(prod(i, j), k) not in
+                     (prod(i, j), prod(i, k), prod(j, k))), None)
+        holds, witness = theorems._collapse_law_holds(ctx)
+        assert holds == (want is None), text
+        if want is not None:
+            assert tuple(witness[k]["mask"] for k in "IJK") == want, text
+            failed += 1
+        t = ctx.table()
+        for p in ctx.proper_ideals():
+            want = next(((a, b, c) for a in masks if p & ~a == 0
+                         for b in masks for c in masks
+                         if prod(prod(a, b), c) != 1 and not prod(prod(a, b), c) & ~p
+                         and all(m & ~p for m in (prod(a, b), prod(a, c), prod(b, c)))),
+                        None)
+            hit = classify._first_ideal_triple(t, t.inside(p),
+                                               np.flatnonzero(t.sub[t.index[p]]))
+            assert (hit and tuple(t.masks[x] for x in hit)) == want, (text, p)
+            failed += want is not None
+    assert failed > 1
+
+
+def test_one_sided_properties_frozen_counts():
+    """P1 and P5 read the right and left tables on non-commutative rings;
+    instance counts as the loops over one-sided lattices counted them."""
+    for text, want in ((UPPER_TRIANGULAR_F2, (72, 4)), ("ring: matrix(zn(4), 2)", (60, 2))):
+        gr = build_ring(text)
+        outs = evaluate_ring(gr, text, ["P1", "P5"])
+        assert [(o.instances, o.violations) for o in outs] == [(n, []) for n in want]
 
 
 def test_search_skip_path():
