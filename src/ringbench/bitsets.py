@@ -5,13 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def mask_from_indices(indices) -> int:
-    mask = 0
-    for i in indices:
-        mask |= 1 << int(i)
-    return mask
-
-
 def mask_from_bools(flags: np.ndarray) -> int:
     packed = np.packbits(flags.astype(np.uint8), bitorder="little")
     return int.from_bytes(packed.tobytes(), "little")

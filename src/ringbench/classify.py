@@ -25,7 +25,6 @@ lexicographically first violation, as a loop over the sorted lattice finds it.
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -106,10 +105,9 @@ class ClassificationReport:
     witnesses: dict[str, dict] = field(default_factory=dict)
     skips: dict[str, str] = field(default_factory=dict)
     g_variants: dict[int, dict] = field(default_factory=dict)
-    timings: dict[str, float] = field(default_factory=dict)
 
-    def to_dict(self, include_timings: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "ideal_mask": self.ideal_mask,
             "ideal_size": self.ideal_size,
             "proper": self.proper,
@@ -120,9 +118,6 @@ class ClassificationReport:
             "skips": dict(self.skips),
             "g_variants": {str(g): v for g, v in sorted(self.g_variants.items())},
         }
-        if include_timings:
-            out["timings"] = dict(self.timings)
-        return out
 
 
 def _full_mask(n: int) -> int:
@@ -680,7 +675,7 @@ def classify_ideal(gr: GradedRing, P: IdealSubset | int,
                    degrees: list[int] | None = None,
                    ideal_cap: int = DEFAULT_IDEAL_CAP) -> ClassificationReport:
     """Run every predicate on one graded ideal and collect verdicts,
-    witnesses, skips, and per-predicate timings."""
+    witnesses and skips."""
     P = require_graded_ideal(gr, P, proper=False)
     proper = P.mask != _full_mask(gr.order)
     gens = minimal_homogeneous_generators(gr, P)
@@ -693,7 +688,6 @@ def classify_ideal(gr: GradedRing, P: IdealSubset | int,
             report.skips[key] = "requires a proper ideal"
 
     def run(key: str, fn, *args) -> None:
-        t0 = time.perf_counter()
         try:
             verdict = fn(gr, P, *args)
         except EnumerationCapError as exc:
@@ -702,7 +696,6 @@ def classify_ideal(gr: GradedRing, P: IdealSubset | int,
             report.verdicts[key] = verdict.value
             if verdict.witness is not None:
                 report.witnesses[key] = verdict.witness
-        report.timings[key] = time.perf_counter() - t0
 
     if proper:
         run("graded_prime", is_graded_prime, ideal_cap)
@@ -720,7 +713,6 @@ def classify_ideal(gr: GradedRing, P: IdealSubset | int,
     else:
         chosen = list(degrees)
     for g in chosen:
-        t0 = time.perf_counter()
         entry: dict = {}
         comp = gr.component_mask(g)
         if P.mask & comp == comp:
@@ -736,5 +728,4 @@ def classify_ideal(gr: GradedRing, P: IdealSubset | int,
             if census.triples:
                 entry["first_triple_zero"] = _triple_witness(gr, *census.triples[0])
         report.g_variants[g] = entry
-        report.timings[f"g_variants[{g}]"] = time.perf_counter() - t0
     return report

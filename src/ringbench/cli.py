@@ -17,7 +17,7 @@ import os
 import sys
 
 from .bitsets import popcount
-from .classify import DEFAULT_IDEAL_CAP, classify_ideal
+from .classify import DEFAULT_IDEAL_CAP, classify_ideal, ideal_info
 from .grading import GradedRing, validate_grading
 from .ideals import (
     TWO_SIDED,
@@ -26,7 +26,6 @@ from .ideals import (
     check_closure,
     enumerate_graded_ideals,
     graded_defect,
-    minimal_homogeneous_generators,
 )
 from .rings import DEFAULT_RING_CAP, validate_ring
 from .specs import ParseError, build_document, parse_document
@@ -70,14 +69,8 @@ def _grading_section(gr: GradedRing) -> dict:
 
 
 def _ideal_entry(gr: GradedRing, sub: IdealSubset, name: str | None = None) -> dict:
-    gens = minimal_homogeneous_generators(gr, sub)
-    out = {
-        "mask": int(sub.mask),
-        "size": popcount(sub.mask),
-        "generators": [int(x) for x in gens],
-        "generator_names": [gr.name(x) for x in gens],
-        "proper": sub.mask != (1 << gr.order) - 1,
-    }
+    out = ideal_info(gr, sub.mask)
+    out["proper"] = sub.mask != (1 << gr.order) - 1
     if name is not None:
         out["name"] = name
     return out

@@ -13,10 +13,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitsets import bools_from_mask, indices_from_mask, mask_from_bools
-from .grading import GradedRing, Grading, attach_grading
-from .groups import FiniteGroup, validate_group
+from .grading import (
+    GradedRing,
+    Grading,
+    attach_grading,
+    check_components,
+    check_graded_products,
+)
+from .groups import Validation, first_offender, range_check
 from .ideals import TWO_SIDED, IdealSubset, check_closure, graded_defect
-from .rings import DEFAULT_RING_CAP, FiniteRing, RingTooLargeError, find_unity
+from .rings import (
+    DEFAULT_RING_CAP,
+    FiniteRing,
+    _check_cap,
+    _digit_table,
+    additive_generators,
+    check_additive_group,
+    find_unity,
+)
 
 
 class ConstructionError(ValueError):
@@ -80,46 +94,30 @@ class GradedRingHom:
         return self.image_mask() == (1 << self.target.order) - 1
 
 
-@dataclass(frozen=True)
-class HomValidation:
-    ok: bool
-    failure: str | None = None
-    witness: tuple | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate_graded_hom(f: GradedRingHom) -> HomValidation:
+def validate_graded_hom(f: GradedRingHom) -> Validation:
     """Additive, multiplicative, zero-preserving, and degree-preserving."""
     src, tgt, m = f.source, f.target, f.mapping
     if m.shape != (src.order,):
-        return HomValidation(False, "mapping shape", (m.shape,))
+        return Validation(False, "mapping shape", (m.shape,))
     if m.min() < 0 or m.max() >= tgt.order:
-        return HomValidation(False, "mapping range", (int(m.min()), int(m.max())))
+        return Validation(False, "mapping range", (int(m.min()), int(m.max())))
     if m[0] != 0:
-        return HomValidation(False, "zero not preserved", (int(m[0]),))
-    bad = tgt.ring.add[m[:, None], m[None, :]] != m[src.ring.add]
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        return HomValidation(False, "not additive", (int(i), int(j)))
-    bad = tgt.ring.mul[m[:, None], m[None, :]] != m[src.ring.mul]
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        return HomValidation(False, "not multiplicative", (int(i), int(j)))
+        return Validation(False, "zero not preserved", (int(m[0]),))
+    if at := first_offender(tgt.ring.add[m[:, None], m[None, :]] != m[src.ring.add]):
+        return Validation(False, "not additive", at)
+    if at := first_offender(tgt.ring.mul[m[:, None], m[None, :]] != m[src.ring.mul]):
+        return Validation(False, "not multiplicative", at)
     if f.group_map is not None and f.group_map.shape != (src.group.order,):
-        return HomValidation(False, "group map shape", (f.group_map.shape,))
+        return Validation(False, "group map shape", (f.group_map.shape,))
     for g in range(src.group.order):
         h = f.degree_image(g)
         if h < 0 or h >= tgt.group.order:
-            return HomValidation(False, "group map range", (g, h))
+            return Validation(False, "group map range", (g, h))
         comp = bools_from_mask(tgt.component_mask(h), tgt.order)
         src_idx = src.component_indices(g)
-        inside = comp[m[src_idx]]
-        if not inside.all():
-            x = int(src_idx[np.nonzero(~inside)[0][0]])
-            return HomValidation(False, "degree not preserved", (g, x))
-    return HomValidation(True)
+        if at := first_offender(~comp[m[src_idx]]):
+            return Validation(False, "degree not preserved", (g, int(src_idx[at])))
+    return Validation(True)
 
 
 def make_graded_hom(source: GradedRing, target: GradedRing, mapping,
@@ -230,53 +228,20 @@ class GradedBimodule:
         return self.element_names[m]
 
 
-@dataclass(frozen=True)
-class BimoduleValidation:
-    ok: bool
-    failure: str | None = None
-    witness: tuple | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def _direct_sum_failure(add: np.ndarray, comps: list[int],
-                        order: int) -> str | None:
-    reached = np.array([0], dtype=np.int64)
-    count = 1
-    for g, comp in enumerate(comps):
-        idx = indices_from_mask(comp, order)
-        sums = np.unique(add[np.ix_(reached, idx)].ravel())
-        count *= len(idx)
-        if len(sums) != count:
-            return f"components overlap (degree {g} collides with earlier sums)"
-        reached = sums.astype(np.int64)
-    if count != order:
-        return "components do not span the carrier"
-    return None
-
-
-def validate_bimodule(gr: GradedRing, M: GradedBimodule) -> BimoduleValidation:
+def validate_bimodule(gr: GradedRing, M: GradedBimodule) -> Validation:
     """Abelian group, biadditive associative actions, compatibility
     (r m) s == r (m s), graded actions, direct-sum decomposition, and the
     declared unital flag."""
     n, m = gr.order, M.order
     if M.add.shape != (m, m) or M.neg.shape != (m,):
-        return BimoduleValidation(False, "additive table shape")
+        return Validation(False, "additive table shape")
     if M.left.shape != (n, m) or M.right.shape != (m, n):
-        return BimoduleValidation(False, "action table shape")
-    for tab, label in ((M.add, "add"), (M.left, "left"), (M.right, "right")):
-        if tab.min() < 0 or tab.max() >= m:
-            return BimoduleValidation(False, f"{label} entry out of range")
-
-    gcheck = validate_group(FiniteGroup(m, M.add, M.neg))
-    if not gcheck:
-        return BimoduleValidation(False, f"additive group: {gcheck.failure}",
-                                  gcheck.witness)
-    if (M.add != M.add.T).any():
-        i, j = np.argwhere(M.add != M.add.T)[0]
-        return BimoduleValidation(False, "addition not commutative",
-                                  (int(i), int(j)))
+        return Validation(False, "action table shape")
+    if not (v := range_check(m, add=M.add, left=M.left, right=M.right)):
+        return v
+    v = check_additive_group(M.add, M.neg, additive_generators(M))
+    if not v:
+        return Validation(False, f"additive group: {v.failure}", v.witness)
 
     add, mul = gr.ring.add, gr.ring.mul
     checks = (
@@ -310,49 +275,31 @@ def validate_bimodule(gr: GradedRing, M: GradedBimodule) -> BimoduleValidation:
          M.left[np.arange(n)[:, None, None], M.right[None, :, :]]),
     )
     for label, lhs, rhs in checks:
-        bad = lhs != rhs
-        if bad.any():
-            return BimoduleValidation(False, label,
-                                      tuple(int(v) for v in np.argwhere(bad)[0]))
+        if at := first_offender(lhs != rhs):
+            return Validation(False, label, at)
 
-    if len(M.components) != gr.group.order:
-        return BimoduleValidation(False, "component count")
-    for g, comp in enumerate(M.components):
-        if not comp & 1:
-            return BimoduleValidation(False, "component misses zero", (g,))
-        idx = indices_from_mask(comp, m)
-        flags = bools_from_mask(comp, m)
-        if not flags[M.add[np.ix_(idx, idx)]].all() or not flags[M.neg[idx]].all():
-            return BimoduleValidation(False, "component is not a subgroup", (g,))
-    fail = _direct_sum_failure(M.add.astype(np.int64), M.components, m)
-    if fail is not None:
-        return BimoduleValidation(False, fail)
+    k = gr.group.order
+    if not (v := check_components(M.add, M.components, k, M.name)):
+        return v
+    rs = [gr.component_indices(g) for g in range(k)]
+    ms = [indices_from_mask(c, m) for c in M.components]
+    flags = [bools_from_mask(c, m) for c in M.components]
     op = gr.group.op
-    for g in range(gr.group.order):
-        rg = gr.component_indices(g)
-        for h in range(gr.group.order):
-            mh = indices_from_mask(M.components[h], m)
-            tgt = bools_from_mask(M.components[int(op[g, h])], m)
-            vals = M.left[np.ix_(rg, mh)]
-            if not tgt[vals].all():
-                i, j = np.argwhere(~tgt[vals])[0]
-                return BimoduleValidation(False, "left action leaks a component",
-                                          (int(rg[i]), int(mh[j])))
-            tgt = bools_from_mask(M.components[int(op[h, g])], m)
-            vals = M.right[np.ix_(mh, rg)]
-            if not tgt[vals].all():
-                i, j = np.argwhere(~tgt[vals])[0]
-                return BimoduleValidation(False, "right action leaks a component",
-                                          (int(mh[i]), int(rg[j])))
+    if not (v := check_graded_products(op, M.left, rs, ms, flags,
+                                       "left action leaks a component")):
+        return v
+    if not (v := check_graded_products(op, M.right, ms, rs, flags,
+                                       "right action leaks a component")):
+        return v
 
     if M.unital:
         e = gr.ring.unity
         if e is None:
-            return BimoduleValidation(False, "unital flag on a ring without unity")
+            return Validation(False, "unital flag on a ring without unity")
         ids = np.arange(m)
         if (M.left[e] != ids).any() or (M.right[:, e] != ids).any():
-            return BimoduleValidation(False, "declared unital but 1 does not act as identity")
-    return BimoduleValidation(True)
+            return Validation(False, "declared unital but 1 does not act as identity")
+    return Validation(True)
 
 
 def regular_bimodule(gr: GradedRing) -> GradedBimodule:
@@ -370,6 +317,7 @@ def quotient_bimodule(gr: GradedRing, K: IdealSubset | int) -> GradedBimodule:
     kmask = _require_graded_two_sided(gr, K)
     reps, proj = _coset_tables(gr, kmask)
     base = gr.ring
+    proj = proj.astype(np.uint16)
     madd = proj[base.add[np.ix_(reps, reps)]]
     mneg = proj[base.neg[reps]]
     left = proj[base.mul[:, reps]]          # (n, m): r . rep(m)
@@ -396,42 +344,30 @@ def make_idealization(gr: GradedRing, M: GradedBimodule,
                       cap: int = DEFAULT_RING_CAP) -> GradedRing:
     """Square-zero extension on R x M: degree-g part is R_g x M_g, and the
     module multiplies to zero against itself."""
+    n, m = gr.order, M.order
+    order = n * m
+    # before validation, which alone costs O(n m^2) on an over-cap input
+    _check_cap(order, cap, "idealization")
     check = validate_bimodule(gr, M)
     if not check:
         raise BimoduleError(f"bimodule invalid: {check.failure} at {check.witness}")
-    n, m = gr.order, M.order
-    order = n * m
-    if order > cap:
-        raise RingTooLargeError(
-            f"idealization has order {order}, exceeding the carrier cap {cap}")
-    radd = gr.ring.add.astype(np.int64)
-    rmul = gr.ring.mul.astype(np.int64)
-    # index (r, v) -> r*m + v, tables built on the 4-axis view (r1, v1, r2, v2)
-    add = (radd[:, None, :, None] * m
-           + M.add.astype(np.int64)[None, :, None, :]).reshape(order, order)
-    lv = M.left.astype(np.int64)[:, None, None, :]    # r1 . v2
-    rv = M.right.astype(np.int64)[None, :, :, None]   # v1 . r2
-    mul = (rmul[:, None, :, None] * m
-           + M.add.astype(np.int64)[lv, rv]).reshape(order, order)
-    neg = (gr.ring.neg.astype(np.int64)[:, None] * m
-           + M.neg.astype(np.int64)[None, :]).reshape(order)
-    names = [f"({gr.ring.name(r)}, {M.name(v)})"
-             for r in range(n) for v in range(m)]
+    base = gr.ring
+    # index (r, v) -> r*m + v: digit 0 is the ring part, digit 1 the module part
+    add = _digit_table((n, m), [((0,), (0,), base.add), ((1,), (1,), M.add)])
+    mul = _digit_table((n, m), [
+        ((0,), (0,), base.mul),
+        # r1 v2 + v1 r2 on the (r1, v1, r2, v2) axes
+        ((0, 1), (0, 1), M.add[M.left[:, None, None, :], M.right[None, :, :, None]])])
+    neg = base.neg.astype(np.int64)[:, None] * m + M.neg[None, :]
+    names = [f"({base.name(r)}, {M.name(v)})" for r in range(n) for v in range(m)]
     unity = None
-    if gr.ring.unity is not None and M.unital:
-        unity = gr.ring.unity * m
-    ring = FiniteRing(order, add.astype(np.uint16), neg.astype(np.uint16),
-                      mul.astype(np.uint16), unity=unity, element_names=names,
-                      kind="idealization",
-                      params={"base": gr.ring, "module_order": m,
-                              "module_label": M.label})
-    comps = []
-    for g in range(gr.group.order):
-        mmask = M.components[g]
-        mask = 0
-        for r in gr.component_indices(g):
-            mask |= mmask << (int(r) * m)
-        comps.append(mask)
+    if base.unity is not None and M.unital:
+        unity = base.unity * m
+    ring = FiniteRing(order, add, neg.ravel().astype(np.uint16), mul,
+                      unity=unity, element_names=names, kind="idealization",
+                      params={"base": base, "module_order": m, "module_label": M.label})
+    comps = [idealization_subset(gr.component_mask(g), M.components[g], n, m)
+             for g in range(gr.group.order)]
     return attach_grading(ring, Grading(gr.group, comps))
 
 

@@ -4,6 +4,10 @@ A grading assigns each group element g an additive subgroup R_g (a bitset
 over the carrier) such that R = (+)_g R_g as a direct sum and
 R_g . R_h <= R_{gh}. Homogeneous elements are the union of the components;
 the degree map is partial (undefined on 0 and on non-homogeneous elements).
+
+The component checks (`check_components`, `check_graded_products`) read
+only tables and bitsets, so graded bimodules reuse them for M = (+)_g M_g
+and for both actions.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bitsets import bools_from_mask, contains, indices_from_mask, mask_from_bools
-from .groups import FiniteGroup, make_cyclic
+from .groups import FiniteGroup, Validation, first_offender, make_cyclic
 from .rings import FiniteRing
 
 
@@ -31,16 +35,6 @@ class Grading:
 
 
 @dataclass
-class GradingValidation:
-    ok: bool
-    failure: str | None = None
-    witness: tuple | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-@dataclass
 class GradedRing:
     ring: FiniteRing
     grading: Grading
@@ -50,7 +44,8 @@ class GradedRing:
     _cache: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
-        self.decomp = _decomposition_table(self.ring, self.grading)
+        self.decomp = _decomposition_table(self.ring.add, self.grading.components,
+                                         self.ring.name)
         nonzero = self.decomp != 0
         counts = nonzero.sum(axis=1)
         deg = np.where(counts == 1, np.argmax(nonzero, axis=1), -1)
@@ -98,15 +93,15 @@ class GradedRing:
                 f"group_order={self.group.order})")
 
 
-def _decomposition_table(ring: FiniteRing, grading: Grading) -> np.ndarray:
-    """Fold the components; fails loudly if the sum is not direct or not all of R."""
-    n = ring.order
-    k = grading.group.order
-    add = ring.add
+def _decomposition_table(add: np.ndarray, components: list[int], name) -> np.ndarray:
+    """Fold the components; fails loudly if the sum is not direct or not all
+    of the carrier. Row x holds the component of x in each degree; `name`
+    labels elements in the error."""
+    n = add.shape[0]
     sums = np.zeros(1, dtype=np.int64)
-    rows = np.zeros((1, k), dtype=np.int64)
-    for g in range(k):
-        comp = indices_from_mask(grading.components[g], n)
+    rows = np.zeros((1, len(components)), dtype=np.int64)
+    for g, mask in enumerate(components):
+        comp = indices_from_mask(mask, n)
         new_sums = add[sums[:, None], comp[None, :]].astype(np.int64).ravel()
         new_rows = np.repeat(rows, comp.size, axis=0)
         new_rows[:, g] = np.tile(comp, sums.size)
@@ -114,59 +109,71 @@ def _decomposition_table(ring: FiniteRing, grading: Grading) -> np.ndarray:
     order = np.argsort(sums, kind="stable")
     sums, rows = sums[order], rows[order]
     if sums.size != n or (sums != np.arange(n)).any():
-        if sums.size > 1:
-            dup = np.nonzero(np.diff(sums) == 0)[0]
-            if dup.size:
-                raise GradingError(
-                    f"components do not sum directly: element "
-                    f"{ring.name(int(sums[dup[0]]))} has two decompositions")
-        missing = sorted(set(range(n)) - set(int(s) for s in sums))
+        if at := first_offender(np.diff(sums) == 0):
+            raise GradingError(f"components do not sum directly: element "
+                               f"{name(int(sums[at]))} has two decompositions")
+        missing, = first_offender(~np.isin(np.arange(n), sums))
         raise GradingError(
-            f"components do not span the ring: element {ring.name(missing[0])} unreachable")
+            f"components do not span the ring: element {name(missing)} unreachable")
     return rows
 
 
-def validate_grading(ring: FiniteRing, grading: Grading) -> GradingValidation:
+def check_components(add: np.ndarray, components: list[int], k: int, name) -> Validation:
+    """One bitset per degree of a group of order k, each an additive subgroup
+    of the carrier, summing directly to the whole carrier. Closure under + is
+    enough for a subgroup: a nonempty subset of a finite group that is closed
+    under + is one."""
+    n = add.shape[0]
+    if len(components) != k:
+        return Validation(False, "component count does not match group order",
+                          (len(components), k))
+    for g, comp in enumerate(components):
+        if comp & 1 == 0:
+            return Validation(False, "component misses zero", (g,))
+        if comp >> n:
+            return Validation(False, "component exceeds carrier", (g,))
+        idx = indices_from_mask(comp, n)
+        if at := first_offender(~bools_from_mask(comp, n)[add[np.ix_(idx, idx)]]):
+            i, j = at
+            return Validation(False, "component not additively closed",
+                              (g, int(idx[i]), int(idx[j])))
+    try:
+        _decomposition_table(add, components, name)
+    except GradingError as e:
+        return Validation(False, str(e))
+    return Validation(True)
+
+
+def check_graded_products(op: np.ndarray, table: np.ndarray, xs: list[np.ndarray],
+                          ys: list[np.ndarray], zs: list[np.ndarray],
+                          failure: str) -> Validation:
+    """X_g . Y_h inside Z_gh for all degrees g, h, where table[x, y] is the
+    product. xs and ys hold each degree's indices, zs each degree's flags;
+    the witness is (g, h, x, y)."""
+    k = op.shape[0]
+    for g in range(k):
+        for h in range(k):
+            prod = table[np.ix_(xs[g], ys[h])]
+            if at := first_offender(~zs[int(op[g, h])][prod]):
+                i, j = at
+                return Validation(False, failure, (g, h, int(xs[g][i]), int(ys[h][j])))
+    return Validation(True)
+
+
+def validate_grading(ring: FiniteRing, grading: Grading) -> Validation:
     """Subgroup, direct-sum and multiplicativity checks; first failure wins."""
     n = ring.order
-    k = grading.group.order
-    if len(grading.components) != k:
-        return GradingValidation(False, "component count does not match group order",
-                                 (len(grading.components), k))
-    for g, comp in enumerate(grading.components):
-        if comp & 1 == 0:
-            return GradingValidation(False, "component misses zero", (g,))
-        if comp >> n:
-            return GradingValidation(False, "component exceeds carrier", (g,))
-        idx = indices_from_mask(comp, n)
-        sums = ring.add[np.ix_(idx, idx)]
-        ok = bools_from_mask(comp, n)
-        bad = ~ok[sums]
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            return GradingValidation(False, "component not additively closed",
-                                     (g, int(idx[i]), int(idx[j])))
-    try:
-        _decomposition_table(ring, grading)
-    except GradingError as e:
-        return GradingValidation(False, str(e))
-    op = grading.group.op
-    for g in range(k):
-        ig = indices_from_mask(grading.components[g], n)
-        for h in range(k):
-            ih = indices_from_mask(grading.components[h], n)
-            target = bools_from_mask(grading.components[int(op[g, h])], n)
-            prod = ring.mul[np.ix_(ig, ih)]
-            bad = ~target[prod]
-            if bad.any():
-                i, j = np.argwhere(bad)[0]
-                return GradingValidation(False, "component product escapes its target",
-                                         (g, h, int(ig[i]), int(ih[j])))
-    if ring.unity is not None and not contains(grading.components[grading.group.identity],
-                                               ring.unity):
-        return GradingValidation(False, "unity outside the identity component",
-                                 (ring.unity,))
-    return GradingValidation(True)
+    comps, group = grading.components, grading.group
+    if not (v := check_components(ring.add, comps, group.order, ring.name)):
+        return v
+    idx = [indices_from_mask(c, n) for c in comps]
+    if not (v := check_graded_products(group.op, ring.mul, idx, idx,
+                                       [bools_from_mask(c, n) for c in comps],
+                                       "component product escapes its target")):
+        return v
+    if ring.unity is not None and not contains(comps[group.identity], ring.unity):
+        return Validation(False, "unity outside the identity component", (ring.unity,))
+    return Validation(True)
 
 
 def product_slots(gr: GradedRing, pos: np.ndarray, products: np.ndarray,
@@ -179,7 +186,7 @@ def product_slots(gr: GradedRing, pos: np.ndarray, products: np.ndarray,
     """
     slots = pos[products]
     if slots.min() < 0:
-        at = tuple(int(i) for i in np.argwhere(slots < 0)[0])
+        at = first_offender(slots < 0)
         names = "*".join(gr.name(int(f[i])) for f, i in zip(factors, at))
         raise GradingError(f"product {names} = {gr.name(int(products[at]))} "
                            f"is not in {target}; the grading is not multiplicative")

@@ -1,7 +1,12 @@
-"""Finite groups given by explicit operation tables.
+"""Finite groups given by explicit operation tables, and the validation core.
 
 Elements are dense indices 0..order-1 and the identity is always index 0.
 Grading groups stay small, so validation is plain exhaustive search.
+
+Every validator in the package (groups, rings, gradings, graded maps and
+bimodules) returns a `Validation` and names its first offender through
+`first_offender`: the lexicographically first failing index tuple of a
+boolean array, which is what makes reported witnesses deterministic.
 """
 
 from __future__ import annotations
@@ -33,14 +38,32 @@ class FiniteGroup:
         return self.element_names[a]
 
 
-@dataclass
-class GroupValidation:
+@dataclass(frozen=True)
+class Validation:
+    """Outcome of a structure check: ok, or the first failed law and a witness."""
+
     ok: bool
     failure: str | None = None
     witness: tuple | None = None
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+def first_offender(bad: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first True entry of `bad` in C order, or None."""
+    if not bad.any():
+        return None
+    return tuple(int(v) for v in np.unravel_index(int(bad.argmax()), bad.shape))
+
+
+def range_check(n: int, **tables: np.ndarray) -> Validation:
+    """Every entry of every named table is an element index below n."""
+    for label, tab in tables.items():
+        at = first_offender((tab < 0) | (tab >= n))
+        if at:
+            return Validation(False, f"{label} entry out of range", at)
+    return Validation(True)
 
 
 def make_cyclic(n: int) -> FiniteGroup:
@@ -67,46 +90,34 @@ def make_product_group(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
                        element_names=names)
 
 
-def validate_group(group: FiniteGroup) -> GroupValidation:
+def validate_group(group: FiniteGroup) -> Validation:
     """Check the group axioms on the tables; report the first violation found.
 
     Checks run in a fixed order (table shape, identity, inverses,
     associativity) and the witness is the lexicographically first offender.
     """
     n = group.order
-    op = group.op
+    op, inverse = group.op, group.inverse
+    idx = np.arange(n)
     if op.shape != (n, n):
-        return GroupValidation(False, "op table shape", (op.shape, (n, n)))
-    if op.min(initial=0) < 0 or op.max(initial=0) >= n:
-        bad = np.argwhere((op < 0) | (op >= n))[0]
-        return GroupValidation(False, "op entry out of range", tuple(int(v) for v in bad))
-    if group.inverse.shape != (n,):
-        return GroupValidation(False, "inverse table shape", (group.inverse.shape, (n,)))
+        return Validation(False, "op table shape", (op.shape, (n, n)))
+    if not (v := range_check(n, op=op)):
+        return v
+    if inverse.shape != (n,):
+        return Validation(False, "inverse table shape", (inverse.shape, (n,)))
     e = group.identity
     if e != 0:
-        return GroupValidation(False, "identity must be index 0", (e,))
-    left = op[e, :] != np.arange(n)
-    if left.any():
-        x = int(np.nonzero(left)[0][0])
-        return GroupValidation(False, "identity", (e, x))
-    right = op[:, e] != np.arange(n)
-    if right.any():
-        x = int(np.nonzero(right)[0][0])
-        return GroupValidation(False, "identity", (x, e))
-    inv_bad = op[np.arange(n), group.inverse] != e
-    if inv_bad.any():
-        x = int(np.nonzero(inv_bad)[0][0])
-        return GroupValidation(False, "inverse", (x, int(group.inverse[x])))
-    inv_bad = op[group.inverse, np.arange(n)] != e
-    if inv_bad.any():
-        x = int(np.nonzero(inv_bad)[0][0])
-        return GroupValidation(False, "inverse", (int(group.inverse[x]), x))
+        return Validation(False, "identity must be index 0", (e,))
+    if at := first_offender(op[e, :] != idx):
+        return Validation(False, "identity", (e, *at))
+    if at := first_offender(op[:, e] != idx):
+        return Validation(False, "identity", (*at, e))
+    if at := first_offender(op[idx, inverse] != e):
+        return Validation(False, "inverse", (*at, int(inverse[at])))
+    if at := first_offender(op[inverse, idx] != e):
+        return Validation(False, "inverse", (int(inverse[at]), *at))
     # (a b) c == a (b c), exhaustive; grading groups are tiny
     for a in range(n):
-        lhs = op[op[a, :], :]          # (b, c) -> (a b) c
-        rhs = op[a, op]                # (b, c) -> a (b c)
-        diff = lhs != rhs
-        if diff.any():
-            b, c = (int(v) for v in np.argwhere(diff)[0])
-            return GroupValidation(False, "associativity", (a, b, c))
-    return GroupValidation(True)
+        if at := first_offender(op[op[a, :], :] != op[a, op]):
+            return Validation(False, "associativity", (a, *at))
+    return Validation(True)

@@ -14,6 +14,7 @@ import numpy as np
 
 from .bitsets import bools_from_mask, indices_from_mask, mask_from_bools, popcount
 from .grading import GradedRing
+from .groups import first_offender
 
 TWO_SIDED = "two-sided"
 LEFT = "left"
@@ -123,10 +124,8 @@ def graded_defect(gr: GradedRing, mask: int) -> int | None:
     idx = indices_from_mask(mask, gr.order)
     flags = bools_from_mask(mask, gr.order)
     comps = gr.decomp[idx]
-    bad = ~flags[comps].all(axis=1)
-    if bad.any():
-        return int(idx[np.nonzero(bad)[0][0]])
-    return None
+    at = first_offender(~flags[comps].all(axis=1))
+    return None if at is None else int(idx[at])
 
 
 def is_graded_ideal(gr: GradedRing, subset: IdealSubset | int) -> bool:
@@ -154,25 +153,19 @@ def check_closure(gr: GradedRing, subset: IdealSubset | int,
     n = gr.order
     idx = indices_from_mask(mask, n)
     flags = bools_from_mask(mask, n)
-    sums = gr.ring.add[np.ix_(idx, idx)]
-    bad = ~flags[sums]
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
+    if at := first_offender(~flags[gr.ring.add[np.ix_(idx, idx)]]):
+        i, j = at
         return False, ("add", int(idx[i]), int(idx[j]))
     left, right = _flags(sidedness)
     everyone = np.arange(n)
     if left:
-        prods = gr.ring.mul[np.ix_(everyone, idx)]
-        bad = ~flags[prods]
-        if bad.any():
-            r, i = np.argwhere(bad)[0]
-            return False, ("left", int(r), int(idx[i]))
+        if at := first_offender(~flags[gr.ring.mul[np.ix_(everyone, idx)]]):
+            r, i = at
+            return False, ("left", r, int(idx[i]))
     if right:
-        prods = gr.ring.mul[np.ix_(idx, everyone)]
-        bad = ~flags[prods]
-        if bad.any():
-            i, r = np.argwhere(bad)[0]
-            return False, ("right", int(idx[i]), int(r))
+        if at := first_offender(~flags[gr.ring.mul[np.ix_(idx, everyone)]]):
+            i, r = at
+            return False, ("right", int(idx[i]), r)
     return True, None
 
 

@@ -9,7 +9,9 @@ additive structure and both distributive laws hold, the associator
 (ab)c - a(bc) is additive in each argument, so it vanishes everywhere as
 soon as it vanishes on an additive generating set. The same inductive
 argument reduces additive associativity and distributivity themselves to
-checks against the generators, which costs O(g * n^2) total.
+checks against the generators, which costs O(g * n^2) total. The
+additive-group half (`check_additive_group`) is shared with bimodules.
+Results are `groups.Validation`.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .groups import Validation, first_offender, range_check
 
 DEFAULT_RING_CAP = 4096
 _MAX_ORDER = 1 << 16     # element indices are stored as uint16
@@ -54,18 +58,6 @@ class FiniteRing:
 
     def __repr__(self):  # tables are noise in test output
         return f"FiniteRing(kind={self.kind!r}, order={self.order})"
-
-
-@dataclass
-class RingValidation:
-    ok: bool
-    failure: str | None = None
-    witness: tuple | None = None
-    unity: int | None = None
-    commutative: bool | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def _check_cap(order: int, cap: int, what: str):
@@ -213,8 +205,8 @@ def find_unity(ring: FiniteRing) -> int | None:
     idx = np.arange(ring.order)
     rows = (ring.mul == idx[None, :]).all(axis=1)
     cols = (ring.mul == idx[:, None]).all(axis=0)
-    hits = np.nonzero(rows & cols)[0]
-    return int(hits[0]) if hits.size else None
+    at = first_offender(rows & cols)
+    return None if at is None else at[0]
 
 
 def make_table_ring(add, mul, neg=None, element_names=None,
@@ -231,17 +223,13 @@ def make_table_ring(add, mul, neg=None, element_names=None,
     _check_cap(n, cap, "table ring")
     if mul.shape != (n, n):
         raise ValueError(f"mul table shape {mul.shape} does not match carrier size {n}")
-    for tab, label in ((add, "add"), (mul, "mul")):
-        if tab.min() < 0 or tab.max() >= n:
-            bad = np.argwhere((tab < 0) | (tab >= n))[0]
-            raise ValueError(f"{label} entry out of range at {tuple(int(v) for v in bad)}")
+    if not (v := range_check(n, add=add, mul=mul)):
+        raise ValueError(f"{v.failure} at {v.witness}")
     if neg is None:
-        neg = np.full(n, -1, dtype=np.int64)
-        for x in range(n):
-            hits = np.nonzero(add[x] == 0)[0]
-            if hits.size == 0:
-                raise ValueError(f"no additive inverse candidate for element {x}")
-            neg[x] = hits[0]
+        zero = add == 0
+        if at := first_offender(~zero.any(axis=1)):
+            raise ValueError(f"no additive inverse candidate for element {at[0]}")
+        neg = zero.argmax(axis=1)       # the first y with x + y == 0
     else:
         neg = np.asarray(neg, dtype=np.int64)
         if neg.shape != (n,) or neg.min() < 0 or neg.max() >= n:
@@ -254,16 +242,17 @@ def make_table_ring(add, mul, neg=None, element_names=None,
     return ring
 
 
-def additive_generators(ring: FiniteRing) -> list[int]:
+def additive_generators(ring) -> list[int]:
     """Greedy additive generating set: repeatedly adjoin the smallest element
-    outside the current additive closure. Small (log-sized) for the rings here."""
+    outside the current additive closure. Small (log-sized) for the rings here.
+    Reads only `order` and `add`, so a bimodule serves as well as a ring."""
     n = ring.order
     add = ring.add
     span = np.zeros(n, dtype=bool)
     span[0] = True
     gens: list[int] = []
-    while not span.all():
-        g = int(np.nonzero(~span)[0][0])
+    while at := first_offender(~span):
+        g = at[0]
         gens.append(g)
         frontier = [g]
         span[g] = True
@@ -279,7 +268,29 @@ def additive_generators(ring: FiniteRing) -> list[int]:
     return gens
 
 
-def validate_ring(ring: FiniteRing) -> RingValidation:
+def check_additive_group(add: np.ndarray, neg: np.ndarray, gens: list[int]) -> Validation:
+    """(add, neg) is an abelian group with identity 0.
+
+    Identities, commutativity and inverses are checked exhaustively;
+    associativity against the additive generators `gens`, which suffices: the
+    elements x with (x + u) + v == x + (u + v) for all u, v are closed under +.
+    """
+    idx = np.arange(add.shape[0])
+    if at := first_offender(add[0, :] != idx):
+        return Validation(False, "zero is not a left additive identity", (0, *at))
+    if at := first_offender(add[:, 0] != idx):
+        return Validation(False, "zero is not a right additive identity", (*at, 0))
+    if at := first_offender(add != add.T):
+        return Validation(False, "addition is not commutative", at)
+    if at := first_offender(add[idx, neg] != 0):
+        return Validation(False, "neg is not an additive inverse", (*at, int(neg[at])))
+    for g in gens:
+        if at := first_offender(add[add[g, :], :] != add[g, add]):
+            return Validation(False, "addition is not associative", (g, *at))
+    return Validation(True)
+
+
+def validate_ring(ring: FiniteRing) -> Validation:
     """Exact axiom check; reports the first violated axiom with a witness.
 
     See the module docstring for why checking associativity and
@@ -288,74 +299,32 @@ def validate_ring(ring: FiniteRing) -> RingValidation:
     """
     n = ring.order
     add, neg, mul = ring.add, ring.neg, ring.mul
-    idx = np.arange(n)
-
     if add.shape != (n, n) or mul.shape != (n, n) or neg.shape != (n,):
-        return RingValidation(False, "table shape",
-                              (add.shape, mul.shape, neg.shape))
-    for tab, label in ((add, "add"), (mul, "mul")):
-        if tab.min() < 0 or tab.max() >= n:
-            bad = np.argwhere((tab < 0) | (tab >= n))[0]
-            return RingValidation(False, f"{label} entry out of range",
-                                  tuple(int(v) for v in bad))
-
-    bad = np.nonzero(add[0, :] != idx)[0]
-    if bad.size:
-        return RingValidation(False, "zero is not a left additive identity", (0, int(bad[0])))
-    bad = np.nonzero(add[:, 0] != idx)[0]
-    if bad.size:
-        return RingValidation(False, "zero is not a right additive identity", (int(bad[0]), 0))
-
-    diff = add != add.T
-    if diff.any():
-        a, b = (int(v) for v in np.argwhere(diff)[0])
-        return RingValidation(False, "addition is not commutative", (a, b))
-
-    bad = np.nonzero(add[idx, neg] != 0)[0]
-    if bad.size:
-        x = int(bad[0])
-        return RingValidation(False, "neg is not an additive inverse", (x, int(neg[x])))
-
+        return Validation(False, "table shape", (add.shape, mul.shape, neg.shape))
+    if not (v := range_check(n, add=add, mul=mul)):
+        return v
     gens = additive_generators(ring)
-
-    # (g + u) + v == g + (u + v) for generators g; extends to all elements
-    for g in gens:
-        lhs = add[add[g, :], :]
-        rhs = add[g, add]
-        diff = lhs != rhs
-        if diff.any():
-            u, v = (int(w) for w in np.argwhere(diff)[0])
-            return RingValidation(False, "addition is not associative", (g, u, v))
+    if not (v := check_additive_group(add, neg, gens)):
+        return v
 
     # a(g + c) == ag + ac and (g + b)c == gc + bc for generators g
     for g in gens:
-        lhs = mul[:, add[g, :]]
-        rhs = add[mul[:, g][:, None], mul]
-        diff = lhs != rhs
-        if diff.any():
-            a, c = (int(w) for w in np.argwhere(diff)[0])
-            return RingValidation(False, "left distributivity fails", (a, g, c))
-        lhs = mul[add[g, :], :]
-        rhs = add[mul[g, :][None, :], mul]
-        diff = lhs != rhs
-        if diff.any():
-            b, c = (int(w) for w in np.argwhere(diff)[0])
-            return RingValidation(False, "right distributivity fails", (g, b, c))
+        if at := first_offender(mul[:, add[g, :]] != add[mul[:, g][:, None], mul]):
+            a, c = at
+            return Validation(False, "left distributivity fails", (a, g, c))
+        if at := first_offender(mul[add[g, :], :] != add[mul[g, :][None, :], mul]):
+            return Validation(False, "right distributivity fails", (g, *at))
 
     # associator is additive in each slot once distributivity holds,
     # so generator triples decide it
     garr = np.asarray(gens, dtype=np.int64)
-    if garr.size:
-        lhs = mul[mul[garr[:, None], garr[None, :]][:, :, None], garr[None, None, :]]
-        rhs = mul[garr[:, None, None], mul[garr[:, None], garr[None, :]][None, :, :]]
-        diff = lhs != rhs
-        if diff.any():
-            i, j, k = (int(w) for w in np.argwhere(diff)[0])
-            return RingValidation(False, "multiplication is not associative",
-                                  (int(garr[i]), int(garr[j]), int(garr[k])))
+    lhs = mul[mul[garr[:, None], garr[None, :]][:, :, None], garr[None, None, :]]
+    rhs = mul[garr[:, None, None], mul[garr[:, None], garr[None, :]][None, :, :]]
+    if at := first_offender(lhs != rhs):
+        return Validation(False, "multiplication is not associative",
+                          tuple(int(garr[i]) for i in at))
 
-    unity = find_unity(ring)
-    if ring.unity is not None and unity != ring.unity:
-        return RingValidation(False, "declared unity is not a two-sided identity",
-                              (ring.unity,))
-    return RingValidation(True, unity=unity, commutative=ring.is_commutative())
+    if ring.unity is not None and find_unity(ring) != ring.unity:
+        return Validation(False, "declared unity is not a two-sided identity",
+                          (ring.unity,))
+    return Validation(True)

@@ -302,10 +302,6 @@ def _parse_expr(cur: _Cursor) -> RingExpr:
     return RingExpr(name, args, line, col)
 
 
-def natural_grading_of(expr: RingExpr) -> str:
-    return _NATURAL_GRADING[expr.kind]
-
-
 # ---------------------------------------------------------------------------
 # documents
 

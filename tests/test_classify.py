@@ -483,8 +483,6 @@ def test_report_to_dict_shape():
                       "g_variants"}
     assert d["generator_names"] == ["4"]
     assert "0" in d["g_variants"]
-    d2 = report.to_dict(include_timings=True)
-    assert "timings" in d2 and d2["timings"]
 
 
 def test_unvalidated_grading_raises_grading_error():

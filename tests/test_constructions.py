@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import build_ring
+from conftest import UPPER_TRIANGULAR_F2, build_ring
+from ringbench import cli, constructions
 from ringbench.constructions import (
     BimoduleError,
     ConstructionError,
@@ -188,3 +189,45 @@ def test_idealization_cap():
     gr = build_ring("ring: zn(16)")
     with pytest.raises(RingTooLargeError):
         make_idealization(gr, regular_bimodule(gr), cap=100)
+
+
+def test_idealization_checks_cap_before_validating(monkeypatch, tmp_path, capsys):
+    """An over-cap idealization fails on the cap alone: validating its
+    bimodule first would cost O(n m^2) before the inevitable rejection."""
+    def no_validation(gr, M):
+        raise AssertionError("validate_bimodule ran before the cap check")
+
+    monkeypatch.setattr(constructions, "validate_bimodule", no_validation)
+    gr = build_ring("ring: zn(512)")
+    with pytest.raises(RingTooLargeError, match="carrier cap 4096"):
+        make_idealization(gr, regular_bimodule(gr))
+    spec = tmp_path / "big.spec"
+    spec.write_text("ring: idealization(zn(512), regular)\n")
+    assert cli.main(["validate", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert "idealization has order 262144, exceeding the carrier cap 4096" in err
+
+
+@pytest.mark.parametrize("spec, kgens", [
+    ("ring: zn(8)", [4]),
+    (UPPER_TRIANGULAR_F2, [2]),
+], ids=["commutative", "noncommutative"])
+def test_idealization_tables_match_definition(spec, kgens):
+    """(r1, m1) + (r2, m2) = (r1 + r2, m1 + m2), -(r, m) = (-r, -m) and
+    (r1, m1)(r2, m2) = (r1 r2, r1 m2 + m1 r2), entry by entry, for the regular
+    bimodule and a quotient one, over a commutative and a non-commutative base."""
+    gr = build_ring(spec)
+    R = gr.ring
+    assert R.is_commutative() == (spec == "ring: zn(8)")
+    for M in (regular_bimodule(gr), quotient_bimodule(gr, generate_ideal(gr, kgens))):
+        assert M.order < gr.order or M.label == "regular"
+        X = make_idealization(gr, M).ring
+        m = M.order
+        for x in range(X.order):
+            r1, m1 = divmod(x, m)
+            assert X.neg[x] == R.neg[r1] * m + M.neg[m1]
+            for y in range(X.order):
+                r2, m2 = divmod(y, m)
+                assert X.add[x, y] == R.add[r1, r2] * m + M.add[m1, m2]
+                assert X.mul[x, y] == R.mul[r1, r2] * m + M.add[M.left[r1, m2],
+                                                                M.right[m1, r2]]

@@ -1,0 +1,499 @@
+"""Validators against fixed expectations: golden (failure, witness) pairs on
+corrupted tables, a byte-level `validate --report`, and a brute-force
+bimodule oracle written from the definitions."""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import replace
+
+import numpy as np
+
+from conftest import build_ring
+from ringbench import cli
+from ringbench.constructions import (
+    GradedBimodule,
+    GradedRingHom,
+    quotient_bimodule,
+    regular_bimodule,
+    validate_bimodule,
+    validate_graded_hom,
+)
+from ringbench.grading import Grading, attach_grading, make_gaussian_grading, validate_grading
+from ringbench.groups import FiniteGroup, make_cyclic, make_product_group, validate_group
+from ringbench.ideals import IdealSubset, generate_ideal
+from ringbench.rings import (
+    FiniteRing,
+    make_gaussian,
+    make_matrix_ring,
+    make_table_ring,
+    make_zn,
+    validate_ring,
+)
+
+# ---------------------------------------------------------------------------
+# golden (failure, witness) pairs; each case generator yields inputs in a
+# fixed order and the lists below are what the validators reported on them
+
+
+def corrupted_rings():
+    """The seeded zn(8) corruptions of test_validator_matches_brute_force_on_
+    corrupted_tables, seeded matrix(zn(2), 2) ones, and one case per other
+    failure."""
+    rng = np.random.default_rng(7)
+    base = make_zn(8)
+    for _ in range(25):
+        add = base.add.copy()
+        mul = base.mul.copy()
+        which = rng.integers(0, 2)
+        x, y = rng.integers(0, 8, size=2)
+        delta = int(rng.integers(1, 8))
+        if which == 0:
+            add[x, y] = (add[x, y] + delta) % 8
+        else:
+            mul[x, y] = (mul[x, y] + delta) % 8
+        try:
+            yield make_table_ring(add, mul)
+        except ValueError:
+            continue
+    rng = np.random.default_rng(11)
+    base = make_matrix_ring(make_zn(2), 2)
+    for _ in range(15):
+        tabs = [base.add.copy(), base.mul.copy()]
+        which = int(rng.integers(0, 2))
+        x, y = rng.integers(0, 16, size=2)
+        tabs[which][x, y] = (tabs[which][x, y] + int(rng.integers(1, 16))) % 16
+        try:
+            yield make_table_ring(*tabs)
+        except ValueError:
+            continue
+    yield from crafted_rings()
+
+
+def crafted_rings():
+    """One table ring or wrapper per remaining failure of validate_ring."""
+    z4 = make_zn(4)
+    # F_2^2 with index a + 2b; bilinear, not associative: e1e1 = e1,
+    # e1e2 = e2, e2e2 = e1, e2e1 = 0
+    ids = np.arange(4)
+    a, b = ids % 2, ids // 2
+    c1 = (a[:, None] * a[None, :] + b[:, None] * b[None, :]) % 2
+    c2 = (a[:, None] * b[None, :]) % 2
+    yield make_table_ring(a[:, None] ^ a[None, :] | (b[:, None] ^ b[None, :]) << 1,
+                          c1 + 2 * c2)
+    # x * y = y for x != 0: additive in y only
+    yield make_table_ring(ids[:, None] ^ ids[None, :],
+                          np.where(ids[:, None] != 0, ids[None, :], 0))
+    yield make_table_ring(z4.add, z4.mul, neg=[0, 1, 2, 3])
+    yield FiniteRing(4, z4.add, z4.neg, z4.mul, unity=2)
+    yield FiniteRing(4, z4.add[:3], z4.neg, z4.mul)
+    add = z4.add.astype(np.int64)
+    add[1, 2] = 9
+    yield FiniteRing(4, add, z4.neg, z4.mul)
+
+
+def corrupted_gradings():
+    """Every single-bit flip of the components of the zn(4) and gaussian(2)
+    gradings, then one case per other failure."""
+    zn4 = make_zn(4)
+    g2 = make_gaussian(2)
+    for ring, grading in ((zn4, Grading(make_cyclic(2), [0b1111, 0b0001])),
+                          (g2, make_gaussian_grading(g2))):
+        for g in range(grading.group.order):
+            for bit in range(ring.order):
+                comps = list(grading.components)
+                comps[g] ^= 1 << bit
+                yield ring, Grading(grading.group, comps)
+    yield zn4, Grading(make_cyclic(3), [0b1111, 1])
+    yield zn4, Grading(make_cyclic(2), [0b1111, 1 | 1 << 4])
+    yield g2, Grading(make_cyclic(2), [0b101, 0b011])     # degrees swapped
+    i_as_unity = FiniteRing(4, g2.add, g2.neg, g2.mul, unity=2, kind="gaussian",
+                            params=g2.params)
+    yield i_as_unity, make_gaussian_grading(g2)
+
+
+def broken_groups():
+    """Seeded single-entry corruptions of op and every one-step corruption of
+    inverse, for Z_4, Z_5 and Z_2 x Z_2, then malformed tables."""
+    rng = np.random.default_rng(3)
+    klein = make_product_group(make_cyclic(2), make_cyclic(2))
+    for base in (make_cyclic(4), make_cyclic(5), klein):
+        n = base.order
+        for _ in range(8):
+            op = base.op.copy()
+            a, b = rng.integers(0, n, size=2)
+            op[a, b] = (int(op[a, b]) + int(rng.integers(1, n))) % n
+            yield FiniteGroup(n, op, base.inverse.copy())
+        for x in range(n):
+            inv = base.inverse.copy()
+            inv[x] = (int(inv[x]) + 1) % n
+            yield FiniteGroup(n, base.op.copy(), inv)
+    c4 = make_cyclic(4)
+    yield FiniteGroup(4, c4.op[:3], c4.inverse)
+    op = c4.op.astype(np.int64)
+    op[2, 1] = 7
+    yield FiniteGroup(4, op, c4.inverse)
+    yield FiniteGroup(4, c4.op, c4.inverse[:3])
+    yield FiniteGroup(4, c4.op, c4.inverse, identity=1)
+
+
+def broken_maps():
+    """One-entry corruptions of zn(8) -> zn(4) and gaussian(4) -> gaussian(2),
+    then malformed maps, a non-multiplicative map and bad group maps."""
+    z8 = attach_grading(make_zn(8), Grading(make_cyclic(2), [0xFF, 1]))
+    z4 = attach_grading(make_zn(4), Grading(make_cyclic(2), [0xF, 1]))
+    base = np.arange(8) % 4
+    for x in range(8):
+        m = base.copy()
+        m[x] = (m[x] + 1) % 4
+        yield GradedRingHom(z8, z4, m)
+    yield GradedRingHom(z8, z4, base[:7])
+    m = base.copy()
+    m[3] = 9
+    yield GradedRingHom(z8, z4, m)
+    yield GradedRingHom(z4, z4, np.arange(4) * 2 % 4)
+    g4r, g2r = make_gaussian(4), make_gaussian(2)
+    g4 = attach_grading(g4r, make_gaussian_grading(g4r))
+    g2 = attach_grading(g2r, make_gaussian_grading(g2r))
+    ids = np.arange(16)
+    proj = (ids // 4 % 2) * 2 + ids % 4 % 2
+    for x in range(16):
+        m = proj.copy()
+        m[x] = (m[x] + 1) % 4
+        yield GradedRingHom(g4, g2, m)
+    yield GradedRingHom(g4, g2, proj)
+    for gm in ([1, 0], [0, 5], [0]):
+        yield GradedRingHom(g4, g2, proj, np.asarray(gm))
+
+
+RING_GOLDEN = [
+    ('left distributivity fails', (5, 1, 4)),
+    ('left distributivity fails', (6, 1, 5)),
+    ('addition is not associative', (1, 1, 2)),
+    ('left distributivity fails', (0, 1, 2)),
+    ('zero is not a right additive identity', (6, 0)),
+    ('left distributivity fails', (2, 1, 1)),
+    ('left distributivity fails', (2, 1, 6)),
+    ('left distributivity fails', (7, 1, 5)),
+    ('left distributivity fails', (4, 1, 1)),
+    ('addition is not commutative', (1, 6)),
+    ('left distributivity fails', (4, 1, 0)),
+    ('zero is not a left additive identity', (0, 1)),
+    ('left distributivity fails', (3, 1, 5)),
+    ('left distributivity fails', (5, 1, 2)),
+    ('addition is not associative', (1, 2, 3)),
+    ('left distributivity fails', (0, 1, 0)),
+    ('left distributivity fails', (5, 1, 6)),
+    ('left distributivity fails', (2, 1, 2)),
+    ('left distributivity fails', (6, 1, 4)),
+    ('left distributivity fails', (2, 1, 6)),
+    ('addition is not commutative', (4, 7)),
+    ('left distributivity fails', (5, 1, 0)),
+    ('zero is not a left additive identity', (0, 1)),
+    ('left distributivity fails', (4, 1, 3)),
+    ('addition is not commutative', (2, 12)),
+    ('left distributivity fails', (9, 1, 10)),
+    ('addition is not commutative', (2, 6)),
+    ('left distributivity fails', (1, 1, 8)),
+    ('left distributivity fails', (15, 1, 14)),
+    ('left distributivity fails', (5, 1, 2)),
+    ('addition is not commutative', (10, 15)),
+    ('left distributivity fails', (2, 1, 4)),
+    ('addition is not commutative', (7, 10)),
+    ('left distributivity fails', (13, 1, 12)),
+    ('left distributivity fails', (15, 1, 2)),
+    ('addition is not commutative', (8, 13)),
+    ('left distributivity fails', (5, 1, 14)),
+    ('left distributivity fails', (3, 1, 8)),
+    ('left distributivity fails', (13, 1, 14)),
+    ('multiplication is not associative', (2, 1, 2)),
+    ('right distributivity fails', (1, 2, 1)),
+    ('neg is not an additive inverse', (1, 1)),
+    ('declared unity is not a two-sided identity', (2,)),
+    ('table shape', ((3, 4), (4, 4), (4,))),
+    ('add entry out of range', (1, 2)),
+]
+
+GRADING_GOLDEN = [
+    ('component misses zero', (0,)),
+    ('component not additively closed', (0, 2, 3)),
+    ('component not additively closed', (0, 1, 1)),
+    ('component not additively closed', (0, 1, 2)),
+    ('component misses zero', (1,)),
+    ('component not additively closed', (1, 1, 1)),
+    ('components do not sum directly: element 0 has two decompositions', None),
+    ('component not additively closed', (1, 3, 3)),
+    ('component misses zero', (0,)),
+    ('components do not span the ring: element 1 unreachable', None),
+    ('component not additively closed', (0, 1, 2)),
+    ('component not additively closed', (0, 1, 3)),
+    ('component misses zero', (1,)),
+    ('component not additively closed', (1, 1, 2)),
+    ('components do not span the ring: element i unreachable', None),
+    ('component not additively closed', (1, 2, 3)),
+    ('component count does not match group order', (2, 3)),
+    ('component exceeds carrier', (1,)),
+    ('component product escapes its target', (0, 0, 2, 2)),
+    ('unity outside the identity component', (2,)),
+]
+
+GROUP_GOLDEN = [
+    ('identity', (3, 0)),
+    ('identity', (0, 0)),
+    ('associativity', (1, 2, 2)),
+    ('identity', (0, 1)),
+    ('associativity', (1, 1, 1)),
+    ('identity', (0, 2)),
+    ('identity', (0, 0)),
+    ('inverse', (1, 3)),
+    ('inverse', (0, 1)),
+    ('inverse', (1, 0)),
+    ('inverse', (2, 3)),
+    ('inverse', (3, 2)),
+    ('associativity', (1, 1, 2)),
+    ('identity', (2, 0)),
+    ('associativity', (1, 2, 4)),
+    ('associativity', (1, 1, 2)),
+    ('associativity', (1, 2, 3)),
+    ('inverse', (1, 4)),
+    ('identity', (0, 4)),
+    ('identity', (1, 0)),
+    ('inverse', (0, 1)),
+    ('inverse', (1, 0)),
+    ('inverse', (2, 4)),
+    ('inverse', (3, 3)),
+    ('inverse', (4, 2)),
+    ('identity', (0, 3)),
+    ('identity', (2, 0)),
+    ('identity', (0, 3)),
+    ('identity', (0, 1)),
+    ('associativity', (1, 2, 1)),
+    ('identity', (0, 2)),
+    ('associativity', (1, 2, 3)),
+    ('identity', (0, 2)),
+    ('inverse', (0, 1)),
+    ('inverse', (1, 2)),
+    ('inverse', (2, 3)),
+    ('inverse', (3, 0)),
+    ('op table shape', ((3, 4), (4, 4))),
+    ('op entry out of range', (2, 1)),
+    ('inverse table shape', ((3,), (4,))),
+    ('identity must be index 0', (1,)),
+]
+
+HOM_GOLDEN = [
+    ('zero not preserved', (1,)),
+    ('not additive', (1, 1)),
+    ('not additive', (1, 1)),
+    ('not additive', (1, 2)),
+    ('not additive', (1, 3)),
+    ('not additive', (1, 4)),
+    ('not additive', (1, 5)),
+    ('not additive', (1, 6)),
+    ('mapping shape', ((7,),)),
+    ('mapping range', (0, 9)),
+    ('not multiplicative', (1, 1)),
+    ('zero not preserved', (1,)),
+    ('not additive', (1, 2)),
+    ('not additive', (1, 1)),
+    ('not additive', (1, 2)),
+    ('not additive', (1, 4)),
+    ('not additive', (1, 4)),
+    ('not additive', (1, 5)),
+    ('not additive', (1, 6)),
+    ('not additive', (1, 8)),
+    ('not additive', (1, 8)),
+    ('not additive', (1, 9)),
+    ('not additive', (1, 10)),
+    ('not additive', (1, 12)),
+    ('not additive', (1, 12)),
+    ('not additive', (1, 13)),
+    ('not additive', (1, 14)),
+    (None, None),
+    ('degree not preserved', (0, 1)),
+    ('group map range', (1, 5)),
+    ('group map shape', ((1,),)),
+]
+
+
+def outcomes(validator, cases):
+    return [(v.failure, v.witness) for v in map(validator, cases)]
+
+
+def test_validate_ring_golden():
+    assert outcomes(validate_ring, corrupted_rings()) == RING_GOLDEN
+
+
+def test_validate_grading_golden():
+    assert outcomes(lambda c: validate_grading(*c), corrupted_gradings()) == GRADING_GOLDEN
+
+
+def test_validate_group_golden():
+    assert outcomes(validate_group, broken_groups()) == GROUP_GOLDEN
+
+
+def test_validate_graded_hom_golden():
+    assert outcomes(validate_graded_hom, broken_maps()) == HOM_GOLDEN
+
+
+BAD_TABLE_RING = ("ring: table([[0,1,2,3],[1,2,3,0],[2,3,0,1],[3,0,1,2]], "
+                  "[[0,0,0,0],[0,1,2,3],[0,2,0,1],[0,3,2,1]])\n")
+
+BAD_TABLE_REPORT = """{
+  "command": "validate",
+  "exit": 1,
+  "grading": {
+    "component_sizes": [
+      4,
+      1
+    ],
+    "group_order": 2,
+    "homogeneous_count": 4
+  },
+  "ideals": [],
+  "ring": {
+    "commutative": false,
+    "kind": "table",
+    "order": 4,
+    "source": "ring: table([[0,1,2,3],[1,2,3,0],[2,3,0,1],[3,0,1,2]], [[0,0,0,0],[0,1,2,3],[0,2,0,1],[0,3,2,1]])\\n",
+    "unital": true,
+    "unity": {
+      "index": 1,
+      "name": "1"
+    }
+  },
+  "schema": "ringbench-report/1",
+  "valid": false,
+  "witnesses": [
+    {
+      "failure": "left distributivity fails",
+      "part": "ring",
+      "witness": [
+        2,
+        1,
+        2
+      ]
+    }
+  ]
+}
+"""
+
+
+def test_validate_report_bytes_on_invalid_table_ring(tmp_path, capsys):
+    spec = tmp_path / "bad.spec"
+    spec.write_text(BAD_TABLE_RING)
+    report = tmp_path / "report.json"
+    assert cli.main(["validate", str(spec), "--report", str(report)]) == 1
+    assert report.read_bytes() == BAD_TABLE_REPORT.encode()
+    out = capsys.readouterr().out
+    assert "INVALID ring: left distributivity fails (witness [2, 1, 2])" in out
+
+
+# ---------------------------------------------------------------------------
+# bimodules against a brute-force oracle
+
+
+def brute_bimodule_ok(gr, M: GradedBimodule) -> bool:
+    """Every graded-bimodule law, evaluated element by element."""
+    n, m = gr.order, M.order
+    radd, rmul = gr.ring.add.tolist(), gr.ring.mul.tolist()
+    add, neg = M.add.tolist(), M.neg.tolist()
+    left, right = M.left.tolist(), M.right.tolist()
+    R, E = range(n), range(m)
+    # (M, +) is an abelian group with identity 0
+    if any(add[0][x] != x or add[x][0] != x or add[x][neg[x]] != 0 for x in E):
+        return False
+    if any(add[x][y] != add[y][x] for x, y in itertools.product(E, E)):
+        return False
+    if any(add[add[x][y]][z] != add[x][add[y][z]] for x, y, z in itertools.product(E, E, E)):
+        return False
+    # both actions are biadditive and associative, and they commute
+    for r, s, x in itertools.product(R, R, E):
+        if (left[radd[r][s]][x] != add[left[r][x]][left[s][x]]
+                or right[x][radd[r][s]] != add[right[x][r]][right[x][s]]
+                or left[rmul[r][s]][x] != left[r][left[s][x]]
+                or right[x][rmul[r][s]] != right[right[x][r]][s]
+                or right[left[r][x]][s] != left[r][right[x][s]]):
+            return False
+    for r, x, y in itertools.product(R, E, E):
+        if (left[r][add[x][y]] != add[left[r][x]][left[r][y]]
+                or right[add[x][y]][r] != add[right[x][r]][right[y][r]]):
+            return False
+    # M = (+)_g M_g, each M_g a subgroup, and R_g M_h, M_h R_g inside M_gh, M_hg
+    group = gr.group
+    if len(M.components) != group.order:
+        return False
+    parts = [[x for x in E if M.components[g] >> x & 1] for g in range(group.order)]
+    if any(M.components[g] >> m for g in range(group.order)):
+        return False
+    for part in parts:
+        if 0 not in part or any(add[x][neg[y]] not in part for x in part for y in part):
+            return False
+    sums = []
+    for choice in itertools.product(*parts):
+        total = 0
+        for x in choice:
+            total = add[total][x]
+        sums.append(total)
+    if sorted(sums) != list(E):
+        return False
+    for g, h in itertools.product(range(group.order), repeat=2):
+        rg = gr.component_indices(g).tolist()
+        if any(left[r][x] not in parts[group.mul(g, h)]
+               or right[x][r] not in parts[group.mul(h, g)] for r in rg for x in parts[h]):
+            return False
+    if M.unital:
+        u = gr.ring.unity
+        if u is None or any(left[u][x] != x or right[x][u] != x for x in E):
+            return False
+    return True
+
+
+def _bimodules():
+    for spec, kgens in (("zn(8)", [4]), ("gaussian(2)", []), ("matrix(zn(2), 2)", [])):
+        gr = build_ring(f"ring: {spec}")
+        K = generate_ideal(gr, kgens) if kgens else IdealSubset(1)
+        yield spec, gr, regular_bimodule(gr)
+        yield spec, gr, quotient_bimodule(gr, K)
+
+
+def _corrupted(M: GradedBimodule, field: str, rng) -> GradedBimodule:
+    """M with one entry of add, left or right, or one component bit, changed."""
+    if field == "components":
+        comps = list(M.components)
+        comps[int(rng.integers(0, len(comps)))] ^= 1 << int(rng.integers(0, M.order))
+        return replace(M, components=comps)
+    table = getattr(M, field).copy()
+    at = tuple(int(rng.integers(0, d)) for d in table.shape)
+    table[at] = (int(table[at]) + int(rng.integers(1, M.order))) % M.order
+    return replace(M, **{field: table})
+
+
+def test_validate_bimodule_matches_brute_force():
+    rng = np.random.default_rng(5)
+    for spec, gr, M in _bimodules():
+        assert validate_bimodule(gr, M).ok and brute_bimodule_ok(gr, M), spec
+        for field in ("add", "left", "right", "components"):
+            for _ in range(8):
+                bad = _corrupted(M, field, rng)
+                v = validate_bimodule(gr, bad)
+                assert v.ok == brute_bimodule_ok(gr, bad), (spec, M.label, field)
+                assert v.ok or v.failure
+        # permuted degrees: a shift of the grading stays graded, others leak
+        for comps in itertools.permutations(M.components):
+            bad = replace(M, components=list(comps))
+            assert validate_bimodule(gr, bad).ok == brute_bimodule_ok(gr, bad), (spec, comps)
+        stray = replace(M, components=[*M.components[:-1], M.components[-1] | 1 << M.order])
+        assert not brute_bimodule_ok(gr, stray)
+        assert validate_bimodule(gr, stray).failure == "component exceeds carrier"
+
+
+def test_validate_bimodule_graded_actions():
+    """Z_2[i] = {0, 1+i} (+) {0, i} is a direct sum of subgroups, but
+    i(1+i) = 1+i leaves degree 1 for both actions."""
+    gr = build_ring("ring: gaussian(2)")
+    leaky = replace(regular_bimodule(gr), components=[0b1001, 0b0101])
+    assert not brute_bimodule_ok(gr, leaky)
+    v = validate_bimodule(gr, leaky)
+    assert (v.failure, v.witness) == ("left action leaks a component", (1, 0, 2, 3))
+    assert make_gaussian_grading(gr.ring).components == [0b0011, 0b0101]
