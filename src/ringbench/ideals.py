@@ -273,11 +273,20 @@ def graded_ideal_masks(gr: GradedRing, sidedness: str = TWO_SIDED,
 
 def minimal_homogeneous_generators(gr: GradedRing, ideal: IdealSubset) -> list[int]:
     """Small deterministic homogeneous generating set: first try each single
-    homogeneous member in index order, then greedy growth with pruning."""
-    target = ideal.mask
+    homogeneous member in index order, then greedy growth with pruning.
+
+    Computed once per ring, mask and sidedness; every call returns a fresh
+    list."""
+    key = ("min_gens", ideal.mask, ideal.sidedness)
+    if key not in gr._cache:
+        gr._cache[key] = tuple(_minimal_generators(gr, ideal.mask, ideal.sidedness))
+    return list(gr._cache[key])
+
+
+def _minimal_generators(gr: GradedRing, target: int, sidedness: str) -> list[int]:
     if target == 1:
         return []
-    left, right = _flags(ideal.sidedness)
+    left, right = _flags(sidedness)
     hom_members = indices_from_mask(target & gr.hom_mask, gr.order)
 
     def closure_mask(gens) -> int:

@@ -7,6 +7,7 @@ import pytest
 from conftest import ROW_MATRICES_F2, TRIANGULAR_Z2_Z4, UPPER_TRIANGULAR_F2
 from ringbench import ideals
 from ringbench.bitsets import indices_from_mask, popcount
+from ringbench.classify import ideal_info
 from ringbench.grading import attach_grading, make_gaussian_grading, make_trivial_grading
 from ringbench.groups import make_cyclic
 from ringbench.ideals import (
@@ -230,6 +231,27 @@ def test_minimal_generators_round_trip():
             assert again.mask == sub.mask, (text, gens)
     gr = build("ring: zn(4)")
     assert minimal_homogeneous_generators(gr, generate_ideal(gr, [])) == []
+
+
+def test_minimal_generators_memoized(monkeypatch):
+    gr = build("ring: matrix(zn(4), 2)")
+    masks = graded_ideal_masks(gr)
+    calls = 0
+    close = ideals._close
+
+    def counting_close(*args):
+        nonlocal calls
+        calls += 1
+        return close(*args)
+
+    monkeypatch.setattr(ideals, "_close", counting_close)
+    first = [ideal_info(gr, m) for m in masks]
+    assert calls > 0
+    before = calls
+    assert [ideal_info(gr, m) for m in masks] == first
+    assert calls == before
+    first[-1]["generators"].append(0)
+    assert ideal_info(gr, masks[-1])["generators"] == first[-1]["generators"][:-1]
 
 
 def test_additive_span():

@@ -3,14 +3,22 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
+import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import TRIANGULAR_Z2_Z4, UPPER_TRIANGULAR_F2, build_ring
 from ringbench.rings import (
     FiniteRing,
     RingTooLargeError,
+    _first_ring_failure,
+    _grown_generators,
     additive_generators,
     find_unity,
     make_gaussian,
@@ -20,6 +28,7 @@ from ringbench.rings import (
     make_zn,
     validate_ring,
 )
+from ringbench.theorems import default_corpus
 
 
 def brute_ring_ok(ring: FiniteRing) -> bool:
@@ -164,18 +173,167 @@ def test_validator_reports_witness():
     assert check.witness is not None
 
 
+def cyclic_sum(add: np.ndarray, gens: list[int]) -> np.ndarray:
+    """Members of <g_1> + ... + <g_k>, one coset union per generator: the
+    subgroup the generators span, in a valid abelian group."""
+    span = np.zeros(add.shape[0], dtype=bool)
+    span[0] = True
+    for g in gens:
+        multiples, x = [0], g
+        while x != 0:
+            multiples.append(x)
+            x = int(add[x, g])
+        span[add[np.flatnonzero(span)[:, None], multiples]] = True
+    return span
+
+
+def distinct_corpus_rings() -> list[FiniteRing]:
+    seen: dict[bytes, FiniteRing] = {}
+    for member in default_corpus():
+        ring = member.build().ring
+        key = hashlib.sha256(ring.add.tobytes() + ring.mul.tobytes()).digest()
+        seen.setdefault(key, ring)
+    return list(seen.values())
+
+
 def test_additive_generators_cover():
-    for r in (make_zn(8), make_gaussian(2), make_matrix_ring(make_zn(2), 2)):
-        span = {0}
-        frontier = list(additive_generators(r))
-        while frontier:
-            x = frontier.pop()
-            if x in span:
-                continue
-            span.add(x)
-            new = {int(r.add[x, s]) for s in span}
-            frontier.extend(v for v in new if v not in span)
-        assert span == set(range(r.order))
+    rings = [make_zn(8), make_gaussian(2), make_matrix_ring(make_zn(2), 2),
+             *distinct_corpus_rings()]
+    for r in rings:
+        gens = additive_generators(r)
+        assert cyclic_sum(r.add, gens).all(), (r.kind, r.order)
+        assert _grown_generators(r.add) == gens, (r.kind, r.order)
+
+
+DIFFERENTIAL_RINGS = [make_zn(8), make_gaussian(2), make_matrix_ring(make_zn(2), 2),
+                      build_ring(UPPER_TRIANGULAR_F2).ring, build_ring(TRIANGULAR_Z2_Z4).ring]
+
+
+@st.composite
+def single_entry_corruptions(draw) -> FiniteRing:
+    """One add or mul entry of a valid ring moved by a nonzero amount; neg
+    and the declared unity are the valid ring's."""
+    base = draw(st.sampled_from(DIFFERENTIAL_RINGS))
+    n = base.order
+    tables = {"add": base.add.copy(), "mul": base.mul.copy()}
+    tab = tables[draw(st.sampled_from(sorted(tables)))]
+    x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    tab[x, y] = (int(tab[x, y]) + draw(st.integers(1, n - 1))) % n
+    return FiniteRing(n, tables["add"], base.neg.copy(), tables["mul"], unity=base.unity)
+
+
+def assert_matches_scan(ring: FiniteRing) -> None:
+    """validate_ring returns the ordered scan's result, and its verdict is
+    the brute-force one (with the declared unity checked too)."""
+    got, scan = validate_ring(ring), _first_ring_failure(ring)
+    assert (got.ok, got.failure, got.witness) == (scan.ok, scan.failure, scan.witness)
+    unity_ok = ring.unity is None or find_unity(ring) == ring.unity
+    assert got.ok == (brute_ring_ok(ring) and unity_ok)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(single_entry_corruptions())
+def test_validate_ring_matches_ordered_scan(ring):
+    assert_matches_scan(ring)
+
+
+@st.composite
+def one_sided_tables(draw) -> FiniteRing:
+    """A random bilinear product on a small abelian group, kept as is, or
+    with one additive map added to the columns x -> x*y of one coset
+    y0 + <1> (right distributivity still holds), or the transpose of that
+    (left distributivity holds). So the verdict turns on the laws that no
+    single-entry corruption reaches first: a one-sided distributive law,
+    also at generators other than 1, associativity and the declared unity."""
+    moduli = draw(st.sampled_from([(2,), (4,), (2, 2), (2, 4), (4, 2), (2, 2, 2)]))
+    n, k = math.prod(moduli), len(moduli)
+    digits = np.array(np.unravel_index(np.arange(n), moduli[::-1])).T[:, ::-1]
+
+    def torsion(m: int) -> np.ndarray:
+        """Digits of a random element t with m*t = 0."""
+        return np.array([draw(st.integers(0, q - 1)) * (q // math.gcd(m, q))
+                         for q in moduli])
+
+    prod = sum(np.multiply.outer(digits[:, i], digits[:, j])[:, :, None]
+               * torsion(math.gcd(moduli[i], moduli[j]))
+               for i in range(k) for j in range(k))
+    side = draw(st.sampled_from(["both", "right", "left"]))
+    if side != "both":
+        delta = sum(digits[:, i, None] * torsion(moduli[i]) for i in range(k))
+        y0 = draw(st.integers(1, n - 1))
+        coset = (digits[:, 1:] == digits[y0, 1:]).all(axis=1)
+        prod[:, coset] += delta[:, None]
+        if side == "left":
+            prod = prod.transpose(1, 0, 2)
+    weights = np.cumprod((1, *moduli[:-1]))
+    add = ((digits[:, None] + digits[None, :]) % moduli) @ weights
+    ring = FiniteRing(n, add.astype(np.uint16), ((-digits) % moduli @ weights).astype(np.uint16),
+                      (prod % moduli @ weights).astype(np.uint16))
+    ring.unity = draw(st.sampled_from([None, find_unity(ring), *range(n)]))
+    return ring
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(one_sided_tables())
+def test_validate_ring_on_one_sided_tables(ring):
+    assert_matches_scan(ring)
+
+
+def test_validate_ring_non_abelian_addition():
+    """Zero multiplication on S_3 satisfies every law but commutativity of +."""
+    perms = list(itertools.permutations(range(3)))
+    add = [[perms.index(tuple(p[q[i]] for i in range(3))) for q in perms] for p in perms]
+    ring = make_table_ring(add, np.zeros((6, 6), dtype=np.int64))
+    assert_matches_scan(ring)
+    assert validate_ring(ring).failure == "addition is not commutative"
+
+
+def test_left_distributivity_witness_at_non_generator():
+    """Rows 4 = (2, 0) and 5 = (2, 1) of Z_4 x Z_2 gain the same non-additive
+    map, so (g + b)c = gc + bc still holds for g = 1 and left distributivity
+    first fails at a = 4, which is no additive generator. Right
+    distributivity cannot hold everywhere here: then the a with
+    a(g + c) = ag + ac for all c form a subgroup, whose least non-member is
+    always a greedy generator."""
+    base = make_product_ring(make_zn(4), make_zn(2))
+    add, mul = base.add.copy(), base.mul.copy()
+    for a in (4, 5):
+        mul[a, 3] = add[mul[a, 3], 1]
+    r = make_table_ring(add, mul)
+    assert additive_generators(r) == [1, 2]
+    assert all(mul[add[1, b], c] == add[mul[1, c], mul[b, c]]
+               for b in range(8) for c in range(8))
+    check = validate_ring(r)
+    assert (check.failure, check.witness) == ("left distributivity fails", (4, 1, 2))
+    assert not brute_ring_ok(r)
+
+
+def test_left_distributivity_beyond_first_generator():
+    """On Z_2 x Z_4 (index d0 + 2 d1), x*y = (d1(x) mod 2, 0) when d1(y) = 2
+    and 0 otherwise is associative and right distributive, and
+    a(1 + c) = a1 + ac holds for every a and c. Left distributivity fails
+    only at the second generator, a = g = 2, so checking the first
+    generator alone, as a or as g, would pass this table."""
+    d1 = np.arange(8) // 2
+    mul = np.where((d1[None, :] == 2) & (d1[:, None] % 2 == 1), 1, 0)
+    r = make_table_ring(make_product_ring(make_zn(4), make_zn(2)).add, mul)
+    assert additive_generators(r) == [1, 2]
+    assert_matches_scan(r)
+    check = validate_ring(r)
+    assert (check.failure, check.witness) == ("left distributivity fails", (2, 2, 2))
+
+
+def test_validate_ring_memory_bound():
+    """The decision gathers over blocks of rows, so no (n, n) intp index
+    array is built: peak traced memory stays under 3 n^2 bytes."""
+    r = make_zn(2048)
+    tracemalloc.start()
+    try:
+        assert validate_ring(r).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * r.order ** 2, peak / r.order ** 2
 
 
 def matrix_oracle(base: FiniteRing, k: int) -> tuple[np.ndarray, np.ndarray]:
