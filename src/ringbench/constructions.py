@@ -4,6 +4,12 @@ Quotients keep the coset with the smallest base index as representative, so
 element order (and hence every downstream witness) is deterministic.
 Idealizations pair the ring with a graded bimodule; the pair (r, m) sits at
 index r*|M| + m and multiplies as (r1, m1)(r2, m2) = (r1 r2, r1 m2 + m1 r2).
+
+Trust boundary: given a valid graded ring R, make_quotient checks only that
+K is a graded two-sided ideal and make_idealization only that M is a graded
+bimodule. What they build is a graded ring, and R -> R/K a graded map, by
+construction, so neither re-validates it. make_graded_hom,
+product_projections and grading.attach_grading validate what callers pass.
 """
 
 from __future__ import annotations
@@ -12,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitsets import bools_from_mask, indices_from_mask, mask_from_bools
+from .bitsets import bools_from_mask, indices_from_mask, mask_from_bools, popcount
 from .grading import (
     GradedRing,
     Grading,
-    attach_grading,
     check_components,
     check_graded_products,
 )
@@ -200,9 +205,8 @@ def make_quotient(gr: GradedRing, K: IdealSubset | int) -> QuotientConstruction:
         flags = np.zeros(len(reps), dtype=bool)
         flags[proj[gr.component_indices(g)]] = True
         comps.append(int(mask_from_bools(flags)))
-    qgr = attach_grading(ring, Grading(gr.group, comps))
-    projection = make_graded_hom(gr, qgr, proj)
-    return QuotientConstruction(qgr, projection)
+    qgr = GradedRing(ring, Grading(gr.group, comps))
+    return QuotientConstruction(qgr, GradedRingHom(gr, qgr, proj))
 
 
 # ---------------------------------------------------------------------------
@@ -312,28 +316,20 @@ def regular_bimodule(gr: GradedRing) -> GradedBimodule:
         unital=r.unity is not None, label="regular")
 
 
-def quotient_bimodule(gr: GradedRing, K: IdealSubset | int) -> GradedBimodule:
-    """R/K as an R-bimodule via r.(m+K) = rm+K and (m+K).r = mr+K."""
-    kmask = _require_graded_two_sided(gr, K)
-    reps, proj = _coset_tables(gr, kmask)
-    base = gr.ring
-    proj = proj.astype(np.uint16)
-    madd = proj[base.add[np.ix_(reps, reps)]]
-    mneg = proj[base.neg[reps]]
-    left = proj[base.mul[:, reps]]          # (n, m): r . rep(m)
-    right = proj[base.mul[reps, :]]         # (m, n): rep(m) . r
-    comps = []
-    for g in range(gr.group.order):
-        flags = np.zeros(len(reps), dtype=bool)
-        flags[proj[gr.component_indices(g)]] = True
-        comps.append(int(mask_from_bools(flags)))
-    names = [base.name(int(r)) for r in reps]
-    kgens = indices_from_mask(kmask, gr.order)
+def quotient_bimodule(q: QuotientConstruction) -> GradedBimodule:
+    """R/K as an R-bimodule via r.(m+K) = rm+K and (m+K).r = mr+K: since the
+    projection is a ring map, both actions are rows and columns of R/K's own
+    multiplication table."""
+    qr, proj = q.graded_ring.ring, q.projection.mapping
+    ids = np.arange(qr.order)
     return GradedBimodule(
-        order=len(reps), add=madd, neg=mneg, left=left, right=right,
-        components=comps, element_names=names,
-        unital=base.unity is not None,
-        label=f"quotient by ideal of size {len(kgens)}")
+        order=qr.order, add=qr.add, neg=qr.neg,
+        left=qr.mul[proj[:, None], ids],        # (n, m): proj(r) . m
+        right=qr.mul[ids[:, None], proj],       # (m, n): m . proj(r)
+        components=list(q.graded_ring.grading.components),
+        element_names=list(qr.element_names),
+        unital=q.projection.source.ring.unity is not None,
+        label=f"quotient by ideal of size {popcount(qr.params['ideal_mask'])}")
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +364,7 @@ def make_idealization(gr: GradedRing, M: GradedBimodule,
                       params={"base": base, "module_order": m, "module_label": M.label})
     comps = [idealization_subset(gr.component_mask(g), M.components[g], n, m)
              for g in range(gr.group.order)]
-    return attach_grading(ring, Grading(gr.group, comps))
+    return GradedRing(ring, Grading(gr.group, comps))
 
 
 def idealization_subset(pmask: int, module_mask: int, ring_order: int,

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .constructions import (
-    _coset_tables,
     make_idealization,
     quotient_bimodule,
     make_quotient,
@@ -545,9 +544,9 @@ def _build_expr(expr: RingExpr, ring_cap: int) -> _Built:
             M = regular_bimodule(base.graded)
             mparse = base.parse
         else:
-            K = _generated_ideal(base, mdesc[1])
-            M = quotient_bimodule(base.graded, K)
-            _, mproj = _coset_tables(base.graded, K.mask)
+            q = make_quotient(base.graded, _generated_ideal(base, mdesc[1]))
+            M = quotient_bimodule(q)
+            mproj = q.projection.mapping
 
             def mparse(lit: Literal) -> int:
                 return int(mproj[base.parse(lit)])

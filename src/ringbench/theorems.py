@@ -35,11 +35,11 @@ from .classify import (
 )
 from .constructions import (
     GradedBimodule,
+    GradedRingHom,
     embed_ideal_in_idealization,
     hom_image,
     hom_kernel,
     hom_preimage,
-    make_graded_hom,
     make_idealization,
     make_quotient,
     product_projections,
@@ -213,15 +213,17 @@ class RingContext:
 
     def _bimodules(self) -> list[tuple[str, GradedBimodule]]:
         n = self.gr.order
-        candidates: list[tuple[str, GradedBimodule]] = [
-            ("regular", regular_bimodule(self.gr))]
+        out: list[tuple[str, GradedBimodule]] = []
+        if n * n <= self.ring_cap:
+            out.append(("regular", regular_bimodule(self.gr)))
         for kmask in self.lattice():
-            if kmask == 1 or kmask == self.full_mask:
+            # |R/K| = n / |K|: the cap is decided before any table is built
+            if kmask in (1, self.full_mask) or n * (n // popcount(kmask)) > self.ring_cap:
                 continue
             info = ideal_info(self.gr, kmask)
             label = "quotient([" + ", ".join(info["generator_names"]) + "])"
-            candidates.append((label, quotient_bimodule(self.gr, kmask)))
-        return [(lbl, M) for lbl, M in candidates if n * M.order <= self.ring_cap]
+            out.append((label, quotient_bimodule(self.quotient(kmask))))
+        return out
 
     def idealization(self, mlabel: str, M: GradedBimodule) -> GradedRing:
         return self._memo(("idealization", mlabel),
@@ -387,7 +389,7 @@ def _check_p8(ctx: RingContext) -> PropertyOutcome:
     out = PropertyOutcome("P8", ctx.label)
     gr = ctx.gr
     homs: list[tuple[str, object, int | None]] = [
-        ("identity", make_graded_hom(gr, gr, np.arange(gr.order)), 1)]
+        ("identity", GradedRingHom(gr, gr, np.arange(gr.order)), 1)]
     for k in ctx.lattice():
         homs.append((f"projection mod ideal of size {popcount(k)}",
                      ctx.quotient(k).projection, k))

@@ -1,15 +1,23 @@
-"""Shared test helpers: spec-built rings and a raw, definition-level route to
-the sandwich kernels the classifier computes with its cached fast path."""
+"""Shared test helpers: spec-built rings, a strategy of graded cases, and a
+raw, definition-level route to the sandwich kernels the classifier computes
+with its cached fast path. Every hypothesis test runs under one derandomized,
+deadline-free profile, so a tier-1 run is reproducible."""
 
 from __future__ import annotations
 
 import itertools
 
 import numpy as np
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from ringbench import classify
 from ringbench.bitsets import bools_from_mask
+from ringbench.ideals import generate_ideal
 from ringbench.specs import build_document, parse_document
+
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 def build_ring(text: str):
@@ -39,6 +47,36 @@ UPPER_TRIANGULAR_F2 = _table_spec(
 TRIANGULAR_Z2_Z4 = _table_spec(
     (2, 2, 4), lambda x, y: (x[0] * y[0], (x[0] * y[1] + x[1] * y[2]) % 2,
                              x[2] * y[2] % 4))
+
+
+_LEAVES = [f"zn({n})" for n in range(2, 9)] + ["gaussian(2)"]
+
+
+@st.composite
+def graded_cases(draw):
+    """A spec-built ring of order <= 64, optionally a quotient by a drawn
+    homogeneous non-unit, a graded ideal (proper when there is one) and a
+    degree (one the ideal leaves uncovered when there is one)."""
+    expr = draw(st.one_of(
+        st.integers(2, 64).map(lambda n: f"zn({n})"),
+        st.integers(2, 8).map(lambda n: f"gaussian({n})"),
+        st.just("matrix(zn(2), 2)"),
+        st.tuples(st.sampled_from(_LEAVES), st.sampled_from(_LEAVES))
+          .map(lambda ab: f"product({ab[0]}, {ab[1]})")))
+    gr = build_ring("ring: " + expr)
+    full = (1 << gr.order) - 1
+    nonunits = [x for x in gr.hom_indices().tolist()
+                if x and generate_ideal(gr, [x]).mask != full]
+    if nonunits and draw(st.booleans()):
+        x = draw(st.sampled_from(nonunits))
+        expr = f"quotient({expr}, [{gr.name(x)}])"
+        gr = build_ring("ring: " + expr)
+        full = (1 << gr.order) - 1
+    lattice = classify.graded_ideal_lattice(gr)
+    sub = draw(st.sampled_from([s for s in lattice if s.mask != full] or lattice))
+    degrees = [g for g in range(gr.group.order)
+               if sub.mask & gr.component_mask(g) != gr.component_mask(g)]
+    return expr, gr, sub, draw(st.sampled_from(degrees or [0]))
 
 
 def _all_over_middle(ok: np.ndarray, mid: np.ndarray) -> np.ndarray:

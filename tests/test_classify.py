@@ -11,6 +11,7 @@ from conftest import (
     UPPER_TRIANGULAR_F2,
     build_ring,
     counted_sandwich_kernels,
+    graded_cases,
     kernel_arrays,
     raw_g_sandwich_kernels,
     raw_ideal_verdicts,
@@ -18,7 +19,6 @@ from conftest import (
     raw_triple_verdicts,
 )
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 from ringbench import classify
 from ringbench.bitsets import popcount
 from ringbench.classify import (
@@ -538,38 +538,7 @@ def test_unvalidated_grading_names_stray_z_side_product():
         find_g_triple_zeros(gr, 1, 1)
 
 
-_LEAVES = [f"zn({n})" for n in range(2, 9)] + ["gaussian(2)"]
-
-
-@st.composite
-def graded_cases(draw):
-    """A spec-built ring of order <= 64, optionally a quotient by a drawn
-    homogeneous non-unit, a graded ideal (proper when there is one) and a
-    degree (one the ideal leaves uncovered when there is one)."""
-    expr = draw(st.one_of(
-        st.integers(2, 64).map(lambda n: f"zn({n})"),
-        st.integers(2, 8).map(lambda n: f"gaussian({n})"),
-        st.just("matrix(zn(2), 2)"),
-        st.tuples(st.sampled_from(_LEAVES), st.sampled_from(_LEAVES))
-          .map(lambda ab: f"product({ab[0]}, {ab[1]})")))
-    gr = build_ring("ring: " + expr)
-    full = (1 << gr.order) - 1
-    nonunits = [x for x in gr.hom_indices().tolist()
-                if x and generate_ideal(gr, [x]).mask != full]
-    if nonunits and draw(st.booleans()):
-        x = draw(st.sampled_from(nonunits))
-        expr = f"quotient({expr}, [{gr.name(x)}])"
-        gr = build_ring("ring: " + expr)
-        full = (1 << gr.order) - 1
-    lattice = graded_ideal_lattice(gr)
-    sub = draw(st.sampled_from([s for s in lattice if s.mask != full] or lattice))
-    degrees = [g for g in range(gr.group.order)
-               if sub.mask & gr.component_mask(g) != gr.component_mask(g)]
-    return expr, gr, sub, draw(st.sampled_from(degrees or [0]))
-
-
-@settings(derandomize=True, max_examples=80, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=80, suppress_health_check=[HealthCheck.too_slow])
 @given(graded_cases())
 def test_kernel_fuzz_against_raw_route(case):
     expr, gr, sub, g = case

@@ -5,12 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import UPPER_TRIANGULAR_F2, build_ring
+from conftest import UPPER_TRIANGULAR_F2, build_ring, graded_cases
+from hypothesis import HealthCheck, given, settings
 from ringbench import cli, constructions
 from ringbench.constructions import (
     BimoduleError,
     ConstructionError,
     GradedBimodule,
+    GradedRingHom,
     HomError,
     embed_ideal_in_idealization,
     hom_image,
@@ -29,6 +31,7 @@ from ringbench.constructions import (
 from ringbench.grading import validate_grading
 from ringbench.ideals import IdealSubset, check_closure, generate_ideal
 from ringbench.rings import RingTooLargeError, validate_ring
+from ringbench.theorems import _factor_graded_rings
 
 
 def test_gaussian_quotient_matches_independent_construction():
@@ -86,7 +89,6 @@ def test_hom_validation_failures():
     with pytest.raises(HomError, match="zero not preserved"):
         make_graded_hom(gr, gr, [1, 0, 3, 2])
     # identity mapping with swapped degrees: R_0 cannot land inside R_1
-    from ringbench.constructions import GradedRingHom
     f = GradedRingHom(gr, gr, np.arange(4), group_map=np.array([1, 0]))
     v = validate_graded_hom(f)
     assert not v.ok and v.failure == "degree not preserved"
@@ -118,7 +120,7 @@ def test_regular_and_quotient_bimodules_validate():
     gr = build_ring("ring: zn(8)")
     reg = regular_bimodule(gr)
     assert validate_bimodule(gr, reg).ok
-    qb = quotient_bimodule(gr, generate_ideal(gr, [4]))
+    qb = quotient_bimodule(make_quotient(gr, generate_ideal(gr, [4])))
     assert validate_bimodule(gr, qb).ok
     assert qb.order == 4
     assert int(qb.left[3, 2]) == 2             # 3 * (2 + K) = 6 + K = 2 + K
@@ -219,7 +221,8 @@ def test_idealization_tables_match_definition(spec, kgens):
     gr = build_ring(spec)
     R = gr.ring
     assert R.is_commutative() == (spec == "ring: zn(8)")
-    for M in (regular_bimodule(gr), quotient_bimodule(gr, generate_ideal(gr, kgens))):
+    for M in (regular_bimodule(gr),
+              quotient_bimodule(make_quotient(gr, generate_ideal(gr, kgens)))):
         assert M.order < gr.order or M.label == "regular"
         X = make_idealization(gr, M).ring
         m = M.order
@@ -231,3 +234,36 @@ def test_idealization_tables_match_definition(spec, kgens):
                 assert X.add[x, y] == R.add[r1, r2] * m + M.add[m1, m2]
                 assert X.mul[x, y] == R.mul[r1, r2] * m + M.add[M.left[r1, m2],
                                                                 M.right[m1, r2]]
+
+
+def _assert_valid(v, *context):
+    assert v.ok, (*context, v.failure, v.witness)
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+@given(graded_cases())
+def test_constructor_outputs_pass_every_validator(case):
+    """What the constructors return unchecked, the validators accept: R/K with
+    its grading and projection, P8's identity map, the regular and quotient
+    bimodules, their idealizations up to order 256 and, for a product, the
+    graded factors with both projections."""
+    expr, gr, sub, _ = case
+    _assert_valid(validate_ring(gr.ring), expr)
+    q = make_quotient(gr, sub)
+    qr = q.graded_ring
+    _assert_valid(validate_ring(qr.ring), expr, sub.mask)
+    _assert_valid(validate_grading(qr.ring, qr.grading), expr, sub.mask)
+    _assert_valid(validate_graded_hom(q.projection), expr, sub.mask)
+    _assert_valid(validate_graded_hom(GradedRingHom(gr, gr, np.arange(gr.order))), expr)
+    for M in (regular_bimodule(gr), quotient_bimodule(q)):
+        _assert_valid(validate_bimodule(gr, M), expr, M.label)
+        if gr.order * M.order <= 256:
+            X = make_idealization(gr, M)
+            _assert_valid(validate_ring(X.ring), expr, M.label)
+            _assert_valid(validate_grading(X.ring, X.grading), expr, M.label)
+    if gr.ring.kind == "product":
+        factors = _factor_graded_rings(gr)
+        for f in factors:
+            _assert_valid(validate_ring(f.ring), expr)
+        for p in product_projections(gr, *factors):
+            _assert_valid(validate_graded_hom(p), expr)

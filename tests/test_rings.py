@@ -231,7 +231,7 @@ def assert_matches_scan(ring: FiniteRing) -> None:
     assert got.ok == (brute_ring_ok(ring) and unity_ok)
 
 
-@settings(derandomize=True, max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(single_entry_corruptions())
 def test_validate_ring_matches_ordered_scan(ring):
     assert_matches_scan(ring)
@@ -273,7 +273,7 @@ def one_sided_tables(draw) -> FiniteRing:
     return ring
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(one_sided_tables())
 def test_validate_ring_on_one_sided_tables(ring):
     assert_matches_scan(ring)

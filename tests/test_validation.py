@@ -5,21 +5,35 @@ bimodule oracle written from the definitions."""
 from __future__ import annotations
 
 import itertools
+import re
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from conftest import build_ring
-from ringbench import cli
+from ringbench import cli, constructions, grading
+from ringbench.classify import graded_ideal_lattice
 from ringbench.constructions import (
     GradedBimodule,
     GradedRingHom,
+    HomError,
+    make_graded_hom,
+    make_idealization,
+    make_quotient,
     quotient_bimodule,
     regular_bimodule,
     validate_bimodule,
     validate_graded_hom,
 )
-from ringbench.grading import Grading, attach_grading, make_gaussian_grading, validate_grading
+from ringbench.grading import (
+    Grading,
+    GradingError,
+    attach_grading,
+    make_gaussian_grading,
+    validate_grading,
+)
 from ringbench.groups import FiniteGroup, make_cyclic, make_product_group, validate_group
 from ringbench.ideals import IdealSubset, generate_ideal
 from ringbench.rings import (
@@ -30,6 +44,7 @@ from ringbench.rings import (
     make_zn,
     validate_ring,
 )
+from ringbench.theorems import run_property
 
 # ---------------------------------------------------------------------------
 # golden (failure, witness) pairs; each case generator yields inputs in a
@@ -389,6 +404,133 @@ def test_validate_report_bytes_on_invalid_table_ring(tmp_path, capsys):
     assert "INVALID ring: left distributivity fails (witness [2, 1, 2])" in out
 
 
+BAD_TABLE_QUOTIENT_REPORTS = {
+    "[]": (1, """{
+  "command": "validate",
+  "exit": 1,
+  "grading": {
+    "component_sizes": [
+      4,
+      1
+    ],
+    "group_order": 2,
+    "homogeneous_count": 4
+  },
+  "ideals": [],
+  "ring": {
+    "commutative": false,
+    "kind": "quotient",
+    "order": 4,
+    "source": "ring: quotient(table([[0,1,2,3],[1,2,3,0],[2,3,0,1],[3,0,1,2]], [[0,0,0,0],[0,1,2,3],[0,2,0,1],[0,3,2,1]]), [])\\n",
+    "unital": true,
+    "unity": {
+      "index": 1,
+      "name": "1"
+    }
+  },
+  "schema": "ringbench-report/1",
+  "valid": false,
+  "witnesses": [
+    {
+      "failure": "left distributivity fails",
+      "part": "ring",
+      "witness": [
+        2,
+        1,
+        2
+      ]
+    }
+  ]
+}
+"""),
+    "[2]": (0, """{
+  "command": "validate",
+  "exit": 0,
+  "grading": {
+    "component_sizes": [
+      1,
+      1
+    ],
+    "group_order": 2,
+    "homogeneous_count": 1
+  },
+  "ideals": [],
+  "ring": {
+    "commutative": true,
+    "kind": "quotient",
+    "order": 1,
+    "source": "ring: quotient(table([[0,1,2,3],[1,2,3,0],[2,3,0,1],[3,0,1,2]], [[0,0,0,0],[0,1,2,3],[0,2,0,1],[0,3,2,1]]), [2])\\n",
+    "unital": true,
+    "unity": {
+      "index": 0,
+      "name": "0"
+    }
+  },
+  "schema": "ringbench-report/1",
+  "valid": true,
+  "witnesses": []
+}
+"""),
+}
+
+
+@pytest.mark.parametrize("gens", sorted(BAD_TABLE_QUOTIENT_REPORTS))
+def test_validate_report_bytes_on_quotients_of_invalid_table_ring(gens, tmp_path):
+    """make_quotient trusts its base ring, so a quotient of an unvalidated
+    table ring is judged only by `validate` itself: by {0} it keeps the base's
+    broken law and witness, by (2) it collapses to a valid ring of order 1."""
+    spec = tmp_path / "bad_quotient.spec"
+    spec.write_text(BAD_TABLE_RING.replace("ring: ", "ring: quotient(", 1)
+                    .replace("\n", f", {gens})\n"))
+    report = tmp_path / "report.json"
+    code, golden = BAD_TABLE_QUOTIENT_REPORTS[gens]
+    assert cli.main(["validate", str(spec), "--report", str(report)]) == code
+    assert report.read_bytes() == golden.encode()
+
+
+# ---------------------------------------------------------------------------
+# the trust boundary: constructors do not re-validate, entry points do
+
+
+def test_constructors_skip_revalidation_entry_points_keep_it(monkeypatch):
+    """make_quotient, quotient_bimodule, make_idealization and P8's identity
+    map build from a valid graded ring and a checked ideal or bimodule, so
+    they call neither validate_graded_hom nor validate_grading; the public
+    make_graded_hom and attach_grading still reject every golden bad input."""
+    gr = build_ring("ring: matrix(zn(2), 2)")
+    maps, gradings = list(broken_maps()), list(corrupted_gradings())
+    calls = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(constructions, "validate_graded_hom")
+    count(grading, "validate_grading")
+    make_idealization(gr, regular_bimodule(gr))
+    for sub in graded_ideal_lattice(gr):
+        make_idealization(gr, quotient_bimodule(make_quotient(gr, sub)))
+    assert run_property(gr, "P8").violations == []
+    assert calls == Counter()
+
+    for f, (failure, _) in zip(maps, HOM_GOLDEN, strict=True):
+        if failure is None:
+            make_graded_hom(f.source, f.target, f.mapping, f.group_map)
+            continue
+        with pytest.raises(HomError, match=re.escape(failure)):
+            make_graded_hom(f.source, f.target, f.mapping, f.group_map)
+    for (ring, g), (failure, _) in zip(gradings, GRADING_GOLDEN, strict=True):
+        with pytest.raises(GradingError, match=re.escape(failure)):
+            attach_grading(ring, g)
+    assert calls == Counter(validate_graded_hom=len(HOM_GOLDEN),
+                            validate_grading=len(GRADING_GOLDEN))
+
+
 # ---------------------------------------------------------------------------
 # bimodules against a brute-force oracle
 
@@ -454,7 +596,7 @@ def _bimodules():
         gr = build_ring(f"ring: {spec}")
         K = generate_ideal(gr, kgens) if kgens else IdealSubset(1)
         yield spec, gr, regular_bimodule(gr)
-        yield spec, gr, quotient_bimodule(gr, K)
+        yield spec, gr, quotient_bimodule(make_quotient(gr, K))
 
 
 def _corrupted(M: GradedBimodule, field: str, rng) -> GradedBimodule:
