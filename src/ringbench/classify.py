@@ -39,6 +39,7 @@ from .ideals import (
     check_closure,
     graded_defect,
     graded_ideal_masks,
+    is_enumerated_ideal,
     minimal_homogeneous_generators,
 )
 
@@ -125,10 +126,12 @@ def _full_mask(n: int) -> int:
 
 
 def _ideal_check(gr: GradedRing, mask: int) -> tuple[bool, tuple | None, int | None]:
-    """check_closure's (ok, witness) and graded_defect, once per ring and mask."""
+    """check_closure's (ok, witness) and graded_defect, once per ring and mask;
+    a mask of the enumerated two-sided lattice passes unchecked."""
     key = ("ideal_check", mask)
     if key not in gr._cache:
-        gr._cache[key] = (*check_closure(gr, mask, TWO_SIDED), graded_defect(gr, mask))
+        gr._cache[key] = ((True, None, None) if is_enumerated_ideal(gr, mask) else
+                          (*check_closure(gr, mask, TWO_SIDED), graded_defect(gr, mask)))
     return gr._cache[key]
 
 

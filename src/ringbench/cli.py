@@ -118,7 +118,9 @@ def _worker_count(args, corpus: list) -> int:
 
 def _cmd_validate(args) -> tuple[int, dict]:
     text = _load_spec(args.spec)
-    built = build_document(parse_document(text), ring_cap=args.ring_cap)
+    # table rings unchecked: validate_ring below reports their failure
+    built = build_document(parse_document(text), ring_cap=args.ring_cap,
+                           check_tables=False)
     gr = built.graded_ring
     problems: list[dict] = []
     rv = validate_ring(gr.ring)

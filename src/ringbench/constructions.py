@@ -8,8 +8,15 @@ index r*|M| + m and multiplies as (r1, m1)(r2, m2) = (r1 r2, r1 m2 + m1 r2).
 Trust boundary: given a valid graded ring R, make_quotient checks only that
 K is a graded two-sided ideal and make_idealization only that M is a graded
 bimodule. What they build is a graded ring, and R -> R/K a graded map, by
-construction, so neither re-validates it. make_graded_hom,
+construction, so neither re-validates it. An ideal that R's two-sided
+graded-ideal enumeration produced is graded and two-sided by construction
+too, and is not re-checked. The regular and quotient bimodules built here
+are bimodules by construction, so their idealizations go through
+_idealization, which skips validate_bimodule. make_graded_hom,
 product_projections and grading.attach_grading validate what callers pass.
+
+R/{0} is R again: make_quotient by the zero ideal reads R's tables through
+read-only views and projects by the identity, with no coset gathers.
 """
 
 from __future__ import annotations
@@ -26,7 +33,13 @@ from .grading import (
     check_graded_products,
 )
 from .groups import Validation, first_offender, range_check
-from .ideals import TWO_SIDED, IdealSubset, check_closure, graded_defect
+from .ideals import (
+    TWO_SIDED,
+    IdealSubset,
+    check_closure,
+    graded_defect,
+    is_enumerated_ideal,
+)
 from .rings import (
     DEFAULT_RING_CAP,
     FiniteRing,
@@ -52,6 +65,8 @@ class HomError(ConstructionError):
 
 def _require_graded_two_sided(gr: GradedRing, K: IdealSubset | int) -> int:
     mask = K.mask if isinstance(K, IdealSubset) else int(K)
+    if is_enumerated_ideal(gr, mask):
+        return mask
     ok, witness = check_closure(gr, mask, TWO_SIDED)
     if not ok:
         raise ConstructionError(f"not a two-sided ideal: failed {witness}")
@@ -181,20 +196,29 @@ def _coset_tables(gr: GradedRing, kmask: int) -> tuple[np.ndarray, np.ndarray]:
     return reps, pos[rep]
 
 
+def _read_only(table: np.ndarray) -> np.ndarray:
+    """A uint16 view of table that cannot be written through."""
+    view = np.asarray(table, dtype=np.uint16).view()
+    view.flags.writeable = False
+    return view
+
+
 def make_quotient(gr: GradedRing, K: IdealSubset | int) -> QuotientConstruction:
     """R/K with its inherited grading (R/K)_g = (R_g + K)/K, plus the
     projection map. Cosets are named after their smallest representative."""
     kmask = _require_graded_two_sided(gr, K)
-    reps, proj = _coset_tables(gr, kmask)
     base = gr.ring
-    q_add = proj[base.add[np.ix_(reps, reps)]]
-    q_mul = proj[base.mul[np.ix_(reps, reps)]]
-    q_neg = proj[base.neg[reps]]
+    if kmask == 1:
+        reps = proj = np.arange(gr.order, dtype=np.int64)
+        q_add, q_neg, q_mul = (_read_only(t) for t in (base.add, base.neg, base.mul))
+    else:
+        reps, proj = _coset_tables(gr, kmask)
+        q_add = proj[base.add[np.ix_(reps, reps)]].astype(np.uint16)
+        q_mul = proj[base.mul[np.ix_(reps, reps)]].astype(np.uint16)
+        q_neg = proj[base.neg[reps]].astype(np.uint16)
     names = [base.name(int(r)) for r in reps]
     ring = FiniteRing(
-        order=len(reps),
-        add=q_add.astype(np.uint16), neg=q_neg.astype(np.uint16),
-        mul=q_mul.astype(np.uint16),
+        order=len(reps), add=q_add, neg=q_neg, mul=q_mul,
         unity=None if base.unity is None else int(proj[base.unity]),
         element_names=names, kind="quotient",
         params={"base": base, "ideal_mask": kmask})
@@ -340,13 +364,21 @@ def make_idealization(gr: GradedRing, M: GradedBimodule,
                       cap: int = DEFAULT_RING_CAP) -> GradedRing:
     """Square-zero extension on R x M: degree-g part is R_g x M_g, and the
     module multiplies to zero against itself."""
-    n, m = gr.order, M.order
-    order = n * m
     # before validation, which alone costs O(n m^2) on an over-cap input
-    _check_cap(order, cap, "idealization")
+    _check_cap(gr.order * M.order, cap, "idealization")
     check = validate_bimodule(gr, M)
     if not check:
         raise BimoduleError(f"bimodule invalid: {check.failure} at {check.witness}")
+    return _idealization(gr, M, cap)
+
+
+def _idealization(gr: GradedRing, M: GradedBimodule,
+                  cap: int = DEFAULT_RING_CAP) -> GradedRing:
+    """make_idealization without validate_bimodule, for bimodules that are
+    valid by construction (regular_bimodule, quotient_bimodule)."""
+    n, m = gr.order, M.order
+    order = n * m
+    _check_cap(order, cap, "idealization")
     base = gr.ring
     # index (r, v) -> r*m + v: digit 0 is the ring part, digit 1 the module part
     add = _digit_table((n, m), [((0,), (0,), base.add), ((1,), (1,), M.add)])

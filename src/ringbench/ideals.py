@@ -8,6 +8,7 @@ homogeneous ones and multiplication distributes over the sum.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -269,6 +270,14 @@ def graded_ideal_masks(gr: GradedRing, sidedness: str = TWO_SIDED,
     if len(masks) > cap:
         raise _cap_error(cap, sidedness)
     return masks
+
+
+def is_enumerated_ideal(gr: GradedRing, mask: int) -> bool:
+    """Whether mask is in the ring's memoized two-sided enumeration, whose
+    members are graded two-sided ideals by construction. Never enumerates."""
+    masks = gr._cache.get(f"lattice:{TWO_SIDED}", ())
+    at = bisect_left(masks, mask)
+    return at < len(masks) and masks[at] == mask
 
 
 def minimal_homogeneous_generators(gr: GradedRing, ideal: IdealSubset) -> list[int]:

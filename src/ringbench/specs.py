@@ -17,19 +17,31 @@ quotient literals are base literals taken mod the ideal.
 
 The optional grading statement must name the grading the constructor
 carries anyway; it exists so documents can state their grading explicitly.
+
+A table ring is checked with validate_ring when it is built, since every
+constructor above it trusts its base ring; `ringbench validate` alone
+builds without that check, to report the failure itself.
+
+Inside one corpus run (theorems._map_over_corpus) a build memo keeps every
+ring subexpression that occurs in two or more of the run's members, keyed
+by its structure (constructor kinds, arguments and literal texts, never
+source positions) and the ring cap. A repeat gets the kept FiniteRing and
+Grading in a fresh GradedRing, whose caches start empty. A build that
+raises is not kept, and outside a run every build is fresh.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
 from .constructions import (
-    make_idealization,
-    quotient_bimodule,
+    _idealization,
     make_quotient,
+    quotient_bimodule,
     regular_bimodule,
 )
 from .grading import (
@@ -50,6 +62,7 @@ from .rings import (
     make_product_ring,
     make_table_ring,
     make_zn,
+    validate_ring,
 )
 
 GRADING_NAMES = ("trivial", "gaussian", "checkerboard", "product", "inherited")
@@ -66,7 +79,7 @@ _NATURAL_GRADING = {
 
 
 class ParseError(ValueError):
-    """Syntax or literal error with its 1-based source position."""
+    """Syntax, literal or table error with its 1-based source position."""
 
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"line {line}, column {col}: {message}")
@@ -459,6 +472,63 @@ def _matrix_literal(lit: Literal, parse_entry: Callable[[Literal], int],
 
 
 # ---------------------------------------------------------------------------
+# the per-run build memo
+
+_memo: dict = {}                  # key -> (FiniteRing, Grading, literal parser)
+_memo_keys: frozenset = frozenset()   # keys the memo may keep; empty when off
+
+
+def _expr_key(expr: RingExpr) -> tuple:
+    """Structural key of an expression: kinds, arguments and literal texts,
+    without source positions."""
+    return (expr.kind, tuple(_arg_key(a) for a in expr.args))
+
+
+def _arg_key(arg):
+    if isinstance(arg, RingExpr):
+        return _expr_key(arg)
+    if isinstance(arg, Literal):
+        return arg.text
+    if isinstance(arg, tuple):
+        return tuple(_arg_key(a) for a in arg)
+    return arg
+
+
+def _subexpressions(expr: RingExpr):
+    yield expr
+    for arg in expr.args:
+        if isinstance(arg, RingExpr):
+            yield from _subexpressions(arg)
+
+
+def shared_subexpressions(spec_texts, ring_cap: int) -> frozenset:
+    """Memo keys of the ring subexpressions that occur in two or more of the
+    documents; a document that does not parse contributes none."""
+    counts: Counter = Counter()
+    for text in spec_texts:
+        try:
+            doc = parse_document(text)
+        except ParseError:
+            continue
+        counts.update({(_expr_key(e), ring_cap) for e in _subexpressions(doc.ring)})
+    return frozenset(key for key, c in counts.items() if c > 1)
+
+
+def start_build_memo(keys: frozenset) -> None:
+    """Turn the build memo on, empty, keeping only builds of the given keys."""
+    global _memo_keys
+    _memo.clear()
+    _memo_keys = frozenset(keys)
+
+
+def stop_build_memo() -> None:
+    """Turn the build memo off and drop what it kept."""
+    global _memo_keys
+    _memo.clear()
+    _memo_keys = frozenset()
+
+
+# ---------------------------------------------------------------------------
 # building
 
 
@@ -485,7 +555,20 @@ def _generated_ideal(built: _Built, lits: tuple[Literal, ...]) -> IdealSubset:
     return generate_ideal(built.graded, gens, TWO_SIDED)
 
 
-def _build_expr(expr: RingExpr, ring_cap: int) -> _Built:
+def _build_expr(expr: RingExpr, ring_cap: int, check_tables: bool) -> _Built:
+    """Build expr, through the corpus run's memo when its key is shared."""
+    key = (_expr_key(expr), ring_cap) if _memo_keys and check_tables else None
+    if key not in _memo_keys:
+        return _construct(expr, ring_cap, check_tables)
+    if key in _memo:
+        ring, grading, parse = _memo[key]
+        return _Built(GradedRing(ring, grading), parse)
+    built = _construct(expr, ring_cap, check_tables)
+    _memo[key] = (built.graded.ring, built.graded.grading, built.parse)
+    return built
+
+
+def _construct(expr: RingExpr, ring_cap: int, check_tables: bool) -> _Built:
     if expr.kind == "zn":
         n = expr.args[0]
         ring = make_zn(n, ring_cap)
@@ -500,6 +583,9 @@ def _build_expr(expr: RingExpr, ring_cap: int) -> _Built:
         add, mul = expr.args
         ring = make_table_ring([list(r) for r in add], [list(r) for r in mul],
                                cap=ring_cap)
+        if check_tables and not (v := validate_ring(ring)):
+            raise ParseError(f"not a ring: {v.failure} at {v.witness}",
+                             expr.line, expr.col)
         gr = attach_grading(ring, make_trivial_grading(ring, make_cyclic(2)))
         order = ring.order
 
@@ -512,15 +598,15 @@ def _build_expr(expr: RingExpr, ring_cap: int) -> _Built:
 
         return _Built(gr, parse_index)
     if expr.kind == "matrix":
-        base = _build_expr(expr.args[0], ring_cap)
+        base = _build_expr(expr.args[0], ring_cap, check_tables)
         k = expr.args[1]
         ring = make_matrix_ring(base.graded.ring, k, ring_cap)
         gr = attach_grading(ring, make_checkerboard_grading(ring))
         m = base.graded.order
         return _Built(gr, lambda lit: _matrix_literal(lit, base.parse, k, m))
     if expr.kind == "product":
-        b1 = _build_expr(expr.args[0], ring_cap)
-        b2 = _build_expr(expr.args[1], ring_cap)
+        b1 = _build_expr(expr.args[0], ring_cap, check_tables)
+        b2 = _build_expr(expr.args[1], ring_cap, check_tables)
         ring = make_product_ring(b1.graded.ring, b2.graded.ring, ring_cap)
         gr = attach_grading(ring, make_product_grading(b1.graded, b2.graded,
                                                        ring))
@@ -532,13 +618,13 @@ def _build_expr(expr: RingExpr, ring_cap: int) -> _Built:
 
         return _Built(gr, parse_pair)
     if expr.kind == "quotient":
-        base = _build_expr(expr.args[0], ring_cap)
+        base = _build_expr(expr.args[0], ring_cap, check_tables)
         K = _generated_ideal(base, expr.args[1])
         q = make_quotient(base.graded, K)
         proj = q.projection.mapping
         return _Built(q.graded_ring, lambda lit: int(proj[base.parse(lit)]))
     if expr.kind == "idealization":
-        base = _build_expr(expr.args[0], ring_cap)
+        base = _build_expr(expr.args[0], ring_cap, check_tables)
         mdesc = expr.args[1]
         if mdesc[0] == "regular":
             M = regular_bimodule(base.graded)
@@ -551,7 +637,7 @@ def _build_expr(expr: RingExpr, ring_cap: int) -> _Built:
             def mparse(lit: Literal) -> int:
                 return int(mproj[base.parse(lit)])
 
-        X = make_idealization(base.graded, M, ring_cap)
+        X = _idealization(base.graded, M, ring_cap)
         morder = M.order
 
         def parse_xpair(lit: Literal) -> int:
@@ -576,10 +662,13 @@ class BuiltSpec:
         return self.literal_parser(Literal(text.strip(), 1, 1))
 
 
-def build_document(doc: RingSpecDocument,
-                   ring_cap: int = DEFAULT_RING_CAP) -> BuiltSpec:
-    """Construct the graded ring and every named ideal of a parsed document."""
-    built = _build_expr(doc.ring, ring_cap)
+def build_document(doc: RingSpecDocument, ring_cap: int = DEFAULT_RING_CAP,
+                   check_tables: bool = True) -> BuiltSpec:
+    """Construct the graded ring and every named ideal of a parsed document.
+
+    check_tables=False skips validate_ring on table rings (and the build
+    memo), for a caller that validates the built ring itself."""
+    built = _build_expr(doc.ring, ring_cap, check_tables)
     ideals = {spec.name: _generated_ideal(built, spec.generators)
               for spec in doc.ideals}
     return BuiltSpec(built.graded, ideals, dict(doc.options), built.parse)

@@ -34,13 +34,13 @@ from .classify import (
     raw_product_mask,
 )
 from .constructions import (
+    _idealization,
     GradedBimodule,
     GradedRingHom,
     embed_ideal_in_idealization,
     hom_image,
     hom_kernel,
     hom_preimage,
-    make_idealization,
     make_quotient,
     product_projections,
     quotient_bimodule,
@@ -59,6 +59,13 @@ from .ideals import (
     minimal_homogeneous_generators,
 )
 from .rings import DEFAULT_RING_CAP
+from .specs import (
+    build_document,
+    parse_document,
+    shared_subexpressions,
+    start_build_memo,
+    stop_build_memo,
+)
 
 PROPERTY_IDS = tuple(f"P{i}" for i in range(1, 20))
 
@@ -227,7 +234,7 @@ class RingContext:
 
     def idealization(self, mlabel: str, M: GradedBimodule) -> GradedRing:
         return self._memo(("idealization", mlabel),
-                          lambda: make_idealization(self.gr, M, self.ring_cap))
+                          lambda: _idealization(self.gr, M, self.ring_cap))
 
 
 # ---------------------------------------------------------------------------
@@ -804,7 +811,6 @@ class CorpusMember:
     spec_text: str
 
     def build(self, ring_cap: int = DEFAULT_RING_CAP) -> GradedRing:
-        from .specs import build_document, parse_document
         return build_document(parse_document(self.spec_text),
                               ring_cap=ring_cap).graded_ring
 
@@ -899,13 +905,26 @@ def _member_task(args: tuple) -> tuple[str, list[dict]]:
     return label, [o.to_dict() for o in outs]
 
 
-def _map_over_corpus(task, args_list: list[tuple], workers: int) -> list:
+def _map_over_corpus(task, args_list: list[tuple], workers: int,
+                     shared: frozenset = frozenset()) -> list:
+    """task over args_list in order, with the build memo on for the shared
+    subexpression keys: in this process for the call, and in each pool
+    worker from its start."""
     # the pool starts all its processes at once, so never more than tasks
     workers = min(workers, len(args_list))
-    if workers <= 1:
-        return [task(a) for a in args_list]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, args_list))
+    start_build_memo(shared)
+    try:
+        if workers <= 1:
+            return [task(a) for a in args_list]
+        with ProcessPoolExecutor(max_workers=workers, initializer=start_build_memo,
+                                 initargs=(shared,)) as pool:
+            return list(pool.map(task, args_list))
+    finally:
+        stop_build_memo()
+
+
+def _shared(members: list[CorpusMember], ring_cap: int) -> frozenset:
+    return shared_subexpressions([m.spec_text for m in members], ring_cap)
 
 
 def run_all_properties(corpus: list[CorpusMember] | None = None,
@@ -924,7 +943,8 @@ def run_all_properties(corpus: list[CorpusMember] | None = None,
         raise ValueError(f"unknown properties: {', '.join(unknown)}")
     members = default_corpus(ring_cap, ideal_cap) if corpus is None else corpus
     args = [(m.label, m.spec_text, ids, ideal_cap, ring_cap) for m in members]
-    by_label = dict(_map_over_corpus(_member_task, args, workers))
+    by_label = dict(_map_over_corpus(_member_task, args, workers,
+                                     _shared(members, ring_cap)))
     rows = []
     total_violations = 0
     for pos, pid in enumerate(ids):
@@ -1027,7 +1047,8 @@ def search_question1(corpus: list[CorpusMember] | None = None,
     or an exhaustion certificate with the number of examined tuples."""
     members = default_corpus(ring_cap, ideal_cap) if corpus is None else corpus
     args = [(m.label, m.spec_text, ideal_cap, ring_cap) for m in members]
-    by_label = dict(_map_over_corpus(_search_member_task, args, workers))
+    by_label = dict(_map_over_corpus(_search_member_task, args, workers,
+                                     _shared(members, ring_cap)))
     counters = {"triples_scanned": 0, "triples_nonzero": 0,
                 "triples_hypothesis": 0}
     eligible: list[dict] = []

@@ -49,6 +49,17 @@ TRIANGULAR_Z2_Z4 = _table_spec(
                              x[2] * y[2] % 4))
 
 
+SMALL_RINGS = [
+    "ring: zn(8)",
+    "ring: zn(12)",
+    "ring: gaussian(3)",
+    "ring: gaussian(4)",
+    "ring: matrix(zn(2), 2)",
+    "ring: product(zn(2), zn(4))",
+    "ring: idealization(zn(4), regular)",
+]
+
+
 _LEAVES = [f"zn({n})" for n in range(2, 9)] + ["gaussian(2)"]
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     ROW_MATRICES_F2,
+    SMALL_RINGS,
     TRIANGULAR_Z2_Z4,
     UPPER_TRIANGULAR_F2,
     build_ring,
@@ -19,7 +20,7 @@ from conftest import (
     raw_triple_verdicts,
 )
 from hypothesis import HealthCheck, given, settings
-from ringbench import classify
+from ringbench import classify, constructions
 from ringbench.bitsets import popcount
 from ringbench.classify import (
     ImproperIdealError,
@@ -50,20 +51,10 @@ from ringbench.ideals import (
     enumerate_graded_ideals,
     generate_ideal,
 )
+from ringbench.constructions import make_quotient
 from ringbench.rings import make_matrix_ring, make_product_ring, make_zn
 from ringbench.specs import build_document, parse_document
 from ringbench.theorems import run_property
-
-SMALL_RINGS = [
-    "ring: zn(8)",
-    "ring: zn(12)",
-    "ring: gaussian(3)",
-    "ring: gaussian(4)",
-    "ring: matrix(zn(2), 2)",
-    "ring: product(zn(2), zn(4))",
-    "ring: idealization(zn(4), regular)",
-]
-
 
 def test_dual_route_kernels_agree():
     for text in SMALL_RINGS:
@@ -151,6 +142,47 @@ def test_ideal_check_runs_once_per_mask(monkeypatch):
         with pytest.raises(NotIdealError, match=r"failed \('add', 2, 2\)"):
             is_graded_2_absorbing(gr, 0b101)
     assert calls == [four.mask, 0b101]
+
+
+def test_lattice_ideals_skip_closure_recheck(monkeypatch):
+    """A mask of the ring's enumerated two-sided lattice is a graded two-sided
+    ideal by construction, so make_quotient and the classifier take it
+    without check_closure. The same mask on a ring whose lattice is not
+    enumerated, a left ideal that is not two-sided and an ideal that is not
+    graded are checked as before, with the same errors."""
+    calls = []
+    for module in (classify, constructions):
+        monkeypatch.setattr(module, "check_closure",
+                            lambda *a, real=module.check_closure: calls.append(a[1]) or real(*a))
+    gr = build_ring(TRIANGULAR_Z2_Z4)
+    lattice = [s.mask for s in graded_ideal_lattice(gr)]
+    for mask in lattice:
+        make_quotient(gr, mask)
+        classify.require_graded_ideal(gr, mask, proper=False)
+    assert len(lattice) == 8 and calls == []
+
+    fresh = build_ring(TRIANGULAR_Z2_Z4)
+    make_quotient(fresh, lattice[1])
+    classify.require_graded_ideal(fresh, lattice[1], proper=False)
+    assert calls == [lattice[1], lattice[1]]
+
+    def errors(ring, mask):
+        out = []
+        for fn in (make_quotient, is_graded_weakly_2_absorbing):
+            with pytest.raises(ValueError) as exc:
+                fn(ring, mask)
+            out.append((type(exc.value), str(exc.value)))
+        return out
+
+    left = next(s.mask for s in enumerate_graded_ideals(gr, LEFT) if s.mask not in lattice)
+    assert errors(gr, left) == errors(fresh, left)
+    assert "not a two-sided ideal" in errors(gr, left)[0][1]
+    g4 = build_ring("ring: gaussian(4)")
+    g4_lattice = graded_ideal_lattice(g4)
+    leaky = generate_ideal(g4, [5]).mask            # (1+i) holds 1+i but not 1
+    assert leaky not in [s.mask for s in g4_lattice]
+    assert errors(g4, leaky) == errors(build_ring("ring: gaussian(4)"), leaky)
+    assert "not graded" in errors(g4, leaky)[0][1]
 
 
 def test_dual_route_verdicts_agree():

@@ -258,7 +258,7 @@ def test_constructor_outputs_pass_every_validator(case):
     for M in (regular_bimodule(gr), quotient_bimodule(q)):
         _assert_valid(validate_bimodule(gr, M), expr, M.label)
         if gr.order * M.order <= 256:
-            X = make_idealization(gr, M)
+            X = constructions._idealization(gr, M)
             _assert_valid(validate_ring(X.ring), expr, M.label)
             _assert_valid(validate_grading(X.ring, X.grading), expr, M.label)
     if gr.ring.kind == "product":

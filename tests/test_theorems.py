@@ -257,11 +257,14 @@ def test_default_corpus_shape():
 
 
 class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, starts nothing."""
+    """Stands in for ProcessPoolExecutor: records max_workers, starts nothing,
+    and runs the initializer in this process as a worker would."""
     sizes: list[int] = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None, initargs=()):
         self.sizes.append(max_workers)
+        if initializer is not None:
+            initializer(*initargs)
 
     def __enter__(self):
         return self

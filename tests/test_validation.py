@@ -13,9 +13,12 @@ import numpy as np
 import pytest
 
 from conftest import build_ring
-from ringbench import cli, constructions, grading
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from ringbench import cli, constructions, grading, specs
 from ringbench.classify import graded_ideal_lattice
 from ringbench.constructions import (
+    BimoduleError,
     GradedBimodule,
     GradedRingHom,
     HomError,
@@ -37,6 +40,7 @@ from ringbench.grading import (
 from ringbench.groups import FiniteGroup, make_cyclic, make_product_group, validate_group
 from ringbench.ideals import IdealSubset, generate_ideal
 from ringbench.rings import (
+    DEFAULT_RING_CAP,
     FiniteRing,
     make_gaussian,
     make_matrix_ring,
@@ -44,7 +48,8 @@ from ringbench.rings import (
     make_zn,
     validate_ring,
 )
-from ringbench.theorems import run_property
+from ringbench.specs import ParseError, build_document, parse_document
+from ringbench.theorems import RingContext, run_property
 
 # ---------------------------------------------------------------------------
 # golden (failure, witness) pairs; each case generator yields inputs in a
@@ -351,6 +356,74 @@ def test_validate_graded_hom_golden():
     assert outcomes(validate_graded_hom, broken_maps()) == HOM_GOLDEN
 
 
+# ---------------------------------------------------------------------------
+# the table-ring boundary: build_document runs validate_ring on table(...)
+
+
+def _table_text(add, mul) -> str:
+    return f"ring: table({np.asarray(add).tolist()}, {np.asarray(mul).tolist()})"
+
+
+def test_build_rejects_golden_table_rings():
+    """Each golden corrupted ring that a table spec can state (the spec
+    derives neg and the unity) fails to build with its golden failure."""
+    stated = 0
+    for ring, (failure, witness) in zip(corrupted_rings(), RING_GOLDEN, strict=True):
+        try:
+            restated = make_table_ring(ring.add, ring.mul)
+        except ValueError:
+            continue
+        if restated.unity != ring.unity or not np.array_equal(restated.neg, ring.neg):
+            continue
+        with pytest.raises(ParseError, match=re.escape(f"not a ring: {failure} at {witness}")):
+            build_document(parse_document(_table_text(ring.add, ring.mul)))
+        stated += 1
+    assert stated == 41
+
+
+_TABLE_BASES = (make_zn(8), make_matrix_ring(make_zn(2), 2), make_gaussian(2))
+
+
+@st.composite
+def corrupted_tables(draw):
+    """The add or mul table of a valid ring with one entry shifted."""
+    base = draw(st.sampled_from(_TABLE_BASES))
+    n = base.order
+    tables = [base.add.astype(np.int64), base.mul.astype(np.int64)]
+    table = tables[draw(st.integers(0, 1))]
+    x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    table[x, y] = (table[x, y] + draw(st.integers(1, n - 1))) % n
+    return tables
+
+
+@settings(max_examples=100)
+@given(corrupted_tables())
+def test_build_rejects_corrupted_table_rings(tables):
+    """build_document fails on a corrupted table ring with make_table_ring's
+    error or validate_ring's failure, and fails the same way on a second
+    build of the same spec inside a corpus run: the memo keeps no rejection."""
+    text = _table_text(*tables)
+    try:
+        v = validate_ring(make_table_ring(*tables))
+    except ValueError as exc:
+        error, expected = ValueError, str(exc)
+    else:
+        if v.ok:
+            build_document(parse_document(text))
+            return
+        error, expected = ParseError, f"not a ring: {v.failure} at {v.witness}"
+    with pytest.raises(error, match=re.escape(expected)):
+        build_document(parse_document(text))
+    specs.start_build_memo(specs.shared_subexpressions([text, text], DEFAULT_RING_CAP))
+    try:
+        for _ in range(2):
+            with pytest.raises(error, match=re.escape(expected)):
+                build_document(parse_document(text))
+        assert specs._memo == {}
+    finally:
+        specs.stop_build_memo()
+
+
 BAD_TABLE_RING = ("ring: table([[0,1,2,3],[1,2,3,0],[2,3,0,1],[3,0,1,2]], "
                   "[[0,0,0,0],[0,1,2,3],[0,2,0,1],[0,3,2,1]])\n")
 
@@ -493,12 +566,18 @@ def test_validate_report_bytes_on_quotients_of_invalid_table_ring(gens, tmp_path
 
 
 def test_constructors_skip_revalidation_entry_points_keep_it(monkeypatch):
-    """make_quotient, quotient_bimodule, make_idealization and P8's identity
-    map build from a valid graded ring and a checked ideal or bimodule, so
-    they call neither validate_graded_hom nor validate_grading; the public
-    make_graded_hom and attach_grading still reject every golden bad input."""
+    """make_quotient, quotient_bimodule, the idealizations of regular and
+    quotient bimodules (as RingContext and the spec path build them) and P8's
+    identity map build from a valid graded ring and a checked ideal or
+    bimodule, so they call none of validate_graded_hom, validate_grading and
+    validate_bimodule; the public make_graded_hom, attach_grading and
+    make_idealization still reject every bad input."""
     gr = build_ring("ring: matrix(zn(2), 2)")
     maps, gradings = list(broken_maps()), list(corrupted_gradings())
+    rng = np.random.default_rng(5)
+    bimodules = [(g, M) for _, g, M in _bimodules()]
+    bimodules += [(g, _corrupted(M, field, rng)) for g, M in bimodules
+                  for field in ("add", "left", "right", "components")]
     calls = Counter()
 
     def count(module, name):
@@ -510,11 +589,17 @@ def test_constructors_skip_revalidation_entry_points_keep_it(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
+    count(constructions, "validate_bimodule")
+    # the spec path attaches the gradings of its leaves, so count those after
+    for module in ("regular", "quotient([])", "quotient([[[1,0],[0,0]]])"):
+        build_ring(f"ring: idealization(matrix(zn(2), 2), {module})")
     count(constructions, "validate_graded_hom")
     count(grading, "validate_grading")
-    make_idealization(gr, regular_bimodule(gr))
+    ctx = RingContext(gr, "matrix(zn(2), 2)")
+    for label, M in ctx.bimodules():
+        ctx.idealization(label, M)
     for sub in graded_ideal_lattice(gr):
-        make_idealization(gr, quotient_bimodule(make_quotient(gr, sub)))
+        constructions._idealization(gr, quotient_bimodule(make_quotient(gr, sub)))
     assert run_property(gr, "P8").violations == []
     assert calls == Counter()
 
@@ -527,8 +612,15 @@ def test_constructors_skip_revalidation_entry_points_keep_it(monkeypatch):
     for (ring, g), (failure, _) in zip(gradings, GRADING_GOLDEN, strict=True):
         with pytest.raises(GradingError, match=re.escape(failure)):
             attach_grading(ring, g)
+    for g, M in bimodules:
+        if brute_bimodule_ok(g, M):
+            make_idealization(g, M)
+            continue
+        with pytest.raises(BimoduleError, match="bimodule invalid"):
+            make_idealization(g, M)
     assert calls == Counter(validate_graded_hom=len(HOM_GOLDEN),
-                            validate_grading=len(GRADING_GOLDEN))
+                            validate_grading=len(GRADING_GOLDEN),
+                            validate_bimodule=len(bimodules))
 
 
 # ---------------------------------------------------------------------------
