@@ -63,11 +63,12 @@ class HomError(ConstructionError):
     pass
 
 
-def _require_graded_two_sided(gr: GradedRing, K: IdealSubset | int) -> int:
+def _require_graded_two_sided(gr: GradedRing, K: IdealSubset | int,
+                              ring_checked: bool = True) -> int:
     mask = K.mask if isinstance(K, IdealSubset) else int(K)
     if is_enumerated_ideal(gr, mask):
         return mask
-    ok, witness = check_closure(gr, mask, TWO_SIDED)
+    ok, witness = check_closure(gr, mask, TWO_SIDED, ring_checked=ring_checked)
     if not ok:
         raise ConstructionError(f"not a two-sided ideal: failed {witness}")
     defect = graded_defect(gr, mask)
@@ -203,10 +204,13 @@ def _read_only(table: np.ndarray) -> np.ndarray:
     return view
 
 
-def make_quotient(gr: GradedRing, K: IdealSubset | int) -> QuotientConstruction:
+def make_quotient(gr: GradedRing, K: IdealSubset | int, *,
+                  ring_checked: bool = True) -> QuotientConstruction:
     """R/K with its inherited grading (R/K)_g = (R_g + K)/K, plus the
-    projection map. Cosets are named after their smallest representative."""
-    kmask = _require_graded_two_sided(gr, K)
+    projection map. Cosets are named after their smallest representative.
+    ring_checked=False, for tables not known to form a ring, has
+    `check_closure` judge K by its ordered scan alone."""
+    kmask = _require_graded_two_sided(gr, K, ring_checked)
     base = gr.ring
     if kmask == 1:
         reps = proj = np.arange(gr.order, dtype=np.int64)
@@ -382,10 +386,7 @@ def _idealization(gr: GradedRing, M: GradedBimodule,
     base = gr.ring
     # index (r, v) -> r*m + v: digit 0 is the ring part, digit 1 the module part
     add = _digit_table((n, m), [((0,), (0,), base.add), ((1,), (1,), M.add)])
-    mul = _digit_table((n, m), [
-        ((0,), (0,), base.mul),
-        # r1 v2 + v1 r2 on the (r1, v1, r2, v2) axes
-        ((0, 1), (0, 1), M.add[M.left[:, None, None, :], M.right[None, :, :, None]])])
+    mul = _idealization_mul(gr, M)
     neg = base.neg.astype(np.int64)[:, None] * m + M.neg[None, :]
     names = [f"({base.name(r)}, {M.name(v)})" for r in range(n) for v in range(m)]
     unity = None
@@ -397,6 +398,24 @@ def _idealization(gr: GradedRing, M: GradedBimodule,
     comps = [idealization_subset(gr.component_mask(g), M.components[g], n, m)
              for g in range(gr.group.order)]
     return GradedRing(ring, Grading(gr.group, comps))
+
+
+def _idealization_mul(gr: GradedRing, M: GradedBimodule) -> np.ndarray:
+    """(r1, v1)(r2, v2) = (r1 r2, r1 v2 + v1 r2) as an (n m, n m) uint16 table.
+
+    Filled in place on the (r1, v1, r2, v2) axes, one r1 at a time: with
+    sums[w, v2] = r1 v2 + w, the r1 block is sums[v1 r2, v2], a row gather
+    written straight into the output. Then r1 r2 is added as the high digit.
+    Both parts stay below n m, so nothing is held wider than uint16.
+    """
+    n, m = gr.order, M.order
+    out = np.empty((n, m, n, m), dtype=np.uint16)
+    right = M.right.astype(np.intp)
+    for r in range(n):
+        sums = np.take(M.add.T, M.left[r], axis=1)
+        np.take(sums, right, axis=0, out=out[r])
+    out += (gr.ring.mul.astype(np.uint16) * np.uint16(m))[:, None, :, None]
+    return out.reshape(n * m, n * m)
 
 
 def idealization_subset(pmask: int, module_mask: int, ring_order: int,

@@ -58,12 +58,63 @@ def first_offender(bad: np.ndarray) -> tuple[int, ...] | None:
 
 
 def range_check(n: int, **tables: np.ndarray) -> Validation:
-    """Every entry of every named table is an element index below n."""
+    """Every entry of every named table is an element index below n.
+
+    Only a table whose extremes fall outside is scanned for its offender."""
     for label, tab in tables.items():
-        at = first_offender((tab < 0) | (tab >= n))
-        if at:
-            return Validation(False, f"{label} entry out of range", at)
+        if tab.size and (tab.min() < 0 or tab.max() >= n):
+            return Validation(False, f"{label} entry out of range",
+                              first_offender((tab < 0) | (tab >= n)))
     return Validation(True)
+
+
+def grow_span(add: np.ndarray, span: np.ndarray, g: int) -> np.ndarray:
+    """The bool mask span ∪ (span + g) ∪ (span + 2g) ∪ ..., grown by doubling.
+
+    Each round adds one translate, A ∪ (A + 2^t g), and the growth stops at
+    the first round that adds nothing. With A = span + {0, ..., 2^t - 1} g, a
+    round that adds nothing means A + 2^t g ⊆ A, so A + g ⊆ A: a subgroup span
+    and its element g give the subgroup they generate, in about log2 of its
+    order rounds. Every member added is a sum taken in `add` of a member of
+    span and multiples of g, whatever the table, and the result always holds
+    span. Returns a new mask.
+    """
+    out = span.copy()
+    step = int(g)
+    while True:
+        new = add[np.flatnonzero(out), step]
+        fresh = new[~out[new]]
+        if not fresh.size:
+            return out
+        out[fresh] = True
+        step = int(add[step, step])
+
+
+def greedy_generators(add: np.ndarray, within: np.ndarray | None = None) -> list[int] | None:
+    """Generators of the subgroup spanned by the bool mask `within` (every
+    element when None): each the first member outside the span of those
+    before it, the span grown by `grow_span`.
+
+    None when the span leaves `within` (0 included), so `within` is no
+    subgroup, or when a generator does not enter its own span, which on a
+    group 0 + g = g rules out. Otherwise `within` is the span of the
+    generators. Every round adds its generator, so at most n rounds run,
+    whatever the table.
+    """
+    span = np.zeros(add.shape[0], dtype=bool)
+    span[0] = True
+    if within is None:
+        within = np.ones_like(span)
+    elif not within[0]:
+        return None
+    gens: list[int] = []
+    while (outside := within & ~span).any():
+        g = int(outside.argmax())
+        span = grow_span(add, span, g)
+        if not span[g] or (span & ~within).any():
+            return None
+        gens.append(g)
+    return gens
 
 
 def make_cyclic(n: int) -> FiniteGroup:

@@ -17,10 +17,12 @@ Results are `groups.Validation`.
 runs first, over blocks of rows so that no (n, n) temporary is built; only
 when it finds a law broken does the ordered scan (`_first_ring_failure`) run,
 and that scan alone chooses the reported failure and witness. The decision
-grows the generators' span by adding one generator at a time to a member,
-and every such sum lies in the closure of the generators under +, so on a
-verified abelian group every element is a sum of generators and any law whose
-set of solutions is closed under + holds once it holds on the generators.
+picks its generators with `groups.greedy_generators`, which grows their span
+by doubling. Every member it adds is a member plus a repeated sum of a
+generator, so it lies in the closure of the generators under +; on a
+verified abelian group every element is then a sum of generators, and any
+law whose set of solutions is closed under + holds once it holds on the
+generators.
 Left distributivity is checked only for a and g both generators, with c
 over all of R: once right distributivity holds, the elements a whose left
 multiplication is additive are closed under +, and for a fixed a the
@@ -34,10 +36,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import Validation, first_offender, range_check
+from .groups import Validation, first_offender, greedy_generators, range_check
 
 DEFAULT_RING_CAP = 4096
 _MAX_ORDER = 1 << 16     # element indices are stored as uint16
+_ROWS = 128              # rows per block (and tile side) of the n^2-sized checks
 
 
 class RingTooLargeError(ValueError):
@@ -258,7 +261,9 @@ def make_table_ring(add, mul, neg=None, element_names=None,
 def additive_generators(ring) -> list[int]:
     """Greedy additive generating set: repeatedly adjoin the smallest element
     outside the current additive closure. Small (log-sized) for the rings here.
-    Reads only `order` and `add`, so a bimodule serves as well as a ring."""
+    Reads only `order` and `add`, so a bimodule serves as well as a ring.
+    The closure takes sums in both orders, so it is exact on any table, and
+    combines _ROWS new members at a time with the span."""
     n = ring.order
     add = ring.add
     span = np.zeros(n, dtype=bool)
@@ -267,18 +272,29 @@ def additive_generators(ring) -> list[int]:
     while at := first_offender(~span):
         g = at[0]
         gens.append(g)
-        frontier = [g]
+        frontier = np.array([g])
         span[g] = True
-        while frontier:
-            cur = np.asarray(frontier, dtype=np.int64)
-            members = np.nonzero(span)[0]
-            new = np.unique(np.concatenate([
-                add[cur[:, None], members[None, :]].ravel(),
-                add[members[:, None], cur[None, :]].ravel()]))
-            fresh = new[~span[new]]
-            span[fresh] = True
-            frontier = fresh.tolist()
+        while frontier.size:
+            members = np.flatnonzero(span)
+            found = []
+            for r in range(0, frontier.size, _ROWS):
+                cur = frontier[r:r + _ROWS]
+                new = np.concatenate([add[cur[:, None], members].ravel(),
+                                      add[members[:, None], cur].ravel()])
+                found.append(np.unique(new[~span[new]]))
+                span[found[-1]] = True
+            frontier = np.concatenate(found)
     return gens
+
+
+def _first_offender_in_rows(n: int, bad_rows) -> tuple[int, ...] | None:
+    """first_offender of an (n, ...) boolean array built _ROWS rows at a
+    time: bad_rows(rows) returns the block for the slice rows. Blocks are
+    scanned in row order, so the first hit is the first in C order."""
+    for r in range(0, n, _ROWS):
+        if at := first_offender(bad_rows(slice(r, r + _ROWS))):
+            return (at[0] + r, *at[1:])
+    return None
 
 
 def check_additive_group(add: np.ndarray, neg: np.ndarray, gens: list[int]) -> Validation:
@@ -287,49 +303,29 @@ def check_additive_group(add: np.ndarray, neg: np.ndarray, gens: list[int]) -> V
     Identities, commutativity and inverses are checked exhaustively;
     associativity against the additive generators `gens`, which suffices: the
     elements x with (x + u) + v == x + (u + v) for all u, v are closed under +.
+    The (n, n) checks run over blocks of rows.
     """
-    idx = np.arange(add.shape[0])
+    n = add.shape[0]
+    idx = np.arange(n)
     if at := first_offender(add[0, :] != idx):
         return Validation(False, "zero is not a left additive identity", (0, *at))
     if at := first_offender(add[:, 0] != idx):
         return Validation(False, "zero is not a right additive identity", (*at, 0))
-    if at := first_offender(add != add.T):
+    if at := _first_offender_in_rows(n, lambda rows: add[rows] != add[:, rows].T):
         return Validation(False, "addition is not commutative", at)
     if at := first_offender(add[idx, neg] != 0):
         return Validation(False, "neg is not an additive inverse", (*at, int(neg[at])))
     for g in gens:
-        if at := first_offender(add[add[g, :], :] != add[g, add]):
+        if at := _first_offender_in_rows(
+                n, lambda rows: add[add[g, rows], :] != add[g][add[rows]]):
             return Validation(False, "addition is not associative", (g, *at))
     return Validation(True)
-
-
-def _grown_generators(add: np.ndarray) -> list[int]:
-    """The greedy choice of `additive_generators`, with the span grown only
-    by adding a generator to a member: O(|gens|^2 n) rather than the O(n^2)
-    closure. On a valid ring both pick the same generators; on a corrupted
-    table they may differ, so witnesses never come from here. Sums are taken
-    on one side only, as the caller has checked that + commutes."""
-    span = np.zeros(add.shape[0], dtype=bool)
-    span[0] = True
-    gens: list[int] = []
-    while at := first_offender(~span):
-        gens.append(at[0])
-        span[at[0]] = True
-        fresh = np.flatnonzero(span)
-        while fresh.size:
-            new = add[fresh[:, None], gens].ravel()
-            fresh = np.unique(new[~span[new]])
-            span[fresh] = True
-    return gens
 
 
 def _associator_sides(mul: np.ndarray, garr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(ab)c and a(bc) for a, b, c over the generators garr, indexed [a, b, c]."""
     ab = mul[garr[:, None], garr[None, :]]
     return mul[ab[:, :, None], garr[None, None, :]], mul[garr[:, None, None], ab[None, :, :]]
-
-
-_ROWS = 128     # rows per block (and tile side) of the n^2-sized decision checks
 
 
 def _ring_laws_hold(ring: FiniteRing) -> bool:
@@ -358,7 +354,11 @@ def _ring_laws_hold(ring: FiniteRing) -> bool:
                                   add[j:j + _ROWS, i:i + _ROWS].T):
                 return False
 
-    gens = _grown_generators(add)
+    # the greedy choice of additive_generators, grown by doubling; sums are
+    # taken on one side only, as + was just checked to commute
+    gens = greedy_generators(add)
+    if gens is None:
+        return False
     flat_add = add.ravel()
     for g in gens:
         gc_offset = mul[g].astype(np.intp) * n      # flat index of gc + (.)
@@ -394,12 +394,15 @@ def _first_ring_failure(ring: FiniteRing) -> Validation:
     if not (v := check_additive_group(add, neg, gens)):
         return v
 
-    # a(g + c) == ag + ac and (g + b)c == gc + bc for generators g
+    # a(g + c) == ag + ac and (g + b)c == gc + bc for generators g,
+    # over blocks of rows a and b
     for g in gens:
-        if at := first_offender(mul[:, add[g, :]] != add[mul[:, g][:, None], mul]):
+        if at := _first_offender_in_rows(
+                n, lambda rows: mul[rows][:, add[g]] != add[mul[rows, g][:, None], mul[rows]]):
             a, c = at
             return Validation(False, "left distributivity fails", (a, g, c))
-        if at := first_offender(mul[add[g, :], :] != add[mul[g, :][None, :], mul]):
+        if at := _first_offender_in_rows(
+                n, lambda rows: mul[add[g, rows], :] != add[mul[g][None, :], mul[rows]]):
             return Validation(False, "right distributivity fails", (g, *at))
 
     # associator is additive in each slot once distributivity holds,

@@ -620,7 +620,7 @@ def _construct(expr: RingExpr, ring_cap: int, check_tables: bool) -> _Built:
     if expr.kind == "quotient":
         base = _build_expr(expr.args[0], ring_cap, check_tables)
         K = _generated_ideal(base, expr.args[1])
-        q = make_quotient(base.graded, K)
+        q = make_quotient(base.graded, K, ring_checked=check_tables)
         proj = q.projection.mapping
         return _Built(q.graded_ring, lambda lit: int(proj[base.parse(lit)]))
     if expr.kind == "idealization":
@@ -630,7 +630,8 @@ def _construct(expr: RingExpr, ring_cap: int, check_tables: bool) -> _Built:
             M = regular_bimodule(base.graded)
             mparse = base.parse
         else:
-            q = make_quotient(base.graded, _generated_ideal(base, mdesc[1]))
+            q = make_quotient(base.graded, _generated_ideal(base, mdesc[1]),
+                              ring_checked=check_tables)
             M = quotient_bimodule(q)
             mproj = q.projection.mapping
 

@@ -153,7 +153,8 @@ def test_lattice_ideals_skip_closure_recheck(monkeypatch):
     calls = []
     for module in (classify, constructions):
         monkeypatch.setattr(module, "check_closure",
-                            lambda *a, real=module.check_closure: calls.append(a[1]) or real(*a))
+                            lambda *a, real=module.check_closure, **kw:
+                            calls.append(a[1]) or real(*a, **kw))
     gr = build_ring(TRIANGULAR_Z2_Z4)
     lattice = [s.mask for s in graded_ideal_lattice(gr)]
     for mask in lattice:

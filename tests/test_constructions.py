@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -30,8 +32,8 @@ from ringbench.constructions import (
 )
 from ringbench.grading import validate_grading
 from ringbench.ideals import IdealSubset, check_closure, generate_ideal
-from ringbench.rings import RingTooLargeError, validate_ring
-from ringbench.theorems import _factor_graded_rings
+from ringbench.rings import RingTooLargeError, _digit_table, validate_ring
+from ringbench.theorems import _BASE_LABELS, RingContext, _factor_graded_rings
 
 
 def test_gaussian_quotient_matches_independent_construction():
@@ -234,6 +236,45 @@ def test_idealization_tables_match_definition(spec, kgens):
                 assert X.add[x, y] == R.add[r1, r2] * m + M.add[m1, m2]
                 assert X.mul[x, y] == R.mul[r1, r2] * m + M.add[M.left[r1, m2],
                                                                 M.right[m1, r2]]
+
+
+def gathered_idealization_mul(gr, M) -> np.ndarray:
+    """The idealization's mul table by the former route, kept as the oracle:
+    the module part r1 m2 + m1 r2 as one 4-D gather on the (r1, m1, r2, m2)
+    axes, combined with r1 r2 by rings._digit_table."""
+    return _digit_table((gr.order, M.order), [
+        ((0,), (0,), gr.ring.mul),
+        ((0, 1), (0, 1), M.add[M.left[:, None, None, :], M.right[None, :, :, None]])])
+
+
+# sha256 of add bytes then mul bytes, captured from the 4-D gather build
+IDEALIZATION_4096_SHA256 = {
+    ("gaussian(8)", "regular"):
+        "4c1b9a2497439d88ec4e934580cca061aae41227aef5d397bd7ddce928c9aa03",
+    ("matrix(zn(4), 2)", "quotient([[[0,0],[0,2]]])"):
+        "b9c4c7147bd49a16984891967dd54938e5cc361faf6f0212937353391bc1ea0c",
+    ("product(gaussian(2), gaussian(4))", "regular"):
+        "7e4976ccdcc16e1fd331295ab1c31e783f623aa7eb860a3f64ba16dbd4406f02",
+}
+
+
+def test_idealization_tables_match_gather_oracle():
+    """Every default-corpus base with each bimodule RingContext offers it:
+    the in-place mul table equals the 4-D gather's in bytes, dtype and C
+    layout, and the three order-4096 idealizations keep their pinned bytes."""
+    pinned = {}
+    for label in _BASE_LABELS:
+        ctx = RingContext(build_ring(f"ring: {label}"), label)
+        for mlabel, M in ctx.bimodules():
+            X = ctx.idealization(mlabel, M).ring
+            expected = gathered_idealization_mul(ctx.gr, M)
+            assert X.mul.dtype == expected.dtype == np.uint16, (label, mlabel)
+            assert X.mul.flags.c_contiguous, (label, mlabel)
+            assert X.mul.tobytes() == expected.tobytes(), (label, mlabel)
+            if X.order == 4096:
+                pinned[label, mlabel] = hashlib.sha256(
+                    X.add.tobytes() + X.mul.tobytes()).hexdigest()
+    assert pinned == IDEALIZATION_4096_SHA256
 
 
 def _assert_valid(v, *context):

@@ -6,6 +6,8 @@ import numpy as np
 
 from ringbench.groups import (
     FiniteGroup,
+    greedy_generators,
+    grow_span,
     make_cyclic,
     make_product_group,
     validate_group,
@@ -64,3 +66,53 @@ def test_element_names_default():
     g = make_cyclic(3)
     assert g.name(2) == "2"
     assert np.array_equal(g.op[0], np.arange(3))
+
+
+def _closure(op: np.ndarray, members: set[int]) -> set[int]:
+    """Smallest superset of members closed under op, pair by pair."""
+    out = set(members)
+    while extra := {int(op[a, b]) for a in out for b in out} - out:
+        out |= extra
+    return out
+
+
+def test_grow_span_is_the_generated_subgroup():
+    """From a subgroup and an element, doubling reaches the subgroup the two
+    generate, on cyclic and product groups."""
+    groups = (make_cyclic(12), make_cyclic(1),
+              make_product_group(make_cyclic(4), make_cyclic(6)))
+    for group in groups:
+        op, n = group.op, group.order
+        for h in range(n):
+            base = _closure(op, {0, h})
+            span = np.zeros(n, dtype=bool)
+            span[sorted(base)] = True
+            for g in range(n):
+                got = set(np.flatnonzero(grow_span(op, span, g)).tolist())
+                assert got == _closure(op, base | {g}), (n, h, g)
+
+
+def test_greedy_generators_span_subgroups_and_reject_the_rest():
+    """Generators of every subgroup of Z_12 and Z_4 x Z_6, each the first
+    member outside the span so far; None for a subset that is no subgroup,
+    one without 0, and tables where 0 is no left identity."""
+    for group in (make_cyclic(12), make_product_group(make_cyclic(4), make_cyclic(6))):
+        op, n = group.op, group.order
+        assert greedy_generators(op) == greedy_generators(op, np.ones(n, dtype=bool))
+        for h in range(n):
+            sub = np.zeros(n, dtype=bool)
+            sub[sorted(_closure(op, {0, h}))] = True
+            gens = greedy_generators(op, sub)
+            assert _closure(op, {0, *gens}) == set(np.flatnonzero(sub).tolist())
+            span = {0}
+            for g in gens:
+                assert g == min(set(np.flatnonzero(sub).tolist()) - span)
+                span = _closure(op, span | {g})
+            if sub.sum() > 2:                    # <h> without h is no subgroup
+                sub[h] = False
+                assert greedy_generators(op, sub) is None, (n, h)
+        no_zero = np.ones(n, dtype=bool)
+        no_zero[0] = False
+        assert greedy_generators(op, no_zero) is None
+    no_left_zero = np.array([[0, 2, 1], [1, 0, 0], [2, 0, 0]])
+    assert greedy_generators(no_left_zero) is None

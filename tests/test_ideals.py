@@ -3,8 +3,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import ROW_MATRICES_F2, TRIANGULAR_Z2_Z4, UPPER_TRIANGULAR_F2
+from conftest import (
+    ROW_MATRICES_F2,
+    SMALL_RINGS,
+    TRIANGULAR_Z2_Z4,
+    UPPER_TRIANGULAR_F2,
+    graded_cases,
+)
 from ringbench import ideals
 from ringbench.bitsets import indices_from_mask, popcount
 from ringbench.classify import ideal_info
@@ -13,6 +21,7 @@ from ringbench.groups import make_cyclic
 from ringbench.ideals import (
     LEFT,
     RIGHT,
+    SUBGROUP_ONLY,
     TWO_SIDED,
     EnumerationCapError,
     IdealSubset,
@@ -30,6 +39,7 @@ from ringbench.ideals import (
 )
 from ringbench.rings import make_gaussian, make_matrix_ring, make_zn
 from ringbench.specs import build_document, parse_document
+from ringbench.theorems import RingContext
 
 
 def build(text: str):
@@ -100,6 +110,76 @@ def test_check_closure_witnesses():
     assert ok is False and witness == ("zero missing",)
     ok, _ = check_closure(gr, generate_ideal(gr, [2]), TWO_SIDED)
     assert ok is True
+
+
+SIDEDNESSES = (TWO_SIDED, LEFT, RIGHT, SUBGROUP_ONLY)
+
+
+def assert_closure_matches_scan(gr, mask, *context):
+    """check_closure's (ok, witness) is the ordered scan's, for every
+    sidedness."""
+    for sidedness in SIDEDNESSES:
+        assert check_closure(gr, mask, sidedness) == \
+            ideals._first_closure_failure(gr, mask, sidedness), (*context, mask, sidedness)
+
+
+@st.composite
+def closure_cases(draw):
+    """A ring from SMALL_RINGS or graded_cases(), or an idealization of it
+    of order at most 256, and a mask: an enumerated graded ideal of a drawn
+    sidedness, the additive span of drawn elements, a drawn subset, or an
+    ideal with one bit flipped; one in four loses 0."""
+    if draw(st.booleans()):
+        expr = draw(st.sampled_from(SMALL_RINGS))
+        gr = build(expr)
+    else:
+        expr, gr, _, _ = draw(graded_cases())
+    if gr.order <= 16 and draw(st.booleans()):
+        ctx = RingContext(gr, expr)
+        mlabel, M = draw(st.sampled_from(ctx.bimodules()))
+        expr, gr = f"idealization({expr}, {mlabel})", ctx.idealization(mlabel, M)
+    n = gr.order
+    lattice = graded_ideal_masks(gr, draw(st.sampled_from((TWO_SIDED, LEFT, RIGHT))))
+    members = st.lists(st.integers(0, n - 1), max_size=4)
+    kind = draw(st.sampled_from(("ideal", "span", "subset", "flip")))
+    if kind == "ideal":
+        mask = draw(st.sampled_from(lattice))
+    elif kind == "span":
+        mask = additive_span(gr, draw(members))
+    elif kind == "subset":
+        mask = sum({1 << x for x in [0, *draw(members)]})
+    else:
+        mask = draw(st.sampled_from(lattice)) ^ (1 << draw(st.integers(0, n - 1)))
+    if draw(st.integers(0, 3)) == 0:
+        mask &= ~1
+    return expr, gr, mask
+
+
+@settings(max_examples=300)
+@given(closure_cases())
+def test_check_closure_matches_ordered_scan(case):
+    expr, gr, mask = case
+    assert_closure_matches_scan(gr, mask, expr)
+
+
+@pytest.mark.parametrize("text, gens, sidedness", [
+    ("ring: zn(4096)", [2], TWO_SIDED),
+    ("ring: zn(4096)", [1024], TWO_SIDED),
+    ("ring: matrix(zn(8), 2)", [2 * 512], TWO_SIDED),     # M_2(2Z_8)
+    ("ring: matrix(zn(8), 2)", [512], LEFT),              # generated by e_00
+    ("ring: matrix(zn(8), 2)", [512], RIGHT),
+])
+def test_check_closure_matches_ordered_scan_at_order_4096(text, gens, sidedness):
+    """The same differential at n = 4096: an ideal, the ideal with one bit
+    flipped and without 0 under its own sidedness, and an additive span
+    under every sidedness."""
+    gr = build(text)
+    assert gr.order == 4096
+    mask = generate_ideal(gr, gens, sidedness).mask
+    for variant in (mask, mask ^ (1 << 3), mask & ~1):
+        assert check_closure(gr, variant, sidedness) == \
+            ideals._first_closure_failure(gr, variant, sidedness), (text, gens, variant)
+    assert_closure_matches_scan(gr, additive_span(gr, [3 * gens[0]]), text, gens)
 
 
 def test_enumeration_matches_brute_force():

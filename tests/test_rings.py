@@ -14,11 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import TRIANGULAR_Z2_Z4, UPPER_TRIANGULAR_F2, build_ring
+from ringbench.groups import greedy_generators
 from ringbench.rings import (
     FiniteRing,
     RingTooLargeError,
     _first_ring_failure,
-    _grown_generators,
     additive_generators,
     find_unity,
     make_gaussian,
@@ -202,7 +202,7 @@ def test_additive_generators_cover():
     for r in rings:
         gens = additive_generators(r)
         assert cyclic_sum(r.add, gens).all(), (r.kind, r.order)
-        assert _grown_generators(r.add) == gens, (r.kind, r.order)
+        assert greedy_generators(r.add) == gens, (r.kind, r.order)
 
 
 DIFFERENTIAL_RINGS = [make_zn(8), make_gaussian(2), make_matrix_ring(make_zn(2), 2),
@@ -334,6 +334,25 @@ def test_validate_ring_memory_bound():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * r.order ** 2, peak / r.order ** 2
+
+
+def test_ordered_scan_memory_bound():
+    """The ordered scan, like the decision, works over blocks of rows: with
+    one mul entry of matrix(zn(8), 2) moved, validate_ring runs both and
+    reports the scan's witness within a traced peak of n^2 bytes, the size
+    of one (n, n) bool array."""
+    base = make_matrix_ring(make_zn(8), 2)
+    mul = base.mul.copy()
+    mul[5, 7] = (int(mul[5, 7]) + 1) % base.order
+    r = FiniteRing(base.order, base.add, base.neg, mul, unity=base.unity)
+    tracemalloc.start()
+    try:
+        check = validate_ring(r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (check.failure, check.witness) == ("left distributivity fails", (5, 1, 6))
+    assert peak <= r.order ** 2, peak / r.order ** 2
 
 
 def matrix_oracle(base: FiniteRing, k: int) -> tuple[np.ndarray, np.ndarray]:

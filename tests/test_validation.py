@@ -5,8 +5,11 @@ bimodule oracle written from the definitions."""
 from __future__ import annotations
 
 import itertools
+import json
 import re
+import signal
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +18,7 @@ import pytest
 from conftest import build_ring
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from ringbench import cli, constructions, grading, specs
+from ringbench import cli, constructions, grading, ideals, specs
 from ringbench.classify import graded_ideal_lattice
 from ringbench.constructions import (
     BimoduleError,
@@ -31,6 +34,7 @@ from ringbench.constructions import (
     validate_graded_hom,
 )
 from ringbench.grading import (
+    GradedRing,
     Grading,
     GradingError,
     attach_grading,
@@ -559,6 +563,91 @@ def test_validate_report_bytes_on_quotients_of_invalid_table_ring(gens, tmp_path
     code, golden = BAD_TABLE_QUOTIENT_REPORTS[gens]
     assert cli.main(["validate", str(spec), "--report", str(report)]) == code
     assert report.read_bytes() == golden.encode()
+
+
+def _z8_table_with(x: int, y: int, value: int) -> str:
+    """zn(8)'s tables as a table(...) literal, with mul[x, y] set to value."""
+    add = [[(a + b) % 8 for b in range(8)] for a in range(8)]
+    mul = [[a * b % 8 for b in range(8)] for a in range(8)]
+    mul[x][y] = value
+    return f"table({add}, {mul})".replace(" ", "")
+
+
+def test_closure_decision_assumes_a_ring():
+    """check_closure's generator decision is exact only on a ring. With
+    mul[1, 0] = 1 on Z_4, {0, 2} absorbs products against its generator 2
+    but not against 0, so the decision calls it closed and the ordered scan
+    does not: the reason `validate` judges ideals of broken tables by the
+    scan. (A spec cannot state this ring: its trivial grading needs
+    R_e R_g inside R_g = {0}, so x * 0 = 0.)"""
+    mul = np.zeros((4, 4), dtype=np.int64)
+    mul[1, 0] = 1
+    ring = make_table_ring([[(a + b) % 4 for b in range(4)] for a in range(4)], mul)
+    gr = GradedRing(ring, grading.make_trivial_grading(ring, make_cyclic(2)))
+    assert ideals._closure_holds(gr, 0b101, True, True)
+    assert ideals._first_closure_failure(gr, 0b101, "two-sided") == (False, ("left", 1, 0))
+    assert ideals.check_closure(gr, 0b101, ring_checked=False) == (False, ("left", 1, 0))
+
+
+@contextmanager
+def _ends_within(seconds: int):
+    """Fail, rather than hang, when the body runs longer than seconds."""
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# 1 + 0 = 1 but 0 + 1 = 2: 0 is no left identity, and 1 never enters the
+# span that doubling grows from {0} (it stops at {0, 2})
+NO_LEFT_ZERO = "table([[0,2,1],[1,0,0],[2,0,0]],[[0,0,0],[0,0,0],[0,0,0]])"
+
+
+def test_closure_check_ends_on_tables_without_a_zero(tmp_path, capsys):
+    """The closure decision gives up when a generator stays outside its own
+    span, so check_closure ends with the ordered scan's answer; `validate`
+    ends on a quotient of such tables and reports their ideals."""
+    with _ends_within(30):
+        gr = build_document(parse_document(f"ring: {NO_LEFT_ZERO}"),
+                            check_tables=False).graded_ring
+        assert not ideals._closure_holds(gr, 0b111, True, True)
+        for mask in (0b011, 0b101, 0b111):
+            assert ideals.check_closure(gr, mask) == \
+                ideals._first_closure_failure(gr, mask, "two-sided"), mask
+        spec = tmp_path / "no_left_zero.spec"
+        spec.write_text(f"ring: quotient({NO_LEFT_ZERO}, [1, 2])\n")
+        assert cli.main(["validate", str(spec)]) == 0
+        assert capsys.readouterr().out.startswith("ring: order=1 kind=quotient")
+        spec.write_text(f"ring: {NO_LEFT_ZERO}\nideal I: gens [1]\n")
+        assert cli.main(["validate", str(spec)]) == 1
+    out = capsys.readouterr().out
+    assert "INVALID ring: zero is not a left additive identity (witness [0, 1])" in out
+    assert "INVALID ideal I: not a two-sided ideal (witness ('add', 0, 1))" in out
+
+
+def test_validate_judges_ideals_of_broken_tables_by_the_scan(tmp_path, capsys):
+    """Z_8 with mul[1, 4] = 5: the ideal generated by 2 is {0, 2, 4, 6},
+    whose generator 2 absorbs while 1 * 4 escapes. `validate` reports the
+    scan's witness for the ideal, and a quotient by it fails to build."""
+    table = _z8_table_with(1, 4, 5)
+    spec = tmp_path / "broken.spec"
+    spec.write_text(f"ring: {table}\nideal I: gens [2]\n")
+    report = tmp_path / "report.json"
+    assert cli.main(["validate", str(spec), "--report", str(report)]) == 1
+    assert "INVALID ideal I: not a two-sided ideal (witness ('left', 1, 4))" \
+        in capsys.readouterr().out
+    witnesses = json.loads(report.read_text())["witnesses"]
+    assert {"part": "ideal I", "failure": "not a two-sided ideal",
+            "witness": ["left", 1, 4]} in witnesses
+    spec.write_text(f"ring: quotient({table}, [2])\n")
+    assert cli.main(["validate", str(spec)]) == 2
+    assert "not a two-sided ideal: failed ('left', 1, 4)" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
