@@ -32,6 +32,7 @@ import numpy as np
 
 from .bitsets import bools_from_mask, indices_from_mask, is_subset, mask_from_bools
 from .grading import GradedRing, product_slots
+from .groups import first_offender
 from .ideals import (
     TWO_SIDED,
     EnumerationCapError,
@@ -480,18 +481,13 @@ def _ideal_triples(t: LatticeTable, rows: np.ndarray | None = None):
         yield a, t.prod[t.prod[a]]
 
 
-def _first(viol: np.ndarray):
-    """The first set position of viol in C order, or None."""
-    return np.unravel_index(np.argmax(viol), viol.shape) if viol.any() else None
-
-
 def _first_ideal_triple(t: LatticeTable, inP: np.ndarray,
                         rows: np.ndarray | None = None) -> tuple[int, int, int] | None:
     """First (a, b, c), lexicographically and with a from rows, where
     0 != A*B*C lies inside P and none of AB, AC, BC does; inP from t.inside."""
     out = ~inP[t.prod]
     for a, abc in _ideal_triples(t, rows):
-        hit = _first(_ideal_triple_violations(t, inP, out, a, abc))
+        hit = first_offender(_ideal_triple_violations(t, inP, out, a, abc))
         if hit is not None:
             return int(a[hit[0]]), int(hit[1]), int(hit[2])
     return None
@@ -530,7 +526,7 @@ def _prime_pair(gr: GradedRing, P: IdealSubset | int, cap: int, weakly: bool) ->
         viol = ~inP[i0:i0 + step, None] & ~inP[None, :] & inP[ij]
         if weakly:
             viol &= ij != t.zero
-        hit = _first(viol)
+        hit = first_offender(viol)
         if hit is not None:
             i, j = i0 + hit[0], hit[1]
             return Verdict(False, {k: ideal_info(gr, t.masks[x])

@@ -71,23 +71,25 @@ def range_check(n: int, **tables: np.ndarray) -> Validation:
 def grow_span(add: np.ndarray, span: np.ndarray, g: int) -> np.ndarray:
     """The bool mask span ∪ (span + g) ∪ (span + 2g) ∪ ..., grown by doubling.
 
-    Each round adds one translate, A ∪ (A + 2^t g), and the growth stops at
-    the first round that adds nothing. With A = span + {0, ..., 2^t - 1} g, a
-    round that adds nothing means A + 2^t g ⊆ A, so A + g ⊆ A: a subgroup span
-    and its element g give the subgroup they generate, in about log2 of its
-    order rounds. Every member added is a sum taken in `add` of a member of
-    span and multiples of g, whatever the table, and the result always holds
-    span. Returns a new mask.
+    Each round adds one translate, A ∪ (A + 2^t g), read as add[a, 2^t g],
+    and the growth stops as soon as the step 2^t g already lies in A. With
+    A = span + {0, ..., 2^t - 1} g and span a subgroup S of a group, this
+    stop is exact: 2^t g = s + jg with s in S and 0 <= j < 2^t puts kg in S
+    for k = 2^t - j, 1 <= k <= 2^t, so S + <g> = S + {0, ..., k - 1} g lies
+    in A already. A subgroup and its element g thus give the subgroup they
+    generate in about log2 of its order rounds. At most n rounds run,
+    whatever the table. Every member added is a sum taken in `add` of a
+    member of span and multiples of g, and the result always holds span;
+    pass add.T to translate on the left, g + a. Returns a new mask.
     """
     out = span.copy()
     step = int(g)
-    while True:
-        new = add[np.flatnonzero(out), step]
-        fresh = new[~out[new]]
-        if not fresh.size:
-            return out
-        out[fresh] = True
+    for _ in range(add.shape[0]):
+        if out[step]:
+            break
+        out[add[:, step][out]] = True
         step = int(add[step, step])
+    return out
 
 
 def greedy_generators(add: np.ndarray, within: np.ndarray | None = None) -> list[int] | None:

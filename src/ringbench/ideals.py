@@ -4,6 +4,13 @@ Subsets are bit-packed (Python ints). Closure works with homogeneous
 multipliers only: once a set is additively closed, absorbing r*x for every
 homogeneous r absorbs all of R, because a general multiplier is a sum of
 homogeneous ones and multiplication distributes over the sum.
+
+Every additive span grows through `groups.grow_span`, which adjoins one
+element to a subgroup by doubling: generated ideals, additive spans, ideal
+products and sums, the principal closures that enumeration starts from,
+and minimal generating sets. It ends within n rounds on any tables, and a
+closure ends too, as each element it adjoins is kept in a mask that only
+grows.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import numpy as np
 
 from .bitsets import bools_from_mask, indices_from_mask, mask_from_bools, popcount
 from .grading import GradedRing
-from .groups import first_offender, greedy_generators
+from .groups import first_offender, greedy_generators, grow_span
 
 TWO_SIDED = "two-sided"
 LEFT = "left"
@@ -28,6 +35,7 @@ _SIDEDNESS_FLAGS = {
     RIGHT: (False, True),
     SUBGROUP_ONLY: (False, False),
 }
+_SIDEDNESS_BY_FLAGS = {flags: side for side, flags in _SIDEDNESS_FLAGS.items()}
 
 
 class EnumerationCapError(RuntimeError):
@@ -62,25 +70,15 @@ def _flags(sidedness: str) -> tuple[bool, bool]:
         raise ValueError(f"unknown sidedness {sidedness!r}") from None
 
 
-def _extend_subgroup(add: np.ndarray, span: np.ndarray, x: int) -> np.ndarray:
-    """Subgroup generated by an existing subgroup and one element: the union
-    of cosets span + j*x until j*x falls back into span."""
-    out = span.copy()
-    idx = np.nonzero(span)[0]
-    jx = int(x)
-    while not span[jx]:
-        out[add[jx, idx]] = True
-        jx = int(add[jx, x])
-    return out
-
-
 def _close(gr: GradedRing, base: np.ndarray | None, seeds, left: bool, right: bool) -> np.ndarray:
     """Smallest additively closed, absorption-closed superset of base and seeds.
 
-    base, when given, must itself already be closed the same way.
+    base, when given, must itself already be closed the same way. Spans grow
+    by left translates x + a, through add.T; the side matters only on tables
+    not checked to form a ring.
     """
     ring = gr.ring
-    add, mul = ring.add, ring.mul
+    add_t, mul = ring.add.T, ring.mul
     multipliers = gr.hom_indices()
     if base is None:
         members = np.zeros(ring.order, dtype=bool)
@@ -92,7 +90,8 @@ def _close(gr: GradedRing, base: np.ndarray | None, seeds, left: bool, right: bo
         x = pending.pop()
         if members[x]:
             continue
-        members = _extend_subgroup(add, members, x)
+        members = grow_span(add_t, members, x)
+        members[x] = True       # kept where x + 0 != x, so the loop ends
         prods = []
         if left:
             prods.append(mul[multipliers, x])
@@ -212,26 +211,15 @@ def ideal_product(gr: GradedRing, a: IdealSubset, b: IdealSubset) -> IdealSubset
     """Additive span of pairwise products. Left closure survives from the left
     factor, right closure from the right one."""
     ia, ib = _span_indices(gr, a), _span_indices(gr, b)
-    prods = np.unique(gr.ring.mul[np.ix_(ia, ib)])
-    span = np.zeros(gr.order, dtype=bool)
-    span[0] = True
-    for x in prods:
-        if not span[x]:
-            span = _extend_subgroup(gr.ring.add, span, int(x))
-    mask = int(mask_from_bools(span))
-    left = _flags(a.sidedness)[0]
-    right = _flags(b.sidedness)[1]
-    sidedness = {(True, True): TWO_SIDED, (True, False): LEFT,
-                 (False, True): RIGHT, (False, False): SUBGROUP_ONLY}[(left, right)]
+    mask = additive_span(gr, np.unique(gr.ring.mul[np.ix_(ia, ib)]))
+    sidedness = _SIDEDNESS_BY_FLAGS[(_flags(a.sidedness)[0], _flags(b.sidedness)[1])]
     return IdealSubset(mask, sidedness, graded=graded_defect(gr, mask) is None)
 
 
 def ideal_sum(gr: GradedRing, a: IdealSubset, b: IdealSubset) -> IdealSubset:
     la, ra = _flags(a.sidedness)
     lb, rb = _flags(b.sidedness)
-    left, right = la and lb, ra and rb
-    sidedness = {(True, True): TWO_SIDED, (True, False): LEFT,
-                 (False, True): RIGHT, (False, False): SUBGROUP_ONLY}[(left, right)]
+    sidedness = _SIDEDNESS_BY_FLAGS[(la and lb, ra and rb)]
     mask = additive_span(gr, indices_from_mask(a.mask | b.mask, gr.order))
     return IdealSubset(mask, sidedness, graded=graded_defect(gr, mask) is None)
 

@@ -217,11 +217,11 @@ def make_product_ring(r1: FiniteRing, r2: FiniteRing, cap: int = DEFAULT_RING_CA
 
 
 def find_unity(ring: FiniteRing) -> int | None:
-    """Exhaustive search for a two-sided multiplicative identity."""
-    idx = np.arange(ring.order)
-    rows = (ring.mul == idx[None, :]).all(axis=1)
-    cols = (ring.mul == idx[:, None]).all(axis=0)
-    at = first_offender(rows & cols)
+    """The first two-sided multiplicative identity, or None; candidates are
+    searched _ROWS at a time, so no (n, n) temporary is built."""
+    mul, idx = ring.mul, np.arange(ring.order)
+    at = _first_offender_in_rows(ring.order, lambda rows: (
+        (mul[rows] == idx).all(axis=1) & (mul[:, rows] == idx[:, None]).all(axis=0)))
     return None if at is None else at[0]
 
 

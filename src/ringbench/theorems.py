@@ -47,6 +47,7 @@ from .constructions import (
     regular_bimodule,
 )
 from .grading import GradedRing, Grading, attach_grading
+from .groups import first_offender
 from .ideals import (
     LEFT,
     RIGHT,
@@ -750,8 +751,8 @@ def _collapse_law_holds(ctx: RingContext) -> tuple[bool, dict | None]:
     t = ctx.table()
     for a, ijk in classify._ideal_triples(t):
         ij, ik = t.prod[a][:, :, None], t.prod[a][:, None, :]
-        hit = classify._first((ijk != t.zero) & (ij != ijk) & (ik != ijk)
-                              & (t.prod[None, :, :] != ijk))
+        hit = first_offender((ijk != t.zero) & (ij != ijk) & (ik != ijk)
+                             & (t.prod[None, :, :] != ijk))
         if hit is not None:
             i, j, k = int(a[hit[0]]), int(hit[1]), int(hit[2])
             return False, {"I": ideal_info(ctx.gr, t.masks[i]),

@@ -78,7 +78,7 @@ def _closure(op: np.ndarray, members: set[int]) -> set[int]:
 
 def test_grow_span_is_the_generated_subgroup():
     """From a subgroup and an element, doubling reaches the subgroup the two
-    generate, on cyclic and product groups."""
+    generate, on cyclic and product groups; on other tables it ends."""
     groups = (make_cyclic(12), make_cyclic(1),
               make_product_group(make_cyclic(4), make_cyclic(6)))
     for group in groups:
@@ -90,6 +90,10 @@ def test_grow_span_is_the_generated_subgroup():
             for g in range(n):
                 got = set(np.flatnonzero(grow_span(op, span, g)).tolist())
                 assert got == _closure(op, base | {g}), (n, h, g)
+    # 0 + 1 = 0, and the doubled steps 1, 2, 1, ... never enter {0}: the
+    # growth ends after n rounds
+    stuck = np.array([[0, 0, 0], [0, 2, 0], [0, 0, 1]])
+    assert grow_span(stuck, np.array([True, False, False]), 1).tolist() == [True, False, False]
 
 
 def test_greedy_generators_span_subgroups_and_reject_the_rest():

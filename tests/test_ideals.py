@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+from functools import lru_cache
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,7 +44,7 @@ from ringbench.ideals import (
 )
 from ringbench.rings import make_gaussian, make_matrix_ring, make_zn
 from ringbench.specs import build_document, parse_document
-from ringbench.theorems import RingContext
+from ringbench.theorems import RingContext, default_corpus
 
 
 def build(text: str):
@@ -338,6 +343,90 @@ def test_additive_span():
     gr = build("ring: zn(8)")
     assert additive_span(gr, [2]) == generate_ideal(gr, [2]).mask
     assert additive_span(gr, []) == 1
+
+
+def raw_closure(gr, seeds, left: bool, right: bool) -> int:
+    """Mask of the smallest set holding 0 and the seeds that is closed under
+    pairwise sums (until stable, as classify._raw_span) and then under
+    products with every ring element per the flags, repeated to a fixpoint."""
+    add, mul = gr.ring.add, gr.ring.mul
+    everyone = np.arange(gr.order)
+    flags = np.zeros(gr.order, dtype=bool)
+    flags[[0, *seeds]] = True
+    while True:
+        idx = np.flatnonzero(flags)
+        new = add[np.ix_(idx, idx)].ravel()
+        if flags[new].all():
+            new = np.concatenate([
+                mul[np.ix_(everyone, idx)].ravel() if left else idx,
+                mul[np.ix_(idx, everyone)].ravel() if right else idx])
+            if flags[new].all():
+                return sum(1 << int(x) for x in idx)
+        flags[new] = True
+
+
+# cyclic components on which doubling takes several rounds
+_CYCLIC_RINGS = ("ring: zn(128)", "ring: zn(256)", "ring: gaussian(16)")
+build_once = lru_cache(maxsize=None)(build)
+
+
+@st.composite
+def span_cases(draw):
+    """A ring from SMALL_RINGS, graded_cases() or _CYCLIC_RINGS, and two
+    short lists of its elements."""
+    source = draw(st.sampled_from(("small", "graded", "cyclic")))
+    if source == "graded":
+        expr, gr, _, _ = draw(graded_cases())
+    else:
+        expr = draw(st.sampled_from(SMALL_RINGS if source == "small" else _CYCLIC_RINGS))
+        gr = build_once(expr)
+    elements = st.lists(st.integers(0, gr.order - 1), max_size=3)
+    return expr, gr, draw(elements), draw(elements)
+
+
+@settings(max_examples=200)
+@given(span_cases())
+def test_spans_match_raw_fixpoint(case):
+    """generate_ideal under every sidedness, additive_span, ideal_product
+    and ideal_sum, all grown through groups.grow_span, equal the raw
+    fixpoint of sums and products."""
+    expr, gr, xs, ys = case
+    assert additive_span(gr, xs) == raw_closure(gr, xs, False, False), (expr, xs)
+    for sidedness in SIDEDNESSES:
+        left, right = ideals._flags(sidedness)
+        a, b = generate_ideal(gr, xs, sidedness), generate_ideal(gr, ys, sidedness)
+        assert a.mask == raw_closure(gr, xs, left, right), (expr, xs, sidedness)
+        prods = gr.ring.mul[np.ix_(a.indices(gr.order), b.indices(gr.order))]
+        product, total = ideal_product(gr, a, b), ideal_sum(gr, a, b)
+        assert (product.mask, product.sidedness) == \
+            (raw_closure(gr, np.unique(prods), False, False), sidedness), (expr, xs, ys)
+        assert (total.mask, total.sidedness) == \
+            (raw_closure(gr, [*xs, *ys], left, right), sidedness), (expr, xs, ys)
+
+
+def enumeration_digest(labels) -> str:
+    """sha256 over graded_ideal_masks and the minimal homogeneous generators
+    of every mask, for each ring label and each of the three sidednesses."""
+    digest = hashlib.sha256()
+    for label in labels:
+        gr = build(f"ring: {label}")
+        for sidedness in (TWO_SIDED, LEFT, RIGHT):
+            masks = graded_ideal_masks(gr, sidedness)
+            gens = [minimal_homogeneous_generators(gr, IdealSubset(m, sidedness, graded=True))
+                    for m in masks]
+            digest.update(json.dumps([label, sidedness, [hex(m) for m in masks], gens]).encode())
+    return digest.hexdigest()
+
+
+def test_enumeration_and_minimal_generators_pin():
+    """Graded-ideal masks and minimal generators are unchanged since closures
+    grew through the coset walk: pinned over the default corpus, zn(128),
+    zn(256) and zn(8)^3."""
+    labels = [m.label for m in default_corpus()] + [
+        "zn(128)", "zn(256)", "product(zn(8), product(zn(8), zn(8)))"]
+    assert len(labels) == 55
+    assert enumeration_digest(labels) == \
+        "c4c9b99a421d2fe289afb6b835ecb33898267992cf3721542e8665e9c1c343d1"
 
 
 def test_is_graded_ideal():

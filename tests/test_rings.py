@@ -338,21 +338,27 @@ def test_validate_ring_memory_bound():
 
 def test_ordered_scan_memory_bound():
     """The ordered scan, like the decision, works over blocks of rows: with
-    one mul entry of matrix(zn(8), 2) moved, validate_ring runs both and
-    reports the scan's witness within a traced peak of n^2 bytes, the size
-    of one (n, n) bool array."""
+    one mul entry of matrix(zn(8), 2) moved, or with its unity declared as
+    2, validate_ring runs both and reports the scan's witness within a
+    traced peak of n^2 bytes, the size of one (n, n) bool array."""
     base = make_matrix_ring(make_zn(8), 2)
     mul = base.mul.copy()
     mul[5, 7] = (int(mul[5, 7]) + 1) % base.order
-    r = FiniteRing(base.order, base.add, base.neg, mul, unity=base.unity)
-    tracemalloc.start()
-    try:
-        check = validate_ring(r)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (check.failure, check.witness) == ("left distributivity fails", (5, 1, 6))
-    assert peak <= r.order ** 2, peak / r.order ** 2
+    cases = [
+        (FiniteRing(base.order, base.add, base.neg, mul, unity=base.unity),
+         ("left distributivity fails", (5, 1, 6))),
+        (FiniteRing(base.order, base.add, base.neg, base.mul, unity=2),
+         ("declared unity is not a two-sided identity", (2,))),
+    ]
+    for r, expected in cases:
+        tracemalloc.start()
+        try:
+            check = validate_ring(r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (check.failure, check.witness) == expected
+        assert peak <= r.order ** 2, (expected, peak / r.order ** 2)
 
 
 def matrix_oracle(base: FiniteRing, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import build_ring
+from conftest import SMALL_RINGS, build_ring
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from ringbench import cli, constructions, grading, ideals, specs
@@ -46,6 +46,7 @@ from ringbench.ideals import IdealSubset, generate_ideal
 from ringbench.rings import (
     DEFAULT_RING_CAP,
     FiniteRing,
+    find_unity,
     make_gaussian,
     make_matrix_ring,
     make_table_ring,
@@ -348,6 +349,29 @@ def test_validate_ring_golden():
     assert outcomes(validate_ring, corrupted_rings()) == RING_GOLDEN
 
 
+def whole_table_unity(ring: FiniteRing) -> int | None:
+    """find_unity's former search over whole (n, n) tables: the first u
+    whose row and column of mul are both the identity map."""
+    idx = np.arange(ring.order)
+    both = (ring.mul == idx[None, :]).all(axis=1) & (ring.mul == idx[:, None]).all(axis=0)
+    return int(both.argmax()) if both.any() else None
+
+
+def test_find_unity_matches_the_whole_table_search():
+    """The row-blocked search finds the same first two-sided identity, on
+    the golden corrupted rings, SMALL_RINGS, and matrix(zn(8), 2), whose
+    unity 513 lies past the first block, with and without its column
+    broken."""
+    m8 = make_matrix_ring(make_zn(8), 2)
+    mul = m8.mul.copy()
+    mul[3, 513] = 0
+    rings = [*corrupted_rings(), *(build_ring(text).ring for text in SMALL_RINGS), m8,
+             FiniteRing(m8.order, m8.add, m8.neg, mul)]
+    for ring in rings:
+        assert find_unity(ring) == whole_table_unity(ring), ring
+    assert (find_unity(m8), find_unity(rings[-1])) == (513, None)
+
+
 def test_validate_grading_golden():
     assert outcomes(lambda c: validate_grading(*c), corrupted_gradings()) == GRADING_GOLDEN
 
@@ -607,12 +631,19 @@ def _ends_within(seconds: int):
 # 1 + 0 = 1 but 0 + 1 = 2: 0 is no left identity, and 1 never enters the
 # span that doubling grows from {0} (it stops at {0, 2})
 NO_LEFT_ZERO = "table([[0,2,1],[1,0,0],[2,0,0]],[[0,0,0],[0,0,0],[0,0,0]])"
+# 1 + 1 = 2 and 2 + 1 = 1: the multiples of 1 cycle outside the span {0},
+# which the coset walk that closures used to grow by never noticed
+CYCLING_MULTIPLES = "table([[0,1,2],[1,2,0],[2,1,0]],[[0,0,0],[0,0,0],[0,0,0]])"
+# 2 + 0 = 1: a closure adjoining 2 keeps it although its span need not
+NO_RIGHT_ZERO = "table([[0,1,2],[2,0,1],[1,0,1]],[[0,0,0],[0,1,2],[0,1,2]])"
 
 
 def test_closure_check_ends_on_tables_without_a_zero(tmp_path, capsys):
     """The closure decision gives up when a generator stays outside its own
     span, so check_closure ends with the ordered scan's answer; `validate`
-    ends on a quotient of such tables and reports their ideals."""
+    ends on a quotient of such tables and reports their ideals, and on
+    ideals generated where multiples cycle outside the span or where
+    x + 0 != x."""
     with _ends_within(30):
         gr = build_document(parse_document(f"ring: {NO_LEFT_ZERO}"),
                             check_tables=False).graded_ring
@@ -624,11 +655,20 @@ def test_closure_check_ends_on_tables_without_a_zero(tmp_path, capsys):
         spec.write_text(f"ring: quotient({NO_LEFT_ZERO}, [1, 2])\n")
         assert cli.main(["validate", str(spec)]) == 0
         assert capsys.readouterr().out.startswith("ring: order=1 kind=quotient")
-        spec.write_text(f"ring: {NO_LEFT_ZERO}\nideal I: gens [1]\n")
-        assert cli.main(["validate", str(spec)]) == 1
-    out = capsys.readouterr().out
-    assert "INVALID ring: zero is not a left additive identity (witness [0, 1])" in out
-    assert "INVALID ideal I: not a two-sided ideal (witness ('add', 0, 1))" in out
+        out = {}
+        for table, gen in ((NO_LEFT_ZERO, 1), (CYCLING_MULTIPLES, 1), (NO_RIGHT_ZERO, 2)):
+            spec.write_text(f"ring: {table}\nideal I: gens [{gen}]\n")
+            assert cli.main(["validate", str(spec)]) == 1, table
+            out[table] = capsys.readouterr().out
+    assert "INVALID ring: zero is not a left additive identity (witness [0, 1])" \
+        in out[NO_LEFT_ZERO]
+    assert "INVALID ideal I: not a two-sided ideal (witness ('add', 0, 1))" \
+        in out[NO_LEFT_ZERO]
+    assert "ideal I: size=3 gens=[1]" in out[CYCLING_MULTIPLES]
+    assert "INVALID ring: addition is not commutative (witness [1, 2])" \
+        in out[CYCLING_MULTIPLES]
+    assert "INVALID ring: zero is not a right additive identity (witness [1, 0])" \
+        in out[NO_RIGHT_ZERO]
 
 
 def test_validate_judges_ideals_of_broken_tables_by_the_scan(tmp_path, capsys):
