@@ -9,6 +9,8 @@ homogeneous-multiplier sandwich does.
 As x*S*y*S*z = (x*S*y)*S*z, a triple's verdict depends only on the value
 set x*S*y and on z; sandwich_kernel keeps the few distinct value sets, so an
 ideal costs two small products and a bit-packed triple scan, not O(h^3).
+A triple-zero census keeps what that scan yields, a (count, 3) uint16 array
+of element indices, and is never turned into Python tuples.
 
 sandwich_values and g_sandwich_values evaluate the raw definitions without
 these reductions and exist so results can be cross-checked through an
@@ -37,10 +39,8 @@ from .ideals import (
     TWO_SIDED,
     EnumerationCapError,
     IdealSubset,
-    check_closure,
-    graded_defect,
     graded_ideal_masks,
-    is_enumerated_ideal,
+    ideal_check,
     minimal_homogeneous_generators,
 )
 
@@ -87,8 +87,12 @@ class Verdict:
 
 @dataclass
 class GTripleZeroCensus:
+    """The g-triple-zeros of one ideal at one degree: triples[i] holds the
+    element indices (x, y, z) of the i-th, in lexicographic order, as a
+    (count, 3) uint16 array."""
+
     degree: int
-    triples: list[tuple[int, int, int]]
+    triples: np.ndarray
     p_is_g_weakly_2_absorbing: bool
 
     @property
@@ -126,22 +130,12 @@ def _full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
-def _ideal_check(gr: GradedRing, mask: int) -> tuple[bool, tuple | None, int | None]:
-    """check_closure's (ok, witness) and graded_defect, once per ring and mask;
-    a mask of the enumerated two-sided lattice passes unchecked."""
-    key = ("ideal_check", mask)
-    if key not in gr._cache:
-        gr._cache[key] = ((True, None, None) if is_enumerated_ideal(gr, mask) else
-                          (*check_closure(gr, mask, TWO_SIDED), graded_defect(gr, mask)))
-    return gr._cache[key]
-
-
 def require_graded_ideal(gr: GradedRing, P: IdealSubset | int,
                          proper: bool = True) -> IdealSubset:
     """Validate the subset is a graded two-sided ideal (and proper when asked)."""
     if not isinstance(P, IdealSubset):
         P = IdealSubset(int(P), TWO_SIDED, graded=True)
-    ok, witness, defect = _ideal_check(gr, P.mask)
+    ok, witness, defect = ideal_check(gr, P.mask)
     if not ok:
         raise NotIdealError(f"subset is not a two-sided ideal: failed {witness}")
     if defect is not None:
@@ -178,8 +172,11 @@ def sandwich_kernel(gr: GradedRing, left: int | None, mult: int | None,
         d = gr.group.mul(gr.group.mul(left, mult), right)
         T, where = gr.component_indices(d), f"component {d}"
     key = ("sandwich",) + tuple(s.tobytes() for s in (L, S, R, T))
-    if key in gr._cache:
-        return gr._cache[key]
+    return gr.memo(key, lambda: _sandwich_kernel(gr, key, L, S, R, T, where))
+
+
+def _sandwich_kernel(gr: GradedRing, key: tuple, L: np.ndarray, S: np.ndarray,
+                     R: np.ndarray, T: np.ndarray, where: str) -> dict:
     mul = gr.ring.mul
     pos = np.full(gr.order, -1, dtype=np.int32)
     pos[T] = np.arange(len(T), dtype=np.int32)
@@ -203,9 +200,8 @@ def sandwich_kernel(gr: GradedRing, left: int | None, mult: int | None,
                      for j in range(0, len(packed), w)]
     U = np.unpackbits(np.frombuffer(b"".join(rows), dtype=np.uint8)
                       .reshape(len(rows), -1), axis=1, count=len(T)).astype(bool)
-    gr._cache[key] = {"key": key, "T": T, "R": R, "U": U, "inv": row_of[left_of],
-                      "zero": ~U[:, T != 0].any(axis=1)}
-    return gr._cache[key]
+    return {"key": key, "T": T, "R": R, "U": U, "inv": row_of[left_of],
+            "zero": ~U[:, T != 0].any(axis=1)}
 
 
 def _none_in(U: np.ndarray, bad: np.ndarray) -> np.ndarray:
@@ -228,13 +224,11 @@ def _kernel(gr: GradedRing, g: int | None, pmask: int) -> tuple[dict, np.ndarray
         e = gr.group.identity
         k1, k2 = sandwich_kernel(gr, g, e, g), sandwich_kernel(gr, gr.group.mul(g, g), e, g)
     key = ("triple", k1["key"], k2["key"])
-    if key not in gr._cache:
-        X = k1["R"]
-        gr._cache[key] = {"X": X, "inv": k1["inv"],
-                          "zero": _none_in(k1["U"], ~k2["zero"][k2["inv"]]),
-                          "prods": gr.ring.mul[np.ix_(X, X)]}
-    tk = gr._cache[key]
-    cache = gr._cache.setdefault("ideal_rows", OrderedDict())
+    tk = gr.memo(key, lambda: {"X": k1["R"], "inv": k1["inv"],
+                               "zero": _none_in(k1["U"], ~k2["zero"][k2["inv"]]),
+                               "prods": gr.ring.mul[np.ix_(k1["R"], k1["R"])]})
+    # the one bounded family: each entry holds (h, h) bools, 16 MB at h = 4096
+    cache = gr.memo("ideal_rows", OrderedDict)
     if (key, pmask) not in cache:
         Pb = bools_from_mask(pmask, gr.order)
         good = _none_in(k2["U"], ~Pb[k2["T"]])[k2["inv"]]
@@ -248,6 +242,7 @@ def _triples(rows: np.ndarray, inv: np.ndarray, outside: np.ndarray,
              first: bool) -> np.ndarray:
     """(i, k, m), lexicographically, with rows[inv[i, k], m] set and the
     pairs (i, k), (k, m), (i, m) all outside; only the first when asked.
+    The full list is a (count, 3) uint16 array.
 
     Bits along m are packed into 64-bit words and i is taken in blocks.
     """
@@ -273,9 +268,10 @@ def _triples(rows: np.ndarray, inv: np.ndarray, outside: np.ndarray,
         if first:
             i, k = np.argwhere(live)[0]
             return np.array([[i0 + i, k, np.argmax(np.unpackbits(blk[i, k].view(np.uint8)))]])
-        found.append(np.argwhere(np.unpackbits(blk.view(np.uint8), axis=2, count=h))
-                     + [i0, 0, 0])
-    return np.concatenate(found) if found else np.empty((0, 3), dtype=np.int64)
+        hits = np.argwhere(np.unpackbits(blk.view(np.uint8), axis=2, count=h))
+        hits[:, 0] += i0
+        found.append(hits.astype(np.uint16))
+    return np.concatenate(found) if found else np.empty((0, 3), dtype=np.uint16)
 
 
 def _first_triple(gr: GradedRing, X: np.ndarray, rows: np.ndarray,
@@ -342,13 +338,13 @@ def is_g_weakly_2_absorbing(gr: GradedRing, P: IdealSubset | int, g: int,
 def find_g_triple_zeros(gr: GradedRing, P: IdealSubset | int,
                         g: int) -> GTripleZeroCensus:
     """Triples (x, y, z) in R_g with x*R_e*y*R_e*z = 0 and no pairwise
-    product in P, in lexicographic order."""
+    product in P, in lexicographic order, as the census's uint16 array."""
     P = require_graded_ideal(gr, P, proper=False)
     _require_degree(gr, P, g)
     tk, _, outside = _kernel(gr, g, P.mask)
-    hits = tk["X"][_triples(tk["zero"], tk["inv"], outside, first=False)]
+    hits = _triples(tk["zero"], tk["inv"], outside, first=False)
     weakly = is_g_weakly_2_absorbing(gr, P, g, "weakly")
-    return GTripleZeroCensus(g, list(zip(*hits.T.tolist())), weakly.value)
+    return GTripleZeroCensus(g, tk["X"].astype(np.uint16)[hits], weakly.value)
 
 
 def is_free_g_triple_zero(gr: GradedRing, P: IdealSubset | int,
@@ -381,10 +377,11 @@ def is_free_g_triple_zero(gr: GradedRing, P: IdealSubset | int,
     note = None
     if not census.p_is_g_weakly_2_absorbing:
         note = f"ideal is not g-weakly 2-absorbing at degree {g}"
-    amask, bmask, kmask = A.mask & comp, B.mask & comp, K.mask & comp
-    for (x, y, z) in census.triples:
-        if (amask >> x) & 1 and (bmask >> y) & 1 and (kmask >> z) & 1:
-            return Verdict(False, _triple_witness(gr, x, y, z), note)
+    t = census.triples
+    if census.count and (at := first_offender(
+            bools_from_mask(A.mask, n)[t[:, 0]] & bools_from_mask(B.mask, n)[t[:, 1]]
+            & bools_from_mask(K.mask, n)[t[:, 2]])):
+        return Verdict(False, _triple_witness(gr, *t[at[0]]), note)
     return Verdict(True, None, note)
 
 
@@ -438,9 +435,10 @@ def lattice_table(gr: GradedRing, sidedness: str = TWO_SIDED,
     the smallest member containing those products.
     """
     masks = graded_ideal_masks(gr, sidedness, cap)
-    key = ("lattice_table", sidedness)
-    if key in gr._cache:
-        return gr._cache[key]
+    return gr.memo(("lattice_table", sidedness), lambda: _lattice_table(gr, masks))
+
+
+def _lattice_table(gr: GradedRing, masks: tuple[int, ...]) -> LatticeTable:
     n, L = gr.order, len(masks)
     words = _words(masks, n)
     sizes = np.array([m.bit_count() for m in masks])
@@ -465,10 +463,8 @@ def lattice_table(gr: GradedRing, sidedness: str = TWO_SIDED,
             packed = np.packbits(bits, axis=1, bitorder="little").view("<u8")
             vals[rows] |= np.bitwise_or.reduceat(packed[s], starts, axis=0)
         prod[i] = np.where(_inside(vals, words), sizes, n + 1).argmin(axis=1)
-    table = LatticeTable(masks, {m: i for i, m in enumerate(masks)}, words,
-                         _inside(words, words), prod, masks.index(1))
-    gr._cache[key] = table
-    return table
+    return LatticeTable(masks, {m: i for i, m in enumerate(masks)}, words,
+                        _inside(words, words), prod, masks.index(1))
 
 
 def _ideal_triples(t: LatticeTable, rows: np.ndarray | None = None):
@@ -674,7 +670,8 @@ def classify_ideal(gr: GradedRing, P: IdealSubset | int,
                    degrees: list[int] | None = None,
                    ideal_cap: int = DEFAULT_IDEAL_CAP) -> ClassificationReport:
     """Run every predicate on one graded ideal and collect verdicts,
-    witnesses and skips."""
+    witnesses and skips; each degree reports its census's count and first
+    row."""
     P = require_graded_ideal(gr, P, proper=False)
     proper = P.mask != _full_mask(gr.order)
     gens = minimal_homogeneous_generators(gr, P)
@@ -724,7 +721,7 @@ def classify_ideal(gr: GradedRing, P: IdealSubset | int,
                     entry[f"{mode}_witness"] = verdict.witness
             census = find_g_triple_zeros(gr, P, g)
             entry["triple_zeros"] = census.count
-            if census.triples:
+            if census.count:
                 entry["first_triple_zero"] = _triple_witness(gr, *census.triples[0])
         report.g_variants[g] = entry
     return report

@@ -10,7 +10,8 @@ K is a graded two-sided ideal and make_idealization only that M is a graded
 bimodule. What they build is a graded ring, and R -> R/K a graded map, by
 construction, so neither re-validates it. An ideal that R's two-sided
 graded-ideal enumeration produced is graded and two-sided by construction
-too, and is not re-checked. The regular and quotient bimodules built here
+too, and is not re-checked; any other ideal is checked once per ring and
+mask, in one `ideals.ideal_check` entry that the classifier reads too. The regular and quotient bimodules built here
 are bimodules by construction, so their idealizations go through
 _idealization, which skips validate_bimodule. make_graded_hom,
 product_projections and grading.attach_grading validate what callers pass.
@@ -33,13 +34,7 @@ from .grading import (
     check_graded_products,
 )
 from .groups import Validation, first_offender, range_check
-from .ideals import (
-    TWO_SIDED,
-    IdealSubset,
-    check_closure,
-    graded_defect,
-    is_enumerated_ideal,
-)
+from .ideals import TWO_SIDED, IdealSubset, graded_defect, ideal_check
 from .rings import (
     DEFAULT_RING_CAP,
     FiniteRing,
@@ -66,12 +61,9 @@ class HomError(ConstructionError):
 def _require_graded_two_sided(gr: GradedRing, K: IdealSubset | int,
                               ring_checked: bool = True) -> int:
     mask = K.mask if isinstance(K, IdealSubset) else int(K)
-    if is_enumerated_ideal(gr, mask):
-        return mask
-    ok, witness = check_closure(gr, mask, TWO_SIDED, ring_checked=ring_checked)
+    ok, witness, defect = ideal_check(gr, mask, ring_checked)
     if not ok:
         raise ConstructionError(f"not a two-sided ideal: failed {witness}")
-    defect = graded_defect(gr, mask)
     if defect is not None:
         raise ConstructionError(
             f"ideal is not graded: member {gr.name(defect)} leaks a component")
@@ -209,7 +201,7 @@ def make_quotient(gr: GradedRing, K: IdealSubset | int, *,
     """R/K with its inherited grading (R/K)_g = (R_g + K)/K, plus the
     projection map. Cosets are named after their smallest representative.
     ring_checked=False, for tables not known to form a ring, has
-    `check_closure` judge K by its ordered scan alone."""
+    `ideal_check` judge K by the ordered closure scan alone, on every call."""
     kmask = _require_graded_two_sided(gr, K, ring_checked)
     base = gr.ring
     if kmask == 1:

@@ -66,16 +66,19 @@ class GradedRing:
     def component_mask(self, g: int) -> int:
         return self.grading.components[g]
 
-    def component_indices(self, g: int) -> np.ndarray:
-        key = ("comp_idx", g)
+    def memo(self, key, build):
+        """The value kept under key, built by build() on first use; the only
+        writer of this ring's derived state."""
         if key not in self._cache:
-            self._cache[key] = indices_from_mask(self.grading.components[g], self.order)
+            self._cache[key] = build()
         return self._cache[key]
 
+    def component_indices(self, g: int) -> np.ndarray:
+        return self.memo(("comp_idx", g), lambda: indices_from_mask(
+            self.grading.components[g], self.order))
+
     def hom_indices(self) -> np.ndarray:
-        if "hom_idx" not in self._cache:
-            self._cache["hom_idx"] = indices_from_mask(self.hom_mask, self.order)
-        return self._cache["hom_idx"]
+        return self.memo("hom_idx", lambda: indices_from_mask(self.hom_mask, self.order))
 
     def degree_of(self, x: int) -> int | None:
         """Degree of a homogeneous element; None on 0 and non-homogeneous ones."""

@@ -92,14 +92,13 @@ def _close(gr: GradedRing, base: np.ndarray | None, seeds, left: bool, right: bo
             continue
         members = grow_span(add_t, members, x)
         members[x] = True       # kept where x + 0 != x, so the loop ends
-        prods = []
-        if left:
-            prods.append(mul[multipliers, x])
-        if right:
-            prods.append(mul[x, multipliers])
-        if prods:
-            new = np.unique(np.concatenate(prods))
-            pending.extend(int(v) for v in new[~members[new]])
+        if left or right:
+            fresh = np.zeros(ring.order, dtype=bool)
+            if left:
+                fresh[mul[multipliers, x]] = True
+            if right:
+                fresh[mul[x, multipliers]] = True
+            pending.extend(np.flatnonzero(fresh & ~members).tolist())
     return members
 
 
@@ -265,39 +264,46 @@ def _enumerate(gr: GradedRing, sidedness: str, cap: int) -> tuple[int, ...]:
     return tuple(sorted(members))
 
 
-def enumerate_graded_ideals(gr: GradedRing, sidedness: str = TWO_SIDED,
-                            cap: int = 10000) -> list[IdealSubset]:
-    """All graded ideals of the given sidedness, sorted by member bitset.
-
-    Enumerated once per ring and sidedness; a run that exceeds the cap is
-    not kept. Every call returns a fresh list and checks its own cap.
-    """
-    key = f"lattice:{sidedness}"
-    if key not in gr._cache:
-        gr._cache[key] = _enumerate(gr, sidedness, cap)
-    return [IdealSubset(mask, sidedness, graded=True)
-            for mask in graded_ideal_masks(gr, sidedness, cap)]
-
-
 def graded_ideal_masks(gr: GradedRing, sidedness: str = TWO_SIDED,
                        cap: int = 10000) -> tuple[int, ...]:
-    """The sorted masks enumerate_graded_ideals lists, read from its memo
-    (enumerating through it on a miss)."""
-    key = f"lattice:{sidedness}"
-    if key not in gr._cache:
-        enumerate_graded_ideals(gr, sidedness, cap)
-    masks = gr._cache[key]
+    """Sorted masks of the graded ideals of the given sidedness.
+
+    Enumerated once per ring and sidedness; a run that exceeds the cap is
+    not kept. Every call checks its own cap.
+    """
+    masks = gr.memo(f"lattice:{sidedness}", lambda: _enumerate(gr, sidedness, cap))
     if len(masks) > cap:
         raise _cap_error(cap, sidedness)
     return masks
 
 
-def is_enumerated_ideal(gr: GradedRing, mask: int) -> bool:
-    """Whether mask is in the ring's memoized two-sided enumeration, whose
-    members are graded two-sided ideals by construction. Never enumerates."""
-    masks = gr._cache.get(f"lattice:{TWO_SIDED}", ())
-    at = bisect_left(masks, mask)
-    return at < len(masks) and masks[at] == mask
+def enumerate_graded_ideals(gr: GradedRing, sidedness: str = TWO_SIDED,
+                            cap: int = 10000) -> list[IdealSubset]:
+    """graded_ideal_masks as a fresh list of ideals."""
+    return [IdealSubset(mask, sidedness, graded=True)
+            for mask in graded_ideal_masks(gr, sidedness, cap)]
+
+
+def ideal_check(gr: GradedRing, mask: int,
+                ring_checked: bool = True) -> tuple[bool, tuple | None, int | None]:
+    """Whether mask is a graded two-sided ideal: check_closure's (ok, witness)
+    and, when ok, graded_defect.
+
+    Decided once per ring and mask, and a member of the memoized two-sided
+    lattice, graded and two-sided by construction, passes unchecked; a
+    lattice not yet enumerated is not enumerated here. ring_checked=False,
+    for tables not known to form a ring, runs the ordered scan on every
+    call and leaves the memo alone.
+    """
+    def check():
+        masks = gr._cache.get(f"lattice:{TWO_SIDED}", ()) if ring_checked else ()
+        at = bisect_left(masks, mask)
+        if at < len(masks) and masks[at] == mask:
+            return True, None, None
+        ok, witness = check_closure(gr, mask, TWO_SIDED, ring_checked=ring_checked)
+        return ok, witness, graded_defect(gr, mask) if ok else None
+
+    return gr.memo(("ideal_check", mask), check) if ring_checked else check()
 
 
 def minimal_homogeneous_generators(gr: GradedRing, ideal: IdealSubset) -> list[int]:
@@ -306,10 +312,8 @@ def minimal_homogeneous_generators(gr: GradedRing, ideal: IdealSubset) -> list[i
 
     Computed once per ring, mask and sidedness; every call returns a fresh
     list."""
-    key = ("min_gens", ideal.mask, ideal.sidedness)
-    if key not in gr._cache:
-        gr._cache[key] = tuple(_minimal_generators(gr, ideal.mask, ideal.sidedness))
-    return list(gr._cache[key])
+    return list(gr.memo(("min_gens", ideal.mask, ideal.sidedness),
+                        lambda: tuple(_minimal_generators(gr, ideal.mask, ideal.sidedness))))
 
 
 def _minimal_generators(gr: GradedRing, target: int, sidedness: str) -> list[int]:

@@ -137,6 +137,7 @@ class RingContext:
         self.label = label
         self.ideal_cap = ideal_cap
         self.ring_cap = ring_cap
+        # not gr._cache: a ("quot", k) map's source is gr, a cycle only gc frees
         self._memos: dict = {}
 
     def _memo(self, key, fn):
@@ -469,9 +470,8 @@ def _check_p10(ctx: RingContext) -> PropertyOutcome:
     for g in range(gr.group.order):
         comp = gr.component_mask(g)
         Rg = gr.component_indices(g)
-        m = len(Rg)
         posRg = np.full(gr.order, -1, dtype=np.int64)
-        posRg[Rg] = np.arange(m)
+        posRg[Rg] = np.arange(len(Rg))
         # the value sets Rg[i] * Re * Rg[j], inside the g*g component C2
         xry = classify.sandwich_kernel(gr, g, gr.group.identity, g)
         C2 = xry["T"]
@@ -480,17 +480,16 @@ def _check_p10(ctx: RingContext) -> PropertyOutcome:
                 continue
             Pb = ctx.pb(p)
             pp = Pb[mul[np.ix_(Rg, Rg)]]
-            census = ctx.census(p, g)
+            tz = ctx.census(p, g).triples
             for k in lefts:
                 kg = indices_from_mask(k & comp, gr.order)
                 ok_c2 = Pb[mul[np.ix_(C2, kg)]].all(axis=1)
                 sandwich_in = classify._none_in(xry["U"], ~ok_c2)[xry["inv"]]
-                tz = np.zeros((m, m), dtype=bool)
-                for (x, y, z) in census.triples:
-                    if (k >> z) & 1:
-                        tz[posRg[x], posRg[y]] = True
                 xk_in = Pb[mul[np.ix_(Rg, kg)]].all(axis=1)
-                hyp = sandwich_in & ~tz & ~pp
+                hyp = sandwich_in & ~pp
+                if len(tz):     # drop (x, y) of a triple-zero (x, y, z), z in K_g
+                    zk = tz[ctx.pb(k)[tz[:, 2]]]
+                    hyp[posRg[zk[:, 0]], posRg[zk[:, 1]]] = False
                 out.hit(int(hyp.sum()))
                 viol = hyp & ~(xk_in[:, None] | xk_in[None, :])
                 if viol.any():
@@ -516,23 +515,21 @@ def _check_p11(ctx: RingContext) -> PropertyOutcome:
             if p & comp == comp or not ctx.g_weakly(p, g):
                 continue
             Pb = ctx.pb(p)
-            census = ctx.census(p, g)
+            tz = ctx.census(p, g).triples
             for a in lattice:
                 ag = indices_from_mask(a & comp, gr.order)
                 for b in lattice:
                     bg = indices_from_mask(b & comp, gr.order)
                     ab_vals = mul[np.ix_(ag, bg)]
                     pab = Pb[ab_vals]
+                    ab_tz = len(tz) and ctx.pb(a)[tz[:, 0]] & ctx.pb(b)[tz[:, 1]]
                     for k in lattice:
                         kg = indices_from_mask(k & comp, gr.order)
                         t = mul[ab_vals.ravel()[:, None], kg]
                         if not Pb[t].all():
                             continue
-                        free = not any(
-                            (a >> x) & 1 and (b >> y) & 1 and (k >> z) & 1
-                            for (x, y, z) in census.triples)
-                        if not free:
-                            continue
+                        if len(tz) and (ab_tz & ctx.pb(k)[tz[:, 2]]).any():
+                            continue    # a g-triple-zero of P lies in A x B x K
                         pak = Pb[mul[np.ix_(ag, kg)]]
                         pbk = Pb[mul[np.ix_(bg, kg)]]
                         # pointwise conclusion, no nonzero hypothesis needed
@@ -571,7 +568,7 @@ def _check_p12(ctx: RingContext) -> PropertyOutcome:
                 continue
             pg = indices_from_mask(p & comp, gr.order)
             pp = mul[np.ix_(pg, pg)].ravel()
-            for (x, y, z) in ctx.census(p, g).triples:
+            for (x, y, z) in ctx.census(p, g).triples.tolist():
                 out.hit()
                 xry = mul[mul[x, Re], y]
                 pyr = mul[np.ix_(mul[pg, y], Re)].ravel()
@@ -700,7 +697,7 @@ def _check_p16(ctx: RingContext) -> PropertyOutcome:
                 detail = None
                 if base:
                     mg = indices_from_mask(M.components[g], M.order)
-                    for (x, y, z) in ctx.census(p, g).triples:
+                    for (x, y, z) in ctx.census(p, g).triples.tolist():
                         xryr = mul[np.ix_(mul[mul[x, Re], y], Re)].ravel()
                         mry = M.right[M.right[np.ix_(mg, Re)].ravel(), y]
                         mryr = M.right[np.ix_(mry, Re)].ravel()
@@ -1103,9 +1100,8 @@ def triple_zero_census(gr: GradedRing, ideals: list[int] | None = None,
                 "degree": int(g),
                 "count": census.count,
                 "g_weakly_2_absorbing": census.p_is_g_weakly_2_absorbing,
-                "triples": [[int(x), int(y), int(z)]
-                            for (x, y, z) in census.triples],
+                "triples": census.triples.tolist(),
                 "triple_names": [[gr.name(x), gr.name(y), gr.name(z)]
-                                 for (x, y, z) in census.triples],
+                                 for (x, y, z) in census.triples.tolist()],
             })
     return rows

@@ -183,10 +183,10 @@ def test_criterion_6_triple_zero_annihilation(built_corpus, suite_reports):
                     continue
                 pg = indices_from_mask(sub.mask & comp, gr.order)
                 pp = mul[np.ix_(pg, pg)].ravel()
-                if census.triples and (mul[pp[:, None], pg] != zero).any():
+                if census.count and (mul[pp[:, None], pg] != zero).any():
                     _verdict(6, False, f"{label}: degree-{g} slice of mask "
                                        f"{sub.mask} has a nonzero cube")
-                for (x, y, z) in census.triples:
+                for (x, y, z) in census.triples.tolist():
                     vals = g_sandwich_values(gr, g, x, y, z)
                     genuine = (set(int(v) for v in vals) == {zero}
                                and not contains(sub.mask, int(mul[x, y]))

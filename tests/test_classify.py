@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,7 +23,7 @@ from conftest import (
     raw_triple_verdicts,
 )
 from hypothesis import HealthCheck, given, settings
-from ringbench import classify, constructions
+from ringbench import classify, ideals
 from ringbench.bitsets import popcount
 from ringbench.classify import (
     ImproperIdealError,
@@ -128,9 +131,9 @@ def test_trivial_grading_builds_one_kernel():
 
 def test_ideal_check_runs_once_per_mask(monkeypatch):
     calls = []
-    real = classify.check_closure
-    monkeypatch.setattr(classify, "check_closure",
-                        lambda *a: calls.append(a[1]) or real(*a))
+    real = ideals.check_closure
+    monkeypatch.setattr(ideals, "check_closure",
+                        lambda *a, **kw: calls.append(a[1]) or real(*a, **kw))
     gr = build_ring("ring: zn(8)")
     four = generate_ideal(gr, [4])
     for _ in range(3):
@@ -147,14 +150,15 @@ def test_ideal_check_runs_once_per_mask(monkeypatch):
 def test_lattice_ideals_skip_closure_recheck(monkeypatch):
     """A mask of the ring's enumerated two-sided lattice is a graded two-sided
     ideal by construction, so make_quotient and the classifier take it
-    without check_closure. The same mask on a ring whose lattice is not
-    enumerated, a left ideal that is not two-sided and an ideal that is not
-    graded are checked as before, with the same errors."""
+    without check_closure. On a ring whose lattice is not enumerated they
+    share one check of the mask. A left ideal that is not two-sided and an
+    ideal that is not graded are checked as before, with the same errors.
+    make_quotient with ring_checked=False runs the ordered scan on every
+    call, whatever the memo holds."""
     calls = []
-    for module in (classify, constructions):
-        monkeypatch.setattr(module, "check_closure",
-                            lambda *a, real=module.check_closure, **kw:
-                            calls.append(a[1]) or real(*a, **kw))
+    real = ideals.check_closure
+    monkeypatch.setattr(ideals, "check_closure",
+                        lambda *a, **kw: calls.append(a[1]) or real(*a, **kw))
     gr = build_ring(TRIANGULAR_Z2_Z4)
     lattice = [s.mask for s in graded_ideal_lattice(gr)]
     for mask in lattice:
@@ -165,7 +169,16 @@ def test_lattice_ideals_skip_closure_recheck(monkeypatch):
     fresh = build_ring(TRIANGULAR_Z2_Z4)
     make_quotient(fresh, lattice[1])
     classify.require_graded_ideal(fresh, lattice[1], proper=False)
-    assert calls == [lattice[1], lattice[1]]
+    assert calls == [lattice[1]]
+
+    scans = []
+    real_scan = ideals._first_closure_failure
+    monkeypatch.setattr(ideals, "_first_closure_failure",
+                        lambda *a: scans.append(a[1]) or real_scan(*a))
+    assert ideals.ideal_check(fresh, lattice[1]) == (True, None, None)
+    for _ in range(2):
+        make_quotient(fresh, lattice[1], ring_checked=False)
+    assert scans == [lattice[1], lattice[1]]
 
     def errors(ring, mask):
         out = []
@@ -441,13 +454,13 @@ def test_g_variants_match_scalar_recomputation():
                             if inside and not pair:
                                 plain = False
                                 if set(vals.tolist()) == {0}:
-                                    zeros.append((x, y, z))
+                                    zeros.append([x, y, z])
                                 else:
                                     weakly = False
                 assert is_g_weakly_2_absorbing(gr, sub, g, "weakly").value == weakly
                 assert is_g_weakly_2_absorbing(gr, sub, g, "plain").value == plain
                 census = find_g_triple_zeros(gr, sub, g)
-                assert census.triples == zeros
+                assert census.triples.tolist() == zeros
                 assert census.p_is_g_weakly_2_absorbing == weakly
 
 
@@ -455,8 +468,29 @@ def test_zn16_census_frozen():
     gr = build_ring("ring: zn(16)")
     census = find_g_triple_zeros(gr, IdealSubset(1), 0)
     assert census.count == 96
-    assert (2, 2, 4) in census.triples
-    assert census.triples == sorted(census.triples)
+    assert [2, 2, 4] in census.triples.tolist()
+    assert census.triples.tolist() == sorted(census.triples.tolist())
+    assert census.triples.dtype == np.uint16
+    empty = find_g_triple_zeros(gr, generate_ideal(gr, [2]), 0)
+    assert empty.count == 0
+    assert (empty.triples.shape, empty.triples.dtype) == ((0, 3), np.uint16)
+
+
+def test_census_memory_bound():
+    """The census is built as a uint16 array: on zn(512)'s zero ideal at
+    degree 0, with the ring's kernels warm, find_g_triple_zeros peaks within
+    32 traced bytes per triple and holds at most 8 afterwards."""
+    gr = build_ring("ring: zn(512)")
+    is_g_weakly_2_absorbing(gr, 1, 0)
+    tracemalloc.start()
+    try:
+        census = find_g_triple_zeros(gr, 1, 0)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert census.count == 1_216_512
+    assert peak <= 32 * census.count, peak / census.count
+    assert held <= 8 * census.count, held / census.count
 
 
 def test_free_triple_zero():
@@ -470,6 +504,28 @@ def test_free_triple_zero():
     assert is_free_g_triple_zero(gr, zero, four, two, two, 0).value is True
     with pytest.raises(PreconditionError):
         is_free_g_triple_zero(gr, zero, IdealSubset((1 << 8) - 1), two, two, 0)
+
+    # the first census triple drawn from A x B x K, by a loop over the census
+    for text in ("ring: zn(16)", "ring: gaussian(8)", "ring: idealization(zn(4), regular)"):
+        gr = build_ring(text)
+        lattice = [s.mask for s in graded_ideal_lattice(gr)]
+        for p in lattice:
+            for g in range(gr.group.order):
+                comp = gr.component_mask(g)
+                if p & comp == comp:
+                    continue
+                triples = find_g_triple_zeros(gr, p, g).triples.tolist()
+                for a, b, k in itertools.product(lattice, repeat=3):
+                    try:
+                        verdict = is_free_g_triple_zero(gr, p, a, b, k, g)
+                    except PreconditionError:
+                        continue
+                    first = next(([x, y, z] for x, y, z in triples
+                                  if (a >> x) & 1 and (b >> y) & 1 and (k >> z) & 1), None)
+                    assert verdict.value == (first is None), (text, p, a, b, k, g)
+                    if first is not None:
+                        w = verdict.witness
+                        assert [w["x"], w["y"], w["z"]] == first, (text, p, a, b, k, g)
 
 
 def test_commutative_weakly_equals_completely_weakly():
@@ -607,8 +663,9 @@ def test_kernel_fuzz_against_raw_route(case):
             assert verify_witness(gr, sub, kind, verdict.witness, g), (expr, mode)
     Rg = rawg["Rg"]
     census = find_g_triple_zeros(gr, sub, g)
-    assert census.triples == [(int(Rg[i]), int(Rg[k]), int(Rg[m]))
-                              for i, k, m in np.argwhere(rawg["iszero"] & ~rawg["pair_any"])]
-    for x, y, z in census.triples[:3]:
+    assert census.triples.tolist() == [[int(Rg[i]), int(Rg[k]), int(Rg[m])]
+                                       for i, k, m in np.argwhere(rawg["iszero"]
+                                                                  & ~rawg["pair_any"])]
+    for x, y, z in census.triples[:3].tolist():
         assert verify_witness(gr, sub, "g_triple_zero",
                               {"x": x, "y": y, "z": z}, g), (expr, g)

@@ -1,5 +1,6 @@
-"""Source hygiene of the package: no unused module-level imports, and no
-top-level function or class that nothing references."""
+"""Source hygiene of the package: no unused module-level imports, no
+top-level function or class that nothing references, and one writer of a
+graded ring's derived state."""
 
 from __future__ import annotations
 
@@ -59,3 +60,29 @@ def test_top_level_definitions_are_referenced():
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                and node.name not in used]
     assert orphans == []
+
+
+_MUTATORS = {"setdefault", "update", "pop", "popitem", "clear"}
+
+
+def _is_cache(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "_cache"
+
+
+def test_only_grading_writes_ring_caches():
+    """GradedRing.memo is the one writer of `gr._cache`: no other module
+    stores into it, deletes from it or calls a mutating method on it.
+    Reads are allowed."""
+    writes = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "grading.py":
+            continue
+        for node in ast.walk(_tree(path)):
+            stored = (isinstance(node, (ast.Subscript, ast.Attribute))
+                      and isinstance(node.ctx, (ast.Store, ast.Del))
+                      and (_is_cache(node) or _is_cache(getattr(node, "value", None))))
+            mutated = (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                       and node.func.attr in _MUTATORS and _is_cache(node.func.value))
+            if stored or mutated:
+                writes.append(f"{path.name}:{node.lineno}")
+    assert writes == []
