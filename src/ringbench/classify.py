@@ -268,8 +268,12 @@ def _triples(rows: np.ndarray, inv: np.ndarray, outside: np.ndarray,
         if first:
             i, k = np.argwhere(live)[0]
             return np.array([[i0 + i, k, np.argmax(np.unpackbits(blk[i, k].view(np.uint8)))]])
-        hits = np.argwhere(np.unpackbits(blk.view(np.uint8), axis=2, count=h))
+        # unpack only the occupied words: (i, k, word) then the bit in the word
+        at = np.argwhere(blk)
+        bits = np.argwhere(np.unpackbits(blk[tuple(at.T)].view(np.uint8).reshape(-1, 8), axis=1))
+        hits = at[bits[:, 0]]
         hits[:, 0] += i0
+        hits[:, 2] = hits[:, 2] * 64 + bits[:, 1]
         found.append(hits.astype(np.uint16))
     return np.concatenate(found) if found else np.empty((0, 3), dtype=np.uint16)
 

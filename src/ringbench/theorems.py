@@ -182,8 +182,7 @@ class RingContext:
         return self._memo((name, *args), lambda: fn(self.gr, *args).value)
 
     def weakly_prime(self, p: int) -> bool:
-        return self._memo(("wprime", p), lambda: is_graded_weakly_prime(
-            self.gr, self.subset(p), self.ideal_cap).value)
+        return self._verdict("wprime", is_graded_weakly_prime, self.subset(p), self.ideal_cap)
 
     def two_absorbing(self, p: int) -> bool:
         return self._verdict("2abs", is_graded_2_absorbing, self.subset(p))
@@ -192,20 +191,46 @@ class RingContext:
         return self._verdict("w2abs", is_graded_weakly_2_absorbing, self.subset(p))
 
     def strongly_weakly(self, p: int) -> bool:
-        return self._memo(("sw2abs", p), lambda: is_graded_strongly_weakly_2_absorbing(
-            self.gr, self.subset(p), self.ideal_cap).value)
+        return self._verdict("sw2abs", is_graded_strongly_weakly_2_absorbing,
+                             self.subset(p), self.ideal_cap)
 
     def g_weakly(self, p: int, g: int) -> bool:
-        return self._memo(("gweak", p, g), lambda: is_g_weakly_2_absorbing(
-            self.gr, self.subset(p), g, "weakly").value)
+        return self._verdict("gweak", is_g_weakly_2_absorbing, self.subset(p), g, "weakly")
 
     def g_plain(self, p: int, g: int) -> bool:
-        return self._memo(("gplain", p, g), lambda: is_g_weakly_2_absorbing(
-            self.gr, self.subset(p), g, "plain").value)
+        return self._verdict("gplain", is_g_weakly_2_absorbing, self.subset(p), g, "plain")
 
     def census(self, p: int, g: int):
         return self._memo(("census", p, g),
                           lambda: find_g_triple_zeros(self.gr, self.subset(p), g))
+
+    def slices(self) -> list[tuple]:
+        """The (g, P) with P_g != R_g and P g-weakly 2-absorbing, which
+        P10-P12 quantify over, by degree, then in lattice order, as
+        (g, p, X, Pb, outside, triples): X = R_g, Pb the members of P,
+        outside[i, j] that X[i]*X[j] is not in P, and P's census of
+        g-triple-zeros as positions in X."""
+        def build():
+            gr, out = self.gr, []
+            for g in range(gr.group.order):
+                comp, X = gr.component_mask(g), gr.component_indices(g)
+                pos = np.zeros(gr.order, dtype=np.uint16)   # census entries lie in X
+                pos[X] = np.arange(len(X))
+                for p in self.lattice():
+                    if p & comp == comp or not self.g_weakly(p, g):
+                        continue
+                    Pb = self.pb(p)
+                    out.append((g, p, X, Pb, ~Pb[gr.ring.mul[np.ix_(X, X)]],
+                                pos[self.census(p, g).triples]))
+            return out
+        return self._memo("slices", build)
+
+    def members(self, sidedness: str, g: int) -> np.ndarray:
+        """[a, i]: graded ideal a of the sidedness holds R_g[i]."""
+        masks = self.one_sided(sidedness)
+        return self._memo(("members", self._sidedness(sidedness), g), lambda: np.unpackbits(
+            classify._words(masks, self.gr.order).view(np.uint8), axis=1,
+            bitorder="little")[:, self.gr.component_indices(g)].astype(bool))
 
     def valid_degrees(self, p: int) -> list[int]:
         return [g for g in range(self.gr.group.order)
@@ -459,133 +484,176 @@ def _check_p9(ctx: RingContext) -> PropertyOutcome:
     return out
 
 
+def _meets(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[..., i, k]: a[..., i, j] and b[k, j] for some j, by a float32 matrix
+    product (exact: fewer than 2**24 terms)."""
+    return (a.astype(np.float32) @ np.swapaxes(b, -1, -2).astype(np.float32)) > 0
+
+
+def _census_pairs(triples: np.ndarray, m: int,
+                  inK: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, hit): the distinct (i, j) of a census of positions in R_g (m
+    of them), and hit[k, d] that the d-th pair's triples hold an l with
+    inK[k, l]. The census is sorted, so each pair's triples are one run."""
+    if not len(triples):
+        return triples[:, 0], triples[:, 1], np.zeros((len(inK), 0), dtype=bool)
+    first = np.flatnonzero(np.diff(triples[:, 0].astype(np.intp) * m + triples[:, 1],
+                                   prepend=-1))
+    step = max(1, classify._BLOCK // len(triples))
+    return triples[first, 0], triples[first, 1], np.vstack([
+        np.logical_or.reduceat(inK[k:k + step, triples[:, 2]], first, axis=1)
+        for k in range(0, len(inK), step)])
+
+
 def _check_p10(ctx: RingContext) -> PropertyOutcome:
     """P g-weakly 2-absorbing, x, y in R_g, K a graded left ideal with
     x*R_e*y*K_g inside P, no (x, y, z) a g-triple-zero for z in K_g, and
-    xy outside P: then x*K_g or y*K_g lands inside P."""
+    xy outside P: then x*K_g or y*K_g lands inside P. A slice takes every K
+    at once: v*K_g leaves P when K holds some z of R_g with v*z outside."""
     out = PropertyOutcome("P10", ctx.label)
     gr = ctx.gr
-    mul = gr.ring.mul
     lefts = ctx.one_sided(LEFT)
-    for g in range(gr.group.order):
-        comp = gr.component_mask(g)
-        Rg = gr.component_indices(g)
-        posRg = np.full(gr.order, -1, dtype=np.int64)
-        posRg[Rg] = np.arange(len(Rg))
-        # the value sets Rg[i] * Re * Rg[j], inside the g*g component C2
+    for g, p, X, Pb, outside, triples in ctx.slices():
         xry = classify.sandwich_kernel(gr, g, gr.group.identity, g)
-        C2 = xry["T"]
-        for p in ctx.lattice():
-            if p & comp == comp or not ctx.g_weakly(p, g):
-                continue
-            Pb = ctx.pb(p)
-            pp = Pb[mul[np.ix_(Rg, Rg)]]
-            tz = ctx.census(p, g).triples
-            for k in lefts:
-                kg = indices_from_mask(k & comp, gr.order)
-                ok_c2 = Pb[mul[np.ix_(C2, kg)]].all(axis=1)
-                sandwich_in = classify._none_in(xry["U"], ~ok_c2)[xry["inv"]]
-                xk_in = Pb[mul[np.ix_(Rg, kg)]].all(axis=1)
-                hyp = sandwich_in & ~pp
-                if len(tz):     # drop (x, y) of a triple-zero (x, y, z), z in K_g
-                    zk = tz[ctx.pb(k)[tz[:, 2]]]
-                    hyp[posRg[zk[:, 0]], posRg[zk[:, 1]]] = False
-                out.hit(int(hyp.sum()))
-                viol = hyp & ~(xk_in[:, None] | xk_in[None, :])
-                if viol.any():
-                    i, j = np.argwhere(viol)[0]
-                    out.violate(degree=int(g), P=ideal_info(gr, p),
-                                K=ideal_info(gr, k),
-                                x=_elem(gr, Rg[i]), y=_elem(gr, Rg[j]))
+        inK = ctx.members(LEFT, g)
+        # [r, k]: the value set r of x*Re*y, times K_g, lies inside P
+        rows_in = classify._none_in(xry["U"], _meets(~Pb[gr.ring.mul[np.ix_(xry["T"], X)]], inK))
+        xk_out = _meets(inK, outside)           # [k, i]: X[i]*K_g leaves P
+        pi, pj, hit = _census_pairs(triples, len(X), inK)
+        step = max(1, classify._BLOCK // outside.size)
+        for k0 in range(0, len(lefts), step):
+            ks = slice(k0, k0 + step)
+            hyp = np.moveaxis(rows_in[:, ks][xry["inv"]], 2, 0) & outside
+            hyp[:, pi, pj] &= ~hit[ks]    # (x, y) of a triple-zero (x, y, z), z in K_g
+            out.hit(int(np.count_nonzero(hyp)))
+            viol = hyp & xk_out[ks, :, None] & xk_out[ks, None, :]
+            for k in np.flatnonzero(viol.any(axis=(1, 2)))[:_MAX_WITNESSES - len(out.violations)]:
+                i, j = first_offender(viol[k])
+                out.violate(degree=int(g), P=ideal_info(gr, p), K=ideal_info(gr, lefts[k0 + k]),
+                            x=_elem(gr, X[i]), y=_elem(gr, X[j]))
     return out
+
+
+def _p11_cubes(gr: GradedRing, X: np.ndarray, Pb: np.ndarray, outside: np.ndarray,
+               triples: np.ndarray, cls: np.ndarray, u: int) -> dict[str, np.ndarray]:
+    """[cx, cy, cz]: some x, y, z of R_g in these classes with (xy)z outside
+    P ("out"), (xy)z nonzero ("nz"), xy, xz and yz all outside P ("pw"), or
+    (x, y, z) in the census ("tz"). Element cubes are taken in blocks of x."""
+    mul, o = gr.ring.mul, outside
+    xy = mul[np.ix_(X, X)]
+    cubes = {nm: np.zeros((u, u, u), dtype=bool) for nm in ("out", "nz", "pw", "tz")}
+    cubes["tz"][tuple(cls[triples].T)] = True
+    step = max(1, classify._BLOCK // (8 * o.size))
+    for x0 in range(0, len(o), step):
+        xs = slice(x0, x0 + step)
+        t = mul[xy[xs][:, :, None], X]
+        for nm, blk in (("out", ~Pb[t]), ("nz", t != 0),
+                        ("pw", o[xs, :, None] & o[xs, None, :] & o[None])):
+            x, y, z = np.nonzero(blk)
+            cubes[nm][cls[x0 + x], cls[y], cls[z]] = True
+    return cubes
+
+
+def _exists(inc: np.ndarray, cube: np.ndarray, rows: slice) -> np.ndarray:
+    """[a, b, k] for a in rows: some (u, v, w) with cube[u, v, w] and inc[a, u],
+    inc[b, v], inc[k, w]; one contraction along each axis."""
+    u = len(cube)
+    t = _meets(inc[rows], cube.reshape(u, -1).T).reshape(-1, u, u)
+    return _meets(_meets(inc, t.swapaxes(1, 2)), inc)
 
 
 def _check_p11(ctx: RingContext) -> PropertyOutcome:
     """Graded ideals A, B, K whose degree-g slices multiply into P without a
     g-triple-zero of P among them: setwise nonzero products force a pairwise
     slice product into P, and even without the nonzero hypothesis every
-    element triple has a pairwise product in P."""
+    element triple has a pairwise product in P.
+
+    x lies in A exactly when the principal ideal (x) does, so the elements
+    of one principal ideal form a class, and each "some triple in
+    A_g x B_g x K_g" is a class cube contracted with inc[a, c], A holds c."""
     out = PropertyOutcome("P11", ctx.label)
-    gr = ctx.gr
-    mul = gr.ring.mul
-    lattice = ctx.lattice()
-    for g in range(gr.group.order):
-        comp = gr.component_mask(g)
-        for p in lattice:
-            if p & comp == comp or not ctx.g_weakly(p, g):
-                continue
-            Pb = ctx.pb(p)
-            tz = ctx.census(p, g).triples
-            for a in lattice:
-                ag = indices_from_mask(a & comp, gr.order)
-                for b in lattice:
-                    bg = indices_from_mask(b & comp, gr.order)
-                    ab_vals = mul[np.ix_(ag, bg)]
-                    pab = Pb[ab_vals]
-                    ab_tz = len(tz) and ctx.pb(a)[tz[:, 0]] & ctx.pb(b)[tz[:, 1]]
-                    for k in lattice:
-                        kg = indices_from_mask(k & comp, gr.order)
-                        t = mul[ab_vals.ravel()[:, None], kg]
-                        if not Pb[t].all():
-                            continue
-                        if len(tz) and (ab_tz & ctx.pb(k)[tz[:, 2]]).any():
-                            continue    # a g-triple-zero of P lies in A x B x K
-                        pak = Pb[mul[np.ix_(ag, kg)]]
-                        pbk = Pb[mul[np.ix_(bg, kg)]]
-                        # pointwise conclusion, no nonzero hypothesis needed
-                        out.hit()
-                        pointwise = (pab[:, :, None] | pak[:, None, :]
-                                     | pbk[None, :, :])
-                        if not pointwise.all():
-                            i, j, l = np.argwhere(~pointwise)[0]
-                            out.violate(degree=int(g), form="pointwise",
-                                        P=ideal_info(gr, p), A=ideal_info(gr, a),
-                                        B=ideal_info(gr, b), K=ideal_info(gr, k),
-                                        x=_elem(gr, ag[i]), y=_elem(gr, bg[j]),
-                                        z=_elem(gr, kg[l]))
-                        if not (t != 0).any():
-                            continue
-                        out.hit()
-                        if not (pak.all() or pbk.all() or pab.all()):
-                            out.violate(degree=int(g), form="setwise",
-                                        P=ideal_info(gr, p), A=ideal_info(gr, a),
-                                        B=ideal_info(gr, b), K=ideal_info(gr, k))
+    gr, masks = ctx.gr, ctx.lattice()
+    for g, p, X, Pb, o, triples in ctx.slices():
+        held = ctx.members(TWO_SIDED, g)
+        inc, cls = np.unique(held.T, axis=0, return_inverse=True)
+        cubes = _p11_cubes(gr, X, Pb, o, triples, cls.reshape(-1), len(inc))
+        n2 = _meets(_meets(held, o.T), held)        # [a, b]: A_g*B_g leaves P
+        step = max(1, classify._BLOCK // (4 * len(masks) * max(len(masks), len(inc))))
+        for a0 in range(0, len(masks), step):
+            e = {nm: _exists(inc.T, cube, slice(a0, a0 + step)) for nm, cube in cubes.items()}
+            hyp = ~e["out"] & ~e["tz"]
+            setwise = hyp & e["nz"]
+            out.hit(int(np.count_nonzero(hyp)) + int(np.count_nonzero(setwise)))
+            setwise &= n2[a0:a0 + step, :, None] & n2[a0:a0 + step, None, :] & n2[None]
+            # at each (a, b, k) in C order, the pointwise form before the setwise
+            found = np.sort(np.concatenate([2 * np.flatnonzero(hyp & e["pw"]),
+                                            2 * np.flatnonzero(setwise) + 1]))
+            for f in found[:_MAX_WITNESSES - len(out.violations)]:
+                a, b, k = np.unravel_index(f // 2, hyp.shape)
+                abk = (a0 + a, b, k)
+                v = {"degree": int(g), "form": ("pointwise", "setwise")[f % 2],
+                     "P": ideal_info(gr, p)}
+                v.update((nm, ideal_info(gr, masks[q])) for nm, q in zip("ABK", abk))
+                if f % 2 == 0:
+                    ia, ib, ik = (np.flatnonzero(held[q]) for q in abk)
+                    hit = first_offender(o[np.ix_(ia, ib)][:, :, None]
+                                         & o[np.ix_(ia, ik)][:, None, :] & o[np.ix_(ib, ik)][None])
+                    v.update((nm, _elem(gr, X[at[i]]))
+                             for nm, at, i in zip("xyz", (ia, ib, ik), hit))
+                out.violate(**v)
     return out
+
+
+# P12's six sets, in the sorted order reported, with the census columns
+# (x, y, z) = (0, 1, 2) that each one reads
+_P12_SETS = {"Pg*Pg*z": (2,), "Pg*y*Pg": (1,), "Pg*y*Re*z": (1, 2),
+             "x*Pg*Pg": (0,), "x*Pg*z": (0, 2), "x*Re*y*Pg": (0, 1)}
+
+
+def _p12_tables(gr: GradedRing, g: int, X: np.ndarray, Pb: np.ndarray) -> dict[str, np.ndarray]:
+    """Each set of P12 as a nonzero flag over the census columns it reads.
+    A product of two elements of R_g lies in C2 = R_{g^2}, indexed by v."""
+    mul, e, m = gr.ring.mul, gr.group.identity, len(X)
+    pg = X[Pb[X]]
+    xry = classify.sandwich_kernel(gr, g, e, g)                      # x*Re*y
+    vrz = classify.sandwich_kernel(gr, gr.group.mul(g, g), e, g)     # v*Re*z
+    C2 = xry["T"]
+    pos = np.full(gr.order, -1, dtype=np.intp)
+    pos[C2] = np.arange(len(C2))
+    vq = (mul[np.ix_(C2, pg)] != 0).any(axis=1)          # v*Pg != 0
+    qy = pos[mul[np.ix_(pg, X)]]
+    in_qy = np.zeros((m, len(C2)), dtype=bool)           # [j, v]: v in Pg*X[j]
+    in_qy[np.arange(m)[None, :], qy] = True
+    in_xq = np.zeros((m, len(C2)), dtype=bool)           # [i, v]: v in X[i]*Pg
+    in_xq[np.arange(m)[:, None], pos[mul[np.ix_(X, pg)]]] = True
+    pp = np.unique(mul[np.ix_(pg, pg)])
+    return {"Pg*Pg*z": (mul[np.ix_(pp, X)] != 0).any(axis=0),
+            "Pg*y*Pg": vq[qy].any(axis=0),
+            "Pg*y*Re*z": _meets(in_qy, ~vrz["zero"][vrz["inv"]].T),
+            "x*Pg*Pg": (mul[np.ix_(X, pp)] != 0).any(axis=1),
+            "x*Pg*z": _meets(in_xq, (mul[np.ix_(C2, X)] != 0).T),
+            "x*Re*y*Pg": (xry["U"] & vq).any(axis=1)[xry["inv"]]}
 
 
 def _check_p12(ctx: RingContext) -> PropertyOutcome:
     """Each g-triple-zero (x, y, z) of a g-weakly 2-absorbing P annihilates
     the matching slices: x*R_e*y*P_g, P_g*y*R_e*z, x*P_g*z, P_g*P_g*z,
-    x*P_g*P_g, and P_g*y*P_g are all zero."""
+    x*P_g*P_g, and P_g*y*P_g are all zero. Each set depends on at most two
+    of x, y, z, so the census is read off six tables per slice."""
     out = PropertyOutcome("P12", ctx.label)
     gr = ctx.gr
-    mul = gr.ring.mul
-    Re = gr.component_indices(gr.group.identity)
-    for g in range(gr.group.order):
-        comp = gr.component_mask(g)
-        for p in ctx.lattice():
-            if p & comp == comp or not ctx.g_weakly(p, g):
-                continue
-            pg = indices_from_mask(p & comp, gr.order)
-            pp = mul[np.ix_(pg, pg)].ravel()
-            for (x, y, z) in ctx.census(p, g).triples.tolist():
-                out.hit()
-                xry = mul[mul[x, Re], y]
-                pyr = mul[np.ix_(mul[pg, y], Re)].ravel()
-                sets = {
-                    "x*Re*y*Pg": mul[np.ix_(xry, pg)],
-                    "Pg*y*Re*z": mul[pyr, z],
-                    "x*Pg*z": mul[mul[x, pg], z],
-                    "Pg*Pg*z": mul[pp, z],
-                    "x*Pg*Pg": mul[x, pp],
-                    "Pg*y*Pg": mul[np.ix_(mul[pg, y], pg)],
-                }
-                failed = sorted(nm for nm, vals in sets.items()
-                                if (np.asarray(vals) != 0).any())
-                if failed:
-                    out.violate(degree=int(g), P=ideal_info(gr, p),
-                                x=_elem(gr, x), y=_elem(gr, y), z=_elem(gr, z),
-                                nonzero_sets=failed)
+    for g, p, X, Pb, _, triples in ctx.slices():
+        if not len(triples):
+            continue
+        out.hit(len(triples))
+        tables = _p12_tables(gr, g, X, Pb)
+        nonzero = np.stack([tables[nm][tuple(triples[:, list(cols)].T)]
+                            for nm, cols in _P12_SETS.items()], axis=1)
+        for r in np.flatnonzero(nonzero.any(axis=1))[:_MAX_WITNESSES - len(out.violations)]:
+            x, y, z = X[triples[r]]
+            out.violate(degree=int(g), P=ideal_info(gr, p),
+                        x=_elem(gr, x), y=_elem(gr, y), z=_elem(gr, z),
+                        nonzero_sets=[nm for nm, f in zip(_P12_SETS, nonzero[r]) if f])
     return out
 
 
@@ -622,19 +690,25 @@ def _check_p13(ctx: RingContext) -> PropertyOutcome:
     return out
 
 
+def _idealizations(ctx: RingContext, out: PropertyOutcome):
+    """(label, M, idealization by M) for each candidate bimodule M; none,
+    with the skip noted on out, without unity or when the cap excludes
+    every M."""
+    if not ctx.unital:
+        out.skipped = "requires unity"
+        return
+    mods = ctx.bimodules()
+    if not mods:
+        out.skipped = "cap exceeded for every candidate bimodule"
+    for mlabel, M in mods:
+        yield mlabel, M, ctx.idealization(mlabel, M)
+
+
 def _check_p14(ctx: RingContext) -> PropertyOutcome:
     """P extends to a graded 2-absorbing ideal of the idealization exactly
     when P is graded 2-absorbing. Needs unity."""
     out = PropertyOutcome("P14", ctx.label)
-    if not ctx.unital:
-        out.skipped = "requires unity"
-        return out
-    mods = ctx.bimodules()
-    if not mods:
-        out.skipped = "cap exceeded for every candidate bimodule"
-        return out
-    for mlabel, M in mods:
-        X = ctx.idealization(mlabel, M)
+    for mlabel, _, X in _idealizations(ctx, out):
         for p in ctx.proper_ideals():
             out.hit()
             pxm = embed_ideal_in_idealization(X, ctx.subset(p))
@@ -650,15 +724,7 @@ def _check_p15(ctx: RingContext) -> PropertyOutcome:
     """If the extension of P to the idealization is weakly 2-absorbing, so is
     P itself. Needs unity."""
     out = PropertyOutcome("P15", ctx.label)
-    if not ctx.unital:
-        out.skipped = "requires unity"
-        return out
-    mods = ctx.bimodules()
-    if not mods:
-        out.skipped = "cap exceeded for every candidate bimodule"
-        return out
-    for mlabel, M in mods:
-        X = ctx.idealization(mlabel, M)
+    for mlabel, _, X in _idealizations(ctx, out):
         for p in ctx.proper_ideals():
             pxm = embed_ideal_in_idealization(X, ctx.subset(p))
             if not is_graded_weakly_2_absorbing(X, pxm).value:
@@ -675,18 +741,10 @@ def _check_p16(ctx: RingContext) -> PropertyOutcome:
     annihilates the module slices x*Re*y*Re*Mg, Mg*Re*y*Re*z, x*Mg*z. Needs
     unity."""
     out = PropertyOutcome("P16", ctx.label)
-    if not ctx.unital:
-        out.skipped = "requires unity"
-        return out
-    mods = ctx.bimodules()
-    if not mods:
-        out.skipped = "cap exceeded for every candidate bimodule"
-        return out
     gr = ctx.gr
     mul = gr.ring.mul
     Re = gr.component_indices(gr.group.identity)
-    for mlabel, M in mods:
-        X = ctx.idealization(mlabel, M)
+    for mlabel, M, X in _idealizations(ctx, out):
         for p in ctx.lattice():
             for g in ctx.valid_degrees(p):
                 out.hit()

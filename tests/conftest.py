@@ -6,6 +6,8 @@ deadline-free profile, so a tier-1 run is reproducible."""
 from __future__ import annotations
 
 import itertools
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 from hypothesis import settings
@@ -18,6 +20,21 @@ from ringbench.specs import build_document, parse_document
 
 settings.register_profile("tier1", derandomize=True, deadline=None)
 settings.load_profile("tier1")
+
+
+@contextmanager
+def ends_within(seconds: int):
+    """Fail, rather than hang, when the body runs longer than seconds."""
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def build_ring(text: str):

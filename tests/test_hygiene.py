@@ -86,3 +86,55 @@ def test_only_grading_writes_ring_caches():
             if stored or mutated:
                 writes.append(f"{path.name}:{node.lineno}")
     assert writes == []
+
+
+def _top_level_owner(tree: ast.Module):
+    """(name of the top-level definition, node) for every node in it."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            yield getattr(top, "name", "<module>"), node
+
+
+def _is_slice_header(node: ast.AST) -> bool:
+    """`... or not <ctx>.g_weakly(p, g)`: the test that picks the (g, P)
+    slices of P10-P12."""
+    return (isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or)
+            and any(isinstance(v, ast.UnaryOp) and isinstance(v.op, ast.Not)
+                    and isinstance(v.operand, ast.Call)
+                    and isinstance(v.operand.func, ast.Attribute)
+                    and v.operand.func.attr == "g_weakly" for v in node.values))
+
+
+def test_slice_header_only_in_ring_context():
+    """The (g, P) slice header `p & comp == comp or not ctx.g_weakly(p, g)`
+    is written once, in RingContext; P10-P12 iterate its slices."""
+    owners = [f"{path.name}:{owner}" for path in MODULES
+              for owner, node in _top_level_owner(_tree(path)) if _is_slice_header(node)]
+    assert owners == ["theorems.py:RingContext"]
+
+
+# what a loop over census rows or over (A, B, K) would iterate
+_ROW_SOURCES = {"triples", "census", "lattice", "one_sided", "masks", "lefts"}
+
+
+def test_degree_slice_checks_read_tables():
+    """_check_p10, _check_p11 and _check_p12 loop neither over a census's
+    rows nor over ideals (a `range` over blocks is allowed), and call no
+    .tolist()."""
+    tree = _tree(PACKAGE / "theorems.py")
+    checks = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name in ("_check_p10", "_check_p11", "_check_p12")}
+    assert len(checks) == 3
+    found = []
+    for name, fn in checks.items():
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Attribute) and node.attr == "tolist":
+                found.append(f"{name}:{node.lineno} .tolist()")
+            if isinstance(node, (ast.For, ast.comprehension)):
+                it = node.iter
+                if isinstance(it, ast.Call) and getattr(it.func, "id", None) == "range":
+                    continue
+                read = {getattr(n, "attr", getattr(n, "id", None)) for n in ast.walk(it)}
+                if read & _ROW_SOURCES:
+                    found.append(f"{name}:{it.lineno} loops over {sorted(read & _ROW_SOURCES)}")
+    assert found == []

@@ -7,15 +7,13 @@ from __future__ import annotations
 import itertools
 import json
 import re
-import signal
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import SMALL_RINGS, build_ring
+from conftest import SMALL_RINGS, build_ring, ends_within
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from ringbench import cli, constructions, grading, ideals, specs
@@ -613,21 +611,6 @@ def test_closure_decision_assumes_a_ring():
     assert ideals.check_closure(gr, 0b101, ring_checked=False) == (False, ("left", 1, 0))
 
 
-@contextmanager
-def _ends_within(seconds: int):
-    """Fail, rather than hang, when the body runs longer than seconds."""
-    def expire(*_):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 # 1 + 0 = 1 but 0 + 1 = 2: 0 is no left identity, and 1 never enters the
 # span that doubling grows from {0} (it stops at {0, 2})
 NO_LEFT_ZERO = "table([[0,2,1],[1,0,0],[2,0,0]],[[0,0,0],[0,0,0],[0,0,0]])"
@@ -644,7 +627,7 @@ def test_closure_check_ends_on_tables_without_a_zero(tmp_path, capsys):
     ends on a quotient of such tables and reports their ideals, and on
     ideals generated where multiples cycle outside the span or where
     x + 0 != x."""
-    with _ends_within(30):
+    with ends_within(30):
         gr = build_document(parse_document(f"ring: {NO_LEFT_ZERO}"),
                             check_tables=False).graded_ring
         assert not ideals._closure_holds(gr, 0b111, True, True)
