@@ -351,44 +351,6 @@ def find_g_triple_zeros(gr: GradedRing, P: IdealSubset | int,
     return GTripleZeroCensus(g, tk["X"].astype(np.uint16)[hits], weakly.value)
 
 
-def is_free_g_triple_zero(gr: GradedRing, P: IdealSubset | int,
-                          A: IdealSubset | int, B: IdealSubset | int,
-                          K: IdealSubset | int, g: int = 0) -> Verdict:
-    """True when no g-triple-zero of P draws its entries from A_g, B_g, K_g.
-
-    Requires the setwise product A_g * B_g * K_g to land inside P.
-    """
-    P = require_graded_ideal(gr, P, proper=False)
-    A = require_graded_ideal(gr, A, proper=False)
-    B = require_graded_ideal(gr, B, proper=False)
-    K = require_graded_ideal(gr, K, proper=False)
-    _require_degree(gr, P, g)
-    comp = gr.component_mask(g)
-    n = gr.order
-    ia = indices_from_mask(A.mask & comp, n)
-    ib = indices_from_mask(B.mask & comp, n)
-    ik_ = indices_from_mask(K.mask & comp, n)
-    mul = gr.ring.mul
-    Pb = bools_from_mask(P.mask, n)
-    prods = mul[mul[np.ix_(ia, ib)][:, :, None], ik_[None, None, :]]
-    if not Pb[prods].all():
-        i, j, k = np.argwhere(~Pb[prods])[0]
-        raise PreconditionError(
-            f"setwise product escapes the ideal: "
-            f"{gr.name(int(ia[i]))} * {gr.name(int(ib[j]))} * "
-            f"{gr.name(int(ik_[k]))} is outside")
-    census = find_g_triple_zeros(gr, P, g)
-    note = None
-    if not census.p_is_g_weakly_2_absorbing:
-        note = f"ideal is not g-weakly 2-absorbing at degree {g}"
-    t = census.triples
-    if census.count and (at := first_offender(
-            bools_from_mask(A.mask, n)[t[:, 0]] & bools_from_mask(B.mask, n)[t[:, 1]]
-            & bools_from_mask(K.mask, n)[t[:, 2]])):
-        return Verdict(False, _triple_witness(gr, *t[at[0]]), note)
-    return Verdict(True, None, note)
-
-
 # ---------------------------------------------------------------------------
 # ideal-wise predicates
 

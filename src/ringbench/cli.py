@@ -80,11 +80,20 @@ def _report_skeleton(command: str) -> dict:
     return {"schema": SCHEMA, "command": command}
 
 
-def _load_spec(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+def _spec_report(args, check_tables: bool = True):
+    """(built spec, report with its ring and grading sections) for the spec
+    at args.spec, a path or - for stdin."""
+    if args.spec == "-":
+        text = sys.stdin.read()
+    else:
+        with open(args.spec, encoding="utf-8") as fh:
+            text = fh.read()
+    built = build_document(parse_document(text), ring_cap=args.ring_cap,
+                           check_tables=check_tables)
+    report = _report_skeleton(args.command)
+    report["ring"] = _ring_section(built.graded_ring, source=text)
+    report["grading"] = _grading_section(built.graded_ring)
+    return built, report
 
 
 def _parse_degrees(text: str | None, gr: GradedRing) -> list[int] | None:
@@ -117,10 +126,8 @@ def _worker_count(args, corpus: list) -> int:
 
 
 def _cmd_validate(args) -> tuple[int, dict]:
-    text = _load_spec(args.spec)
     # table rings unchecked: validate_ring below reports their failure
-    built = build_document(parse_document(text), ring_cap=args.ring_cap,
-                           check_tables=False)
+    built, report = _spec_report(args, check_tables=False)
     gr = built.graded_ring
     problems: list[dict] = []
     rv = validate_ring(gr.ring)
@@ -142,17 +149,14 @@ def _cmd_validate(args) -> tuple[int, dict]:
             problems.append({"part": f"ideal {name}", "failure": "not graded",
                              "witness": {"element": defect,
                                          "name": gr.name(defect)}})
-    report = _report_skeleton("validate")
-    report["ring"] = _ring_section(gr, source=text)
-    report["grading"] = _grading_section(gr)
     report["ideals"] = [_ideal_entry(gr, sub, name)
                         for name, sub in built.ideals.items()]
     report["witnesses"] = problems
     report["valid"] = not problems
-    r = gr.ring
-    print(f"ring: order={r.order} kind={r.kind} "
-          f"unital={'yes' if r.unity is not None else 'no'} "
-          f"commutative={'yes' if r.is_commutative() else 'no'}")
+    r = report["ring"]
+    print(f"ring: order={r['order']} kind={r['kind']} "
+          f"unital={'yes' if r['unital'] else 'no'} "
+          f"commutative={'yes' if r['commutative'] else 'no'}")
     sizes = ",".join(str(s) for s in report["grading"]["component_sizes"])
     print(f"grading: group of order {gr.group.order}, component sizes [{sizes}]")
     for entry in report["ideals"]:
@@ -167,13 +171,9 @@ def _cmd_validate(args) -> tuple[int, dict]:
 
 
 def _cmd_ideals(args) -> tuple[int, dict]:
-    text = _load_spec(args.spec)
-    built = build_document(parse_document(text), ring_cap=args.ring_cap)
+    built, report = _spec_report(args)
     gr = built.graded_ring
     ideals = enumerate_graded_ideals(gr, TWO_SIDED, args.ideal_cap)
-    report = _report_skeleton("ideals")
-    report["ring"] = _ring_section(gr, source=text)
-    report["grading"] = _grading_section(gr)
     report["ideals"] = [_ideal_entry(gr, sub) for sub in ideals]
     named = {sub.mask: name for name, sub in built.ideals.items()}
     print(f"graded two-sided ideals: {len(ideals)}")
@@ -185,8 +185,7 @@ def _cmd_ideals(args) -> tuple[int, dict]:
 
 
 def _cmd_classify(args) -> tuple[int, dict]:
-    text = _load_spec(args.spec)
-    built = build_document(parse_document(text), ring_cap=args.ring_cap)
+    built, report = _spec_report(args)
     gr = built.graded_ring
     degrees = _parse_degrees(args.degrees, gr)
     if built.ideals:
@@ -197,9 +196,6 @@ def _cmd_classify(args) -> tuple[int, dict]:
                   enumerate_graded_ideals(gr, TWO_SIDED, args.ideal_cap)
                   if sub.mask != full]
         targets = [(f"I{i}", sub) for i, sub in enumerate(proper)]
-    report = _report_skeleton("classify")
-    report["ring"] = _ring_section(gr, source=text)
-    report["grading"] = _grading_section(gr)
     report["ideals"] = []
     report["classifications"] = []
     report["witnesses"] = []
@@ -231,16 +227,12 @@ def _cmd_classify(args) -> tuple[int, dict]:
 
 
 def _cmd_census(args) -> tuple[int, dict]:
-    text = _load_spec(args.spec)
-    built = build_document(parse_document(text), ring_cap=args.ring_cap)
+    built, report = _spec_report(args)
     gr = built.graded_ring
     degrees = _parse_degrees(args.degrees, gr)
     masks = [sub.mask for sub in built.ideals.values()] or None
     rows = triple_zero_census(gr, ideals=masks, degrees=degrees,
                               ideal_cap=args.ideal_cap)
-    report = _report_skeleton("census")
-    report["ring"] = _ring_section(gr, source=text)
-    report["grading"] = _grading_section(gr)
     report["ideals"] = [_ideal_entry(gr, sub, name)
                         for name, sub in built.ideals.items()]
     report["census"] = rows

@@ -210,11 +210,6 @@ def decompose(gr: GradedRing, x: int) -> dict[int, int]:
     return {g: int(c) for g, c in enumerate(row) if c != 0}
 
 
-def homogeneous_elements(gr: GradedRing) -> int:
-    """Bitset of all homogeneous elements (union of the components)."""
-    return gr.hom_mask
-
-
 def make_trivial_grading(ring: FiniteRing, group: FiniteGroup) -> Grading:
     """Everything in the identity component, {0} elsewhere."""
     full = (1 << ring.order) - 1

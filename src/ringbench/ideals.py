@@ -132,12 +132,6 @@ def is_graded_ideal(gr: GradedRing, subset: IdealSubset | int) -> bool:
     return graded_defect(gr, mask) is None
 
 
-def graded_component(gr: GradedRing, subset: IdealSubset | int, g: int) -> int:
-    """Bitset of P intersected with the degree-g component."""
-    mask = subset if isinstance(subset, int) else subset.mask
-    return mask & gr.component_mask(g)
-
-
 def check_closure(gr: GradedRing, subset: IdealSubset | int,
                   sidedness: str | None = None, *,
                   ring_checked: bool = True) -> tuple[bool, tuple | None]:

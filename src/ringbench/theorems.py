@@ -31,7 +31,7 @@ from .classify import (
     is_graded_strongly_weakly_2_absorbing,
     is_graded_weakly_2_absorbing,
     is_graded_weakly_prime,
-    raw_product_mask,
+    verify_witness,
 )
 from .constructions import (
     _idealization,
@@ -219,8 +219,8 @@ class RingContext:
                 for p in self.lattice():
                     if p & comp == comp or not self.g_weakly(p, g):
                         continue
-                    Pb = self.pb(p)
-                    out.append((g, p, X, Pb, ~Pb[gr.ring.mul[np.ix_(X, X)]],
+                    # outside sits in the kernel's LRU: g_weakly just built it
+                    out.append((g, p, X, self.pb(p), classify._kernel(gr, g, p)[2],
                                 pos[self.census(p, g).triples]))
             return out
         return self._memo("slices", build)
@@ -240,28 +240,23 @@ class RingContext:
         return self._memo(("quot", kmask),
                           lambda: make_quotient(self.gr, self.subset(kmask)))
 
-    def bimodules(self) -> list[tuple[str, GradedBimodule]]:
-        """Regular bimodule plus every quotient bimodule by a proper nonzero
-        graded ideal, keeping only those whose idealization fits the cap."""
-        return self._memo("bimodules", self._bimodules)
-
-    def _bimodules(self) -> list[tuple[str, GradedBimodule]]:
-        n = self.gr.order
-        out: list[tuple[str, GradedBimodule]] = []
-        if n * n <= self.ring_cap:
-            out.append(("regular", regular_bimodule(self.gr)))
-        for kmask in self.lattice():
-            # |R/K| = n / |K|: the cap is decided before any table is built
-            if kmask in (1, self.full_mask) or n * (n // popcount(kmask)) > self.ring_cap:
-                continue
-            info = ideal_info(self.gr, kmask)
-            label = "quotient([" + ", ".join(info["generator_names"]) + "])"
-            out.append((label, quotient_bimodule(self.quotient(kmask))))
-        return out
-
-    def idealization(self, mlabel: str, M: GradedBimodule) -> GradedRing:
-        return self._memo(("idealization", mlabel),
-                          lambda: _idealization(self.gr, M, self.ring_cap))
+    def idealizations(self) -> list[tuple[str, GradedBimodule, GradedRing]]:
+        """(label, M, idealization by M) for the regular bimodule and every
+        quotient bimodule by a proper nonzero graded ideal, keeping only those
+        whose idealization fits the cap."""
+        def build():
+            n, mods = self.gr.order, []
+            if n * n <= self.ring_cap:
+                mods.append(("regular", regular_bimodule(self.gr)))
+            for kmask in self.lattice():
+                # |R/K| = n / |K|: the cap is decided before any table is built
+                if kmask in (1, self.full_mask) or n * (n // popcount(kmask)) > self.ring_cap:
+                    continue
+                info = ideal_info(self.gr, kmask)
+                label = "quotient([" + ", ".join(info["generator_names"]) + "])"
+                mods.append((label, quotient_bimodule(self.quotient(kmask))))
+            return [(label, M, _idealization(self.gr, M, self.ring_cap)) for label, M in mods]
+        return self._memo("idealizations", build)
 
 
 # ---------------------------------------------------------------------------
@@ -670,8 +665,8 @@ def _check_p13(ctx: RingContext) -> PropertyOutcome:
             if p & comp == comp:
                 continue
             pg = indices_from_mask(p & comp, gr.order)
-            cube = mul[mul[np.ix_(pg, pg)].ravel()[:, None], pg]
-            cube_nonzero = bool((cube != 0).any())
+            # P_g*P_g*P_g != 0 iff v*c != 0 for a value v of P_g*P_g and c in P_g
+            cube_nonzero = bool((mul[np.ix_(np.unique(mul[np.ix_(pg, pg)]), pg)] != 0).any())
             weakly = ctx.g_weakly(p, g)
             plain = ctx.g_plain(p, g)
             if cube_nonzero:
@@ -690,18 +685,16 @@ def _check_p13(ctx: RingContext) -> PropertyOutcome:
     return out
 
 
-def _idealizations(ctx: RingContext, out: PropertyOutcome):
-    """(label, M, idealization by M) for each candidate bimodule M; none,
-    with the skip noted on out, without unity or when the cap excludes
-    every M."""
+def _idealizations(ctx: RingContext, out: PropertyOutcome) -> list:
+    """ctx.idealizations(); none, with the skip noted on out, without unity
+    or when the cap excludes every M."""
     if not ctx.unital:
         out.skipped = "requires unity"
-        return
-    mods = ctx.bimodules()
-    if not mods:
+        return []
+    found = ctx.idealizations()
+    if not found:
         out.skipped = "cap exceeded for every candidate bimodule"
-    for mlabel, M in mods:
-        yield mlabel, M, ctx.idealization(mlabel, M)
+    return found
 
 
 def _check_p14(ctx: RingContext) -> PropertyOutcome:
@@ -1069,14 +1062,8 @@ def search_ring(gr: GradedRing, label: str,
             for i, jb, jk in np.argwhere(
                     classify._ideal_triple_violations(t, inP, out, rows, abk)):
                 a, b, k = t.masks[rows[i]], t.masks[jb], t.masks[jk]
-                raw_ab = raw_product_mask(gr, a, b)
-                raw_abk = raw_product_mask(gr, raw_ab, k)
-                confirmed = (
-                    raw_abk != 1 and is_subset(raw_abk, p)
-                    and not is_subset(raw_ab, p)
-                    and not is_subset(raw_product_mask(gr, a, k), p)
-                    and not is_subset(raw_product_mask(gr, b, k), p))
-                if confirmed:
+                if verify_witness(gr, p, "graded_strongly_weakly_2_absorbing",
+                                  {"A": {"mask": a}, "B": {"mask": b}, "C": {"mask": k}}):
                     counterexamples.append({
                         "ring": label, "P": ideal_info(gr, p),
                         "A": ideal_info(gr, a), "B": ideal_info(gr, b),
@@ -1153,13 +1140,13 @@ def triple_zero_census(gr: GradedRing, ideals: list[int] | None = None,
                              "skip": "component covered by the ideal"})
                 continue
             census = ctx.census(p, g)
+            triples = census.triples.tolist()
             rows.append({
                 "ideal": ideal_info(gr, p),
                 "degree": int(g),
                 "count": census.count,
                 "g_weakly_2_absorbing": census.p_is_g_weakly_2_absorbing,
-                "triples": census.triples.tolist(),
-                "triple_names": [[gr.name(x), gr.name(y), gr.name(z)]
-                                 for (x, y, z) in census.triples.tolist()],
+                "triples": triples,
+                "triple_names": [[gr.name(x) for x in row] for row in triples],
             })
     return rows

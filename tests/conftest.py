@@ -247,3 +247,33 @@ def raw_ideal_verdicts(gr, pmask: int) -> dict:
         and not inside(prod(a, b)) and not inside(prod(a, c))
         and not inside(prod(b, c)))
     return out
+
+
+def loop_search(gr, eligible: list[int]) -> tuple[dict, list[tuple]]:
+    """search_ring's counters and counterexamples (P, A, B, K, ABK masks) by
+    the definition's loops, every product from raw_product_mask."""
+    masks = [s.mask for s in classify.graded_ideal_lattice(gr)]
+    products: dict = {}
+
+    def prod(a, b):
+        if (a, b) not in products:
+            products[a, b] = classify.raw_product_mask(gr, a, b)
+        return products[a, b]
+
+    counters = {"triples_scanned": 0, "triples_nonzero": 0, "triples_hypothesis": 0}
+    found = []
+    for p in eligible:
+        for a in masks:
+            for b in masks:
+                for k in masks:
+                    counters["triples_scanned"] += 1
+                    abk = prod(prod(a, b), k)
+                    if abk == 1:
+                        continue
+                    counters["triples_nonzero"] += 1
+                    if abk & ~p:
+                        continue
+                    counters["triples_hypothesis"] += 1
+                    if all(m & ~p for m in (prod(a, b), prod(a, k), prod(b, k))):
+                        found.append((p, a, b, k, abk))
+    return counters, found

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import tracemalloc
 
 import numpy as np
@@ -34,7 +33,6 @@ from ringbench.classify import (
     find_g_triple_zeros,
     g_sandwich_values,
     graded_ideal_lattice,
-    is_free_g_triple_zero,
     is_g_weakly_2_absorbing,
     is_graded_2_absorbing,
     is_graded_prime,
@@ -553,41 +551,6 @@ def test_drawn_census_scan_matches_whole_block_unpack(case):
     comp = gr.component_mask(g)
     if sub.mask & comp != comp:
         _census_scans_agree(gr, sub.mask, g)
-
-
-def test_free_triple_zero():
-    gr = build_ring("ring: zn(8)")
-    zero = IdealSubset(1)
-    two = generate_ideal(gr, [2])
-    four = generate_ideal(gr, [4])
-    hit = is_free_g_triple_zero(gr, zero, two, two, two, 0)
-    assert hit.value is False
-    assert (hit.witness["x"], hit.witness["y"], hit.witness["z"]) == (2, 2, 2)
-    assert is_free_g_triple_zero(gr, zero, four, two, two, 0).value is True
-    with pytest.raises(PreconditionError):
-        is_free_g_triple_zero(gr, zero, IdealSubset((1 << 8) - 1), two, two, 0)
-
-    # the first census triple drawn from A x B x K, by a loop over the census
-    for text in ("ring: zn(16)", "ring: gaussian(8)", "ring: idealization(zn(4), regular)"):
-        gr = build_ring(text)
-        lattice = [s.mask for s in graded_ideal_lattice(gr)]
-        for p in lattice:
-            for g in range(gr.group.order):
-                comp = gr.component_mask(g)
-                if p & comp == comp:
-                    continue
-                triples = find_g_triple_zeros(gr, p, g).triples.tolist()
-                for a, b, k in itertools.product(lattice, repeat=3):
-                    try:
-                        verdict = is_free_g_triple_zero(gr, p, a, b, k, g)
-                    except PreconditionError:
-                        continue
-                    first = next(([x, y, z] for x, y, z in triples
-                                  if (a >> x) & 1 and (b >> y) & 1 and (k >> z) & 1), None)
-                    assert verdict.value == (first is None), (text, p, a, b, k, g)
-                    if first is not None:
-                        w = verdict.witness
-                        assert [w["x"], w["y"], w["z"]] == first, (text, p, a, b, k, g)
 
 
 def test_commutative_weakly_equals_completely_weakly():

@@ -12,7 +12,6 @@ from ringbench.grading import (
     GradingError,
     attach_grading,
     decompose,
-    homogeneous_elements,
     make_checkerboard_grading,
     make_gaussian_grading,
     make_product_grading,
@@ -107,12 +106,6 @@ def test_decompose():
     assert parts == {0: 2, 1: 4}
     assert decompose(gr, 0) == {}
     assert decompose(gr, 3) == {0: 3}
-
-
-def test_homogeneous_elements_mask():
-    gr = graded_gaussian(2)
-    assert homogeneous_elements(gr) == gr.hom_mask
-    assert popcount(gr.hom_mask) == 3   # 0, 1, i
 
 
 def test_validate_grading_rejects_non_direct_sum():

@@ -34,7 +34,6 @@ from ringbench.ideals import (
     check_closure,
     enumerate_graded_ideals,
     generate_ideal,
-    graded_component,
     graded_ideal_masks,
     graded_defect,
     ideal_product,
@@ -141,8 +140,8 @@ def closure_cases(draw):
         expr, gr, _, _ = draw(graded_cases())
     if gr.order <= 16 and draw(st.booleans()):
         ctx = RingContext(gr, expr)
-        mlabel, M = draw(st.sampled_from(ctx.bimodules()))
-        expr, gr = f"idealization({expr}, {mlabel})", ctx.idealization(mlabel, M)
+        mlabel, _, gr = draw(st.sampled_from(ctx.idealizations()))
+        expr = f"idealization({expr}, {mlabel})"
     n = gr.order
     lattice = graded_ideal_masks(gr, draw(st.sampled_from((TWO_SIDED, LEFT, RIGHT))))
     members = st.lists(st.integers(0, n - 1), max_size=4)
@@ -295,15 +294,6 @@ def test_ideal_product_and_sum():
     assert total.mask == four.mask
     zero = generate_ideal(gr, [])
     assert ideal_product(gr, zero, two).mask == 1
-
-
-def test_graded_component():
-    gr = build("ring: gaussian(4)")
-    two = generate_ideal(gr, [2])              # {0,2,2i,2+2i}
-    comp0 = graded_component(gr, two, 0)
-    assert sorted(indices_from_mask(comp0, 16)) == [0, 2]
-    comp1 = graded_component(gr, two, 1)
-    assert sorted(indices_from_mask(comp1, 16)) == [0, 8]
 
 
 def test_minimal_generators_round_trip():

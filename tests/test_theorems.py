@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import TRIANGULAR_Z2_Z4, UPPER_TRIANGULAR_F2, build_ring
+from conftest import TRIANGULAR_Z2_Z4, UPPER_TRIANGULAR_F2, build_ring, loop_search
 from ringbench import classify, theorems
-from ringbench.classify import graded_ideal_lattice, raw_product_mask
+from ringbench.classify import raw_product_mask
 from ringbench.theorems import (
     PROPERTY_IDS,
     PROPERTY_SUMMARIES,
@@ -111,36 +111,6 @@ def test_search_mini_corpus_exhausts():
     assert res["eligible_ideals"][0]["mask"] == 1
     assert res["counters"]["triples_scanned"] == 64
     assert res["counters"]["triples_hypothesis"] == 0
-
-
-def loop_search(gr, eligible: list[int]) -> tuple[dict, list[tuple]]:
-    """search_ring's counters and counterexamples (P, A, B, K, ABK masks) by
-    the definition's loops, every product from raw_product_mask."""
-    masks = [s.mask for s in graded_ideal_lattice(gr)]
-    products: dict = {}
-
-    def prod(a, b):
-        if (a, b) not in products:
-            products[a, b] = raw_product_mask(gr, a, b)
-        return products[a, b]
-
-    counters = {"triples_scanned": 0, "triples_nonzero": 0, "triples_hypothesis": 0}
-    found = []
-    for p in eligible:
-        for a in masks:
-            for b in masks:
-                for k in masks:
-                    counters["triples_scanned"] += 1
-                    abk = prod(prod(a, b), k)
-                    if abk == 1:
-                        continue
-                    counters["triples_nonzero"] += 1
-                    if abk & ~p:
-                        continue
-                    counters["triples_hypothesis"] += 1
-                    if all(m & ~p for m in (prod(a, b), prod(a, k), prod(b, k))):
-                        found.append((p, a, b, k, abk))
-    return counters, found
 
 
 def test_search_ring_matches_loop_oracle(monkeypatch):

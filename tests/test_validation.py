@@ -708,8 +708,7 @@ def test_constructors_skip_revalidation_entry_points_keep_it(monkeypatch):
     count(constructions, "validate_graded_hom")
     count(grading, "validate_grading")
     ctx = RingContext(gr, "matrix(zn(2), 2)")
-    for label, M in ctx.bimodules():
-        ctx.idealization(label, M)
+    ctx.idealizations()
     for sub in graded_ideal_lattice(gr):
         constructions._idealization(gr, quotient_bimodule(make_quotient(gr, sub)))
     assert run_property(gr, "P8").violations == []
