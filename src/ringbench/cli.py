@@ -139,7 +139,7 @@ def _cmd_validate(args) -> tuple[int, dict]:
         problems.append({"part": "grading", "failure": gv.failure,
                          "witness": list(gv.witness) if gv.witness else None})
     for name, sub in built.ideals.items():
-        ok, witness = check_closure(gr, sub, TWO_SIDED, ring_checked=False)
+        ok, witness = check_closure(gr, sub, TWO_SIDED)
         if not ok:
             problems.append({"part": f"ideal {name}",
                              "failure": "not a two-sided ideal",

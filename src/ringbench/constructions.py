@@ -11,10 +11,12 @@ bimodule. What they build is a graded ring, and R -> R/K a graded map, by
 construction, so neither re-validates it. An ideal that R's two-sided
 graded-ideal enumeration produced is graded and two-sided by construction
 too, and is not re-checked; any other ideal is checked once per ring and
-mask, in one `ideals.ideal_check` entry that the classifier reads too. The regular and quotient bimodules built here
-are bimodules by construction, so their idealizations go through
-_idealization, which skips validate_bimodule. make_graded_hom,
-product_projections and grading.attach_grading validate what callers pass.
+mask, in one `ideals.ideal_check` entry that the classifier reads too. The
+regular and quotient bimodules built here are bimodules by construction, so
+their idealizations go through _idealization, which skips
+validate_bimodule. make_graded_hom, product_projections and
+grading.attach_grading validate what callers pass. R/K and R(+)M keep R's
+record of whether its tables form a ring (`FiniteRing.laws_checked`).
 
 R/{0} is R again: make_quotient by the zero ideal reads R's tables through
 read-only views and projects by the identity, with no coset gathers.
@@ -56,18 +58,6 @@ class BimoduleError(ConstructionError):
 
 class HomError(ConstructionError):
     pass
-
-
-def _require_graded_two_sided(gr: GradedRing, K: IdealSubset | int,
-                              ring_checked: bool = True) -> int:
-    mask = K.mask if isinstance(K, IdealSubset) else int(K)
-    ok, witness, defect = ideal_check(gr, mask, ring_checked)
-    if not ok:
-        raise ConstructionError(f"not a two-sided ideal: failed {witness}")
-    if defect is not None:
-        raise ConstructionError(
-            f"ideal is not graded: member {gr.name(defect)} leaks a component")
-    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +186,18 @@ def _read_only(table: np.ndarray) -> np.ndarray:
     return view
 
 
-def make_quotient(gr: GradedRing, K: IdealSubset | int, *,
-                  ring_checked: bool = True) -> QuotientConstruction:
+def make_quotient(gr: GradedRing, K: IdealSubset | int) -> QuotientConstruction:
     """R/K with its inherited grading (R/K)_g = (R_g + K)/K, plus the
     projection map. Cosets are named after their smallest representative.
-    ring_checked=False, for tables not known to form a ring, has
-    `ideal_check` judge K by the ordered closure scan alone, on every call."""
-    kmask = _require_graded_two_sided(gr, K, ring_checked)
+    K is judged by `ideal_check`, by the ordered closure scan alone when R
+    is not recorded as a ring; R/K keeps R's record."""
+    kmask = K.mask if isinstance(K, IdealSubset) else int(K)
+    ok, witness, defect = ideal_check(gr, kmask)
+    if not ok:
+        raise ConstructionError(f"not a two-sided ideal: failed {witness}")
+    if defect is not None:
+        raise ConstructionError(
+            f"ideal is not graded: member {gr.name(defect)} leaks a component")
     base = gr.ring
     if kmask == 1:
         reps = proj = np.arange(gr.order, dtype=np.int64)
@@ -217,7 +212,7 @@ def make_quotient(gr: GradedRing, K: IdealSubset | int, *,
         order=len(reps), add=q_add, neg=q_neg, mul=q_mul,
         unity=None if base.unity is None else int(proj[base.unity]),
         element_names=names, kind="quotient",
-        params={"base": base, "ideal_mask": kmask})
+        params={"base": base, "ideal_mask": kmask}, laws_checked=base.laws_checked)
     if ring.unity is None:
         ring.unity = find_unity(ring)
     comps = []
@@ -386,7 +381,8 @@ def _idealization(gr: GradedRing, M: GradedBimodule,
         unity = base.unity * m
     ring = FiniteRing(order, add, neg.ravel().astype(np.uint16), mul,
                       unity=unity, element_names=names, kind="idealization",
-                      params={"base": base, "module_order": m, "module_label": M.label})
+                      params={"base": base, "module_order": m, "module_label": M.label},
+                      laws_checked=base.laws_checked)
     comps = [idealization_subset(gr.component_mask(g), M.components[g], n, m)
              for g in range(gr.group.order)]
     return GradedRing(ring, Grading(gr.group, comps))

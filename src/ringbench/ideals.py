@@ -133,20 +133,19 @@ def is_graded_ideal(gr: GradedRing, subset: IdealSubset | int) -> bool:
 
 
 def check_closure(gr: GradedRing, subset: IdealSubset | int,
-                  sidedness: str | None = None, *,
-                  ring_checked: bool = True) -> tuple[bool, tuple | None]:
+                  sidedness: str | None = None) -> tuple[bool, tuple | None]:
     """Verify additive-subgroup and absorption closure; returns (ok, witness).
 
     sidedness defaults to the subset's own tag (two-sided for raw masks).
     `_closure_holds` decides; the ordered scan runs only when it says no, so
     the scan alone picks the witness. The decision's yes is exact on a ring,
-    which every built ring is; pass ring_checked=False for tables not known
-    to form one, and the scan alone decides.
+    so it runs only when the ring records that its tables form one
+    (`laws_checked`); on other tables the scan alone decides.
     """
     if sidedness is None:
         sidedness = TWO_SIDED if isinstance(subset, int) else subset.sidedness
     mask = subset if isinstance(subset, int) else subset.mask
-    if ring_checked and _closure_holds(gr, mask, *_flags(sidedness)):
+    if gr.ring.laws_checked and _closure_holds(gr, mask, *_flags(sidedness)):
         return True, None
     return _first_closure_failure(gr, mask, sidedness)
 
@@ -278,26 +277,24 @@ def enumerate_graded_ideals(gr: GradedRing, sidedness: str = TWO_SIDED,
             for mask in graded_ideal_masks(gr, sidedness, cap)]
 
 
-def ideal_check(gr: GradedRing, mask: int,
-                ring_checked: bool = True) -> tuple[bool, tuple | None, int | None]:
+def ideal_check(gr: GradedRing, mask: int) -> tuple[bool, tuple | None, int | None]:
     """Whether mask is a graded two-sided ideal: check_closure's (ok, witness)
     and, when ok, graded_defect.
 
-    Decided once per ring and mask, and a member of the memoized two-sided
+    Decided once per ring and mask, as the tables never change. On a ring
+    recorded as one (`laws_checked`), a member of the memoized two-sided
     lattice, graded and two-sided by construction, passes unchecked; a
-    lattice not yet enumerated is not enumerated here. ring_checked=False,
-    for tables not known to form a ring, runs the ordered scan on every
-    call and leaves the memo alone.
+    lattice not yet enumerated is not enumerated here.
     """
     def check():
-        masks = gr._cache.get(f"lattice:{TWO_SIDED}", ()) if ring_checked else ()
+        masks = gr._cache.get(f"lattice:{TWO_SIDED}", ()) if gr.ring.laws_checked else ()
         at = bisect_left(masks, mask)
         if at < len(masks) and masks[at] == mask:
             return True, None, None
-        ok, witness = check_closure(gr, mask, TWO_SIDED, ring_checked=ring_checked)
+        ok, witness = check_closure(gr, mask, TWO_SIDED)
         return ok, witness, graded_defect(gr, mask) if ok else None
 
-    return gr.memo(("ideal_check", mask), check) if ring_checked else check()
+    return gr.memo(("ideal_check", mask), check)
 
 
 def minimal_homogeneous_generators(gr: GradedRing, ideal: IdealSubset) -> list[int]:

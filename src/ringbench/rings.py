@@ -57,6 +57,7 @@ class FiniteRing:
     element_names: list[str] = field(default_factory=list)
     kind: str = "table"
     params: dict = field(default_factory=dict)
+    laws_checked: bool = False   # tables known to satisfy the ring laws
 
     def __post_init__(self):
         if not self.element_names:
@@ -93,7 +94,7 @@ def make_zn(n: int, cap: int = DEFAULT_RING_CAP) -> FiniteRing:
     neg = (-idx) % n
     return FiniteRing(n, add.astype(np.uint16), neg.astype(np.uint16),
                       mul.astype(np.uint16), unity=1 % n,
-                      kind="zn", params={"n": n})
+                      kind="zn", params={"n": n}, laws_checked=True)
 
 
 def _gaussian_name(a: int, b: int) -> str:
@@ -123,7 +124,8 @@ def make_gaussian(n: int, cap: int = DEFAULT_RING_CAP) -> FiniteRing:
     names = [_gaussian_name(int(x), int(y)) for x, y in zip(a, b)]
     return FiniteRing(order, add.astype(np.uint16), neg.astype(np.uint16),
                       mul.astype(np.uint16), unity=1 % order,
-                      element_names=names, kind="gaussian", params={"n": n})
+                      element_names=names, kind="gaussian", params={"n": n},
+                      laws_checked=True)
 
 
 def _encode_digits(digits: np.ndarray, m: int) -> np.ndarray:
@@ -195,7 +197,8 @@ def make_matrix_ring(base: FiniteRing, k: int, cap: int = DEFAULT_RING_CAP) -> F
         names.append(f"[{rows}]")
     return FiniteRing(order, add, neg.astype(np.uint16), mul,
                       unity=unity, element_names=names,
-                      kind="matrix", params={"base": base, "k": k, "digits": digits})
+                      kind="matrix", params={"base": base, "k": k, "digits": digits},
+                      laws_checked=base.laws_checked)
 
 
 def make_product_ring(r1: FiniteRing, r2: FiniteRing, cap: int = DEFAULT_RING_CAP) -> FiniteRing:
@@ -213,7 +216,8 @@ def make_product_ring(r1: FiniteRing, r2: FiniteRing, cap: int = DEFAULT_RING_CA
     names = [f"({r1.name(int(a))}, {r2.name(int(b))})" for a, b in zip(u, v)]
     return FiniteRing(order, add, neg.astype(np.uint16), mul,
                       unity=unity, element_names=names,
-                      kind="product", params={"factors": (r1, r2)})
+                      kind="product", params={"factors": (r1, r2)},
+                      laws_checked=r1.laws_checked and r2.laws_checked)
 
 
 def find_unity(ring: FiniteRing) -> int | None:
@@ -228,7 +232,8 @@ def find_unity(ring: FiniteRing) -> int | None:
 def make_table_ring(add, mul, neg=None, element_names=None,
                     cap: int = DEFAULT_RING_CAP) -> FiniteRing:
     """Wrap user-supplied tables. Axioms are checked by validate_ring, not here,
-    but malformed tables (non-square, ragged, entries out of range) are rejected."""
+    but malformed tables (non-square, ragged, entries out of range) are rejected.
+    The ring is not recorded as satisfying the ring laws (laws_checked)."""
     add = np.asarray(add, dtype=np.int64)
     mul = np.asarray(mul, dtype=np.int64)
     if add.ndim != 2 or add.shape[0] != add.shape[1]:

@@ -586,6 +586,7 @@ def _construct(expr: RingExpr, ring_cap: int, check_tables: bool) -> _Built:
         if check_tables and not (v := validate_ring(ring)):
             raise ParseError(f"not a ring: {v.failure} at {v.witness}",
                              expr.line, expr.col)
+        ring.laws_checked = check_tables
         gr = attach_grading(ring, make_trivial_grading(ring, make_cyclic(2)))
         order = ring.order
 
@@ -620,7 +621,7 @@ def _construct(expr: RingExpr, ring_cap: int, check_tables: bool) -> _Built:
     if expr.kind == "quotient":
         base = _build_expr(expr.args[0], ring_cap, check_tables)
         K = _generated_ideal(base, expr.args[1])
-        q = make_quotient(base.graded, K, ring_checked=check_tables)
+        q = make_quotient(base.graded, K)
         proj = q.projection.mapping
         return _Built(q.graded_ring, lambda lit: int(proj[base.parse(lit)]))
     if expr.kind == "idealization":
@@ -630,8 +631,7 @@ def _construct(expr: RingExpr, ring_cap: int, check_tables: bool) -> _Built:
             M = regular_bimodule(base.graded)
             mparse = base.parse
         else:
-            q = make_quotient(base.graded, _generated_ideal(base, mdesc[1]),
-                              ring_checked=check_tables)
+            q = make_quotient(base.graded, _generated_ideal(base, mdesc[1]))
             M = quotient_bimodule(q)
             mproj = q.projection.mapping
 
@@ -668,7 +668,9 @@ def build_document(doc: RingSpecDocument, ring_cap: int = DEFAULT_RING_CAP,
     """Construct the graded ring and every named ideal of a parsed document.
 
     check_tables=False skips validate_ring on table rings (and the build
-    memo), for a caller that validates the built ring itself."""
+    memo), for a caller that validates the built ring itself: a broken
+    table(...) literal then raises no ParseError, and its ring, with every
+    ring built on it, is not recorded as one (`laws_checked`)."""
     built = _build_expr(doc.ring, ring_cap, check_tables)
     ideals = {spec.name: _generated_ideal(built, spec.generators)
               for spec in doc.ideals}

@@ -240,10 +240,16 @@ class RingContext:
         return self._memo(("quot", kmask),
                           lambda: make_quotient(self.gr, self.subset(kmask)))
 
-    def idealizations(self) -> list[tuple[str, GradedBimodule, GradedRing]]:
-        """(label, M, idealization by M) for the regular bimodule and every
-        quotient bimodule by a proper nonzero graded ideal, keeping only those
-        whose idealization fits the cap."""
+    def over_quotient(self, kmask: int) -> "RingContext":
+        """The context of R/K, so that P6, P7 and P9 share its verdicts."""
+        return self._memo(("qctx", kmask), lambda: RingContext(
+            self.quotient(kmask).graded_ring, f"{self.label}/{kmask:#x}",
+            self.ideal_cap, self.ring_cap))
+
+    def idealizations(self) -> list[tuple[str, GradedBimodule, "RingContext"]]:
+        """(label, M, context of the idealization by M) for the regular
+        bimodule and every quotient bimodule by a proper nonzero graded
+        ideal, keeping only those whose idealization fits the cap."""
         def build():
             n, mods = self.gr.order, []
             if n * n <= self.ring_cap:
@@ -255,7 +261,10 @@ class RingContext:
                 info = ideal_info(self.gr, kmask)
                 label = "quotient([" + ", ".join(info["generator_names"]) + "])"
                 mods.append((label, quotient_bimodule(self.quotient(kmask))))
-            return [(label, M, _idealization(self.gr, M, self.ring_cap)) for label, M in mods]
+            return [(label, M, RingContext(_idealization(self.gr, M, self.ring_cap),
+                                           f"idealization({self.label}, {label})",
+                                           self.ideal_cap, self.ring_cap))
+                    for label, M in mods]
         return self._memo("idealizations", build)
 
 
@@ -363,11 +372,11 @@ def _check_p6(ctx: RingContext) -> PropertyOutcome:
         carriers = [p for p in w2 if is_subset(k, p)]
         if not carriers:
             continue
-        q = ctx.quotient(k)
+        q, qc = ctx.quotient(k), ctx.over_quotient(k)
         for p in carriers:
             out.hit()
             pq = q.projection.image_mask(p)
-            if not is_graded_weakly_2_absorbing(q.graded_ring, ctx.subset(pq)).value:
+            if not qc.weakly_2_absorbing(pq):
                 out.violate(P=ideal_info(gr, p), K=ideal_info(gr, k),
                             quotient_ideal_mask=int(pq))
     return out
@@ -381,12 +390,11 @@ def _check_p7(ctx: RingContext) -> PropertyOutcome:
     for k in ctx.proper_ideals():
         if not ctx.weakly_2_absorbing(k):
             continue
-        q = ctx.quotient(k)
+        q, qc = ctx.quotient(k), ctx.over_quotient(k)
         for p in ctx.proper_ideals():
             if not is_subset(k, p):
                 continue
-            pq = q.projection.image_mask(p)
-            if not is_graded_weakly_2_absorbing(q.graded_ring, ctx.subset(pq)).value:
+            if not qc.weakly_2_absorbing(q.projection.image_mask(p)):
                 continue
             out.hit()
             if not ctx.weakly_2_absorbing(p):
@@ -448,34 +456,27 @@ def _check_p9(ctx: RingContext) -> PropertyOutcome:
     gr = ctx.gr
     w2 = [p for p in ctx.proper_ideals() if ctx.weakly_2_absorbing(p)]
     for k in ctx.proper_ideals():
-        q = ctx.quotient(k)
-        f, T = q.projection, q.graded_ring
+        f, qc = ctx.quotient(k).projection, ctx.over_quotient(k)
         for p in w2:
             if not is_subset(k, p):
                 continue
             out.hit()
             fp = hom_image(f, ctx.subset(p))
-            ok, _ = check_closure(T, fp.mask, TWO_SIDED)
-            if not (ok and fp.graded is True
-                    and is_graded_weakly_2_absorbing(T, fp).value):
+            ok, _ = check_closure(qc.gr, fp.mask, TWO_SIDED)
+            if not (ok and fp.graded is True and qc.weakly_2_absorbing(fp.mask)):
                 out.violate(direction="image", P=ideal_info(gr, p),
                             K=ideal_info(gr, k), image_mask=int(fp.mask))
         if not ctx.weakly_2_absorbing(k):
             continue
-        t_full = (1 << T.order) - 1
-        for i in enumerate_graded_ideals(T, TWO_SIDED, ctx.ideal_cap):
-            if i.mask == t_full:
-                continue
-            if not is_graded_weakly_2_absorbing(T, i).value:
+        for i in qc.proper_ideals():
+            if not qc.weakly_2_absorbing(i):
                 continue
             out.hit()
             pre = hom_preimage(f, i)
             ok, _ = check_closure(gr, pre.mask, TWO_SIDED)
-            if not (ok and pre.graded is True
-                    and is_graded_weakly_2_absorbing(gr, pre).value):
+            if not (ok and pre.graded is True and ctx.weakly_2_absorbing(pre.mask)):
                 out.violate(direction="preimage", K=ideal_info(gr, k),
-                            target_ideal_mask=int(i.mask),
-                            preimage_mask=int(pre.mask))
+                            target_ideal_mask=int(i), preimage_mask=int(pre.mask))
     return out
 
 
@@ -701,11 +702,10 @@ def _check_p14(ctx: RingContext) -> PropertyOutcome:
     """P extends to a graded 2-absorbing ideal of the idealization exactly
     when P is graded 2-absorbing. Needs unity."""
     out = PropertyOutcome("P14", ctx.label)
-    for mlabel, _, X in _idealizations(ctx, out):
+    for mlabel, _, xc in _idealizations(ctx, out):
         for p in ctx.proper_ideals():
             out.hit()
-            pxm = embed_ideal_in_idealization(X, ctx.subset(p))
-            lhs = is_graded_2_absorbing(X, pxm).value
+            lhs = xc.two_absorbing(embed_ideal_in_idealization(xc.gr, p).mask)
             rhs = ctx.two_absorbing(p)
             if lhs != rhs:
                 out.violate(module=mlabel, P=ideal_info(ctx.gr, p),
@@ -717,10 +717,9 @@ def _check_p15(ctx: RingContext) -> PropertyOutcome:
     """If the extension of P to the idealization is weakly 2-absorbing, so is
     P itself. Needs unity."""
     out = PropertyOutcome("P15", ctx.label)
-    for mlabel, _, X in _idealizations(ctx, out):
+    for mlabel, _, xc in _idealizations(ctx, out):
         for p in ctx.proper_ideals():
-            pxm = embed_ideal_in_idealization(X, ctx.subset(p))
-            if not is_graded_weakly_2_absorbing(X, pxm).value:
+            if not xc.weakly_2_absorbing(embed_ideal_in_idealization(xc.gr, p).mask):
                 continue
             out.hit()
             if not ctx.weakly_2_absorbing(p):
@@ -737,12 +736,12 @@ def _check_p16(ctx: RingContext) -> PropertyOutcome:
     gr = ctx.gr
     mul = gr.ring.mul
     Re = gr.component_indices(gr.group.identity)
-    for mlabel, M, X in _idealizations(ctx, out):
+    for mlabel, M, xc in _idealizations(ctx, out):
         for p in ctx.lattice():
+            pxm = embed_ideal_in_idealization(xc.gr, p).mask
             for g in ctx.valid_degrees(p):
                 out.hit()
-                pxm = embed_ideal_in_idealization(X, ctx.subset(p))
-                lhs = is_g_weakly_2_absorbing(X, pxm, g, "weakly").value
+                lhs = xc.g_weakly(pxm, g)
                 base = ctx.g_weakly(p, g)
                 annihilated = True
                 detail = None

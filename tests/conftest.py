@@ -13,9 +13,19 @@ import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from ringbench import classify
+from ringbench import classify, ideals
 from ringbench.bitsets import bools_from_mask
-from ringbench.ideals import generate_ideal
+from ringbench.ideals import (
+    LEFT,
+    RIGHT,
+    SUBGROUP_ONLY,
+    TWO_SIDED,
+    additive_span,
+    check_closure,
+    generate_ideal,
+    ideal_product,
+    ideal_sum,
+)
 from ringbench.specs import build_document, parse_document
 
 settings.register_profile("tier1", derandomize=True, deadline=None)
@@ -105,6 +115,54 @@ def graded_cases(draw):
     degrees = [g for g in range(gr.group.order)
                if sub.mask & gr.component_mask(g) != gr.component_mask(g)]
     return expr, gr, sub, draw(st.sampled_from(degrees or [0]))
+
+
+SIDEDNESSES = (TWO_SIDED, LEFT, RIGHT, SUBGROUP_ONLY)
+
+
+def assert_closure_matches_scan(gr, mask, *context):
+    """check_closure's (ok, witness) is the ordered scan's, for every
+    sidedness."""
+    for sidedness in SIDEDNESSES:
+        assert check_closure(gr, mask, sidedness) == \
+            ideals._first_closure_failure(gr, mask, sidedness), (*context, mask, sidedness)
+
+
+def raw_closure(gr, seeds, left: bool, right: bool) -> int:
+    """Mask of the smallest set holding 0 and the seeds that is closed under
+    pairwise sums (until stable, as classify._raw_span) and then under
+    products with every ring element per the flags, repeated to a fixpoint."""
+    add, mul = gr.ring.add, gr.ring.mul
+    everyone = np.arange(gr.order)
+    flags = np.zeros(gr.order, dtype=bool)
+    flags[[0, *seeds]] = True
+    while True:
+        idx = np.flatnonzero(flags)
+        new = add[np.ix_(idx, idx)].ravel()
+        if flags[new].all():
+            new = np.concatenate([
+                mul[np.ix_(everyone, idx)].ravel() if left else idx,
+                mul[np.ix_(idx, everyone)].ravel() if right else idx])
+            if flags[new].all():
+                return sum(1 << int(x) for x in idx)
+        flags[new] = True
+
+
+def assert_spans_match_raw_fixpoint(gr, xs, ys, *context):
+    """additive_span of xs, and generate_ideal, ideal_product and ideal_sum
+    of the ideals xs and ys generate under every sidedness, equal
+    raw_closure."""
+    assert additive_span(gr, xs) == raw_closure(gr, xs, False, False), (*context, xs)
+    for sidedness in SIDEDNESSES:
+        left, right = ideals._flags(sidedness)
+        a, b = generate_ideal(gr, xs, sidedness), generate_ideal(gr, ys, sidedness)
+        assert a.mask == raw_closure(gr, xs, left, right), (*context, xs, sidedness)
+        prods = gr.ring.mul[np.ix_(a.indices(gr.order), b.indices(gr.order))]
+        product, total = ideal_product(gr, a, b), ideal_sum(gr, a, b)
+        assert (product.mask, product.sidedness) == \
+            (raw_closure(gr, np.unique(prods), False, False), sidedness), (*context, xs, ys)
+        assert (total.mask, total.sidedness) == \
+            (raw_closure(gr, [*xs, *ys], left, right), sidedness), (*context, xs, ys)
 
 
 def _all_over_middle(ok: np.ndarray, mid: np.ndarray) -> np.ndarray:

@@ -151,8 +151,9 @@ def test_lattice_ideals_skip_closure_recheck(monkeypatch):
     without check_closure. On a ring whose lattice is not enumerated they
     share one check of the mask. A left ideal that is not two-sided and an
     ideal that is not graded are checked as before, with the same errors.
-    make_quotient with ring_checked=False runs the ordered scan on every
-    call, whatever the memo holds."""
+    On a ring not recorded as one, make_quotient and the classifier judge a
+    mask by the ordered scan even when the lattice is enumerated, once per
+    mask, and keep the result."""
     calls = []
     real = ideals.check_closure
     monkeypatch.setattr(ideals, "check_closure",
@@ -174,9 +175,13 @@ def test_lattice_ideals_skip_closure_recheck(monkeypatch):
     monkeypatch.setattr(ideals, "_first_closure_failure",
                         lambda *a: scans.append(a[1]) or real_scan(*a))
     assert ideals.ideal_check(fresh, lattice[1]) == (True, None, None)
+    unrecorded = build_document(parse_document(TRIANGULAR_Z2_Z4),
+                                check_tables=False).graded_ring
+    assert [s.mask for s in graded_ideal_lattice(unrecorded)] == lattice
     for _ in range(2):
-        make_quotient(fresh, lattice[1], ring_checked=False)
-    assert scans == [lattice[1], lattice[1]]
+        make_quotient(unrecorded, lattice[1])
+        classify.require_graded_ideal(unrecorded, lattice[1], proper=False)
+    assert scans == [lattice[1]]
 
     def errors(ring, mask):
         out = []

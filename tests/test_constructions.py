@@ -265,8 +265,8 @@ def test_idealization_tables_match_gather_oracle():
     pinned = {}
     for label in _BASE_LABELS:
         ctx = RingContext(build_ring(f"ring: {label}"), label)
-        for mlabel, M, idealization in ctx.idealizations():
-            X = idealization.ring
+        for mlabel, M, xc in ctx.idealizations():
+            X = xc.gr.ring
             expected = gathered_idealization_mul(ctx.gr, M)
             assert X.mul.dtype == expected.dtype == np.uint16, (label, mlabel)
             assert X.mul.flags.c_contiguous, (label, mlabel)

@@ -1,6 +1,7 @@
 """Source hygiene of the package: no unused module-level imports, no
-top-level function or class that nothing references, and one writer of a
-graded ring's derived state."""
+top-level function or class that nothing references, one writer of a
+graded ring's derived state, and the ring's own record of whether its
+tables form a ring."""
 
 from __future__ import annotations
 
@@ -50,28 +51,46 @@ def test_module_level_imports_are_used():
     assert unused == []
 
 
-def _orphans(*dirs: str) -> list[str]:
-    """Top-level functions and classes of the package that no file under
-    dirs names."""
-    used = set()
-    for path in (p for d in dirs for p in (ROOT / d).rglob("*.py")):
-        used |= _names_used(_tree(path))
-    return [f"{path.name}: {node.name}"
-            for path in MODULES for node in _tree(path).body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node.name not in used]
-
-
-def test_top_level_definitions_are_referenced():
-    assert _orphans("src", "tests", "perfbench") == []
-
-
 def test_no_test_only_definitions():
     """Every top-level function or class is called from the package or
     exported by ringbench/__init__.py (its imports count as references): a
     routine that only its own test calls is a second copy of one that does
     the job."""
-    assert _orphans("src") == []
+    used = set()
+    for path in (ROOT / "src").rglob("*.py"):
+        used |= _names_used(_tree(path))
+    orphans = [f"{path.name}: {node.name}"
+               for path in MODULES for node in _tree(path).body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name not in used]
+    assert orphans == []
+
+
+def test_no_ring_checked_parameter():
+    """Whether tables form a ring is recorded on the ring, not passed along:
+    no function of the package takes a `ring_checked` parameter."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py")) for node in ast.walk(_tree(path))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+             and "ring_checked" in {a.arg for a in ast.walk(node.args)
+                                    if isinstance(a, ast.arg)}]
+    assert found == []
+
+
+def test_laws_checked_is_set_where_rings_are_built():
+    """FiniteRing.laws_checked is declared and set in rings.py, copied from
+    their inputs by the constructions and set by the spec builder once
+    validate_ring has passed; no other module assigns it."""
+    writers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if (isinstance(node, ast.keyword) and node.arg == "laws_checked"
+                    or isinstance(node, ast.Attribute) and node.attr == "laws_checked"
+                    and isinstance(node.ctx, ast.Store)
+                    or isinstance(node, ast.AnnAssign)
+                    and getattr(node.target, "id", None) == "laws_checked"):
+                writers.add(path.name)
+    assert writers == {"rings.py", "constructions.py", "specs.py"}
 
 
 _MUTATORS = {"setdefault", "update", "pop", "popitem", "clear"}
@@ -123,6 +142,18 @@ def test_slice_header_only_in_ring_context():
     owners = [f"{path.name}:{owner}" for path in MODULES
               for owner, node in _top_level_owner(_tree(path)) if _is_slice_header(node)]
     assert owners == ["theorems.py:RingContext"]
+
+
+def test_only_ring_context_asks_the_predicates():
+    """In theorems.py the classify.is_* predicates are named only inside
+    RingContext, so every verdict a property asks, on R, R/K or an
+    idealization, goes through a context's memo."""
+    predicates = {node.name for node in _tree(PACKAGE / "classify.py").body
+                  if isinstance(node, ast.FunctionDef) and node.name.startswith("is_")}
+    owners = {owner for owner, node in _top_level_owner(_tree(PACKAGE / "theorems.py"))
+              if getattr(node, "id", getattr(node, "attr", None)) in predicates
+              and isinstance(node, (ast.Name, ast.Attribute))}
+    assert owners == {"RingContext"}
 
 
 # what a loop over census rows or over (A, B, K) would iterate

@@ -6,7 +6,6 @@ import hashlib
 import json
 from functools import lru_cache
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +15,8 @@ from conftest import (
     SMALL_RINGS,
     TRIANGULAR_Z2_Z4,
     UPPER_TRIANGULAR_F2,
+    assert_closure_matches_scan,
+    assert_spans_match_raw_fixpoint,
     graded_cases,
 )
 from ringbench import ideals
@@ -26,7 +27,6 @@ from ringbench.groups import make_cyclic
 from ringbench.ideals import (
     LEFT,
     RIGHT,
-    SUBGROUP_ONLY,
     TWO_SIDED,
     EnumerationCapError,
     IdealSubset,
@@ -116,17 +116,6 @@ def test_check_closure_witnesses():
     assert ok is True
 
 
-SIDEDNESSES = (TWO_SIDED, LEFT, RIGHT, SUBGROUP_ONLY)
-
-
-def assert_closure_matches_scan(gr, mask, *context):
-    """check_closure's (ok, witness) is the ordered scan's, for every
-    sidedness."""
-    for sidedness in SIDEDNESSES:
-        assert check_closure(gr, mask, sidedness) == \
-            ideals._first_closure_failure(gr, mask, sidedness), (*context, mask, sidedness)
-
-
 @st.composite
 def closure_cases(draw):
     """A ring from SMALL_RINGS or graded_cases(), or an idealization of it
@@ -140,7 +129,8 @@ def closure_cases(draw):
         expr, gr, _, _ = draw(graded_cases())
     if gr.order <= 16 and draw(st.booleans()):
         ctx = RingContext(gr, expr)
-        mlabel, _, gr = draw(st.sampled_from(ctx.idealizations()))
+        mlabel, _, xc = draw(st.sampled_from(ctx.idealizations()))
+        gr = xc.gr
         expr = f"idealization({expr}, {mlabel})"
     n = gr.order
     lattice = graded_ideal_masks(gr, draw(st.sampled_from((TWO_SIDED, LEFT, RIGHT))))
@@ -335,26 +325,6 @@ def test_additive_span():
     assert additive_span(gr, []) == 1
 
 
-def raw_closure(gr, seeds, left: bool, right: bool) -> int:
-    """Mask of the smallest set holding 0 and the seeds that is closed under
-    pairwise sums (until stable, as classify._raw_span) and then under
-    products with every ring element per the flags, repeated to a fixpoint."""
-    add, mul = gr.ring.add, gr.ring.mul
-    everyone = np.arange(gr.order)
-    flags = np.zeros(gr.order, dtype=bool)
-    flags[[0, *seeds]] = True
-    while True:
-        idx = np.flatnonzero(flags)
-        new = add[np.ix_(idx, idx)].ravel()
-        if flags[new].all():
-            new = np.concatenate([
-                mul[np.ix_(everyone, idx)].ravel() if left else idx,
-                mul[np.ix_(idx, everyone)].ravel() if right else idx])
-            if flags[new].all():
-                return sum(1 << int(x) for x in idx)
-        flags[new] = True
-
-
 # cyclic components on which doubling takes several rounds
 _CYCLIC_RINGS = ("ring: zn(128)", "ring: zn(256)", "ring: gaussian(16)")
 build_once = lru_cache(maxsize=None)(build)
@@ -381,17 +351,7 @@ def test_spans_match_raw_fixpoint(case):
     and ideal_sum, all grown through groups.grow_span, equal the raw
     fixpoint of sums and products."""
     expr, gr, xs, ys = case
-    assert additive_span(gr, xs) == raw_closure(gr, xs, False, False), (expr, xs)
-    for sidedness in SIDEDNESSES:
-        left, right = ideals._flags(sidedness)
-        a, b = generate_ideal(gr, xs, sidedness), generate_ideal(gr, ys, sidedness)
-        assert a.mask == raw_closure(gr, xs, left, right), (expr, xs, sidedness)
-        prods = gr.ring.mul[np.ix_(a.indices(gr.order), b.indices(gr.order))]
-        product, total = ideal_product(gr, a, b), ideal_sum(gr, a, b)
-        assert (product.mask, product.sidedness) == \
-            (raw_closure(gr, np.unique(prods), False, False), sidedness), (expr, xs, ys)
-        assert (total.mask, total.sidedness) == \
-            (raw_closure(gr, [*xs, *ys], left, right), sidedness), (expr, xs, ys)
+    assert_spans_match_raw_fixpoint(gr, xs, ys, expr)
 
 
 def enumeration_digest(labels) -> str:

@@ -9,8 +9,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import TRIANGULAR_Z2_Z4, build_ring, loop_search
-from ringbench import classify, theorems
+from conftest import (
+    TRIANGULAR_Z2_Z4,
+    assert_closure_matches_scan,
+    assert_spans_match_raw_fixpoint,
+    build_ring,
+    loop_search,
+)
+from ringbench import classify, ideals, theorems
+from ringbench.bitsets import bools_from_mask
+from ringbench.groups import greedy_generators
 from slice_oracles import differences, widen_census
 
 CENSUS_PAIRS = theorems._census_pairs
@@ -18,9 +26,56 @@ LATTICE_TABLE = classify._lattice_table
 P11_CUBES = theorems._p11_cubes
 P12_TABLES = theorems._p12_tables
 
+# rings where additive spans of single elements are often not ideals
+CLOSURE_RINGS = ("ring: matrix(zn(2), 2)", "ring: gaussian(4)", TRIANGULAR_Z2_Z4)
+
+
+def check_closures():
+    """assert_closure_matches_scan on the additive span of every element of
+    each CLOSURE_RINGS ring."""
+    for text in CLOSURE_RINGS:
+        gr = build_ring(text)
+        for x in range(gr.order):
+            assert_closure_matches_scan(gr, ideals.additive_span(gr, [x]), text, x)
+
+
+def check_spans():
+    """assert_spans_match_raw_fixpoint on zn(128), whose span of 1 takes
+    seven doublings."""
+    assert_spans_match_raw_fixpoint(build_ring("ring: zn(128)"), [1], [6], "zn(128)")
+
 
 def test_unmutated_fast_paths_agree():
     assert differences(build_ring("ring: zn(8)")) == {}
+    check_closures()
+    check_spans()
+
+
+def test_closure_decision_without_absorption_is_caught(monkeypatch):
+    """_closure_holds that checks only that the mask is a subgroup calls a
+    span closed although it does not absorb products."""
+    monkeypatch.setattr(ideals, "_closure_holds", lambda gr, mask, left, right:
+                        greedy_generators(gr.ring.add, bools_from_mask(mask, gr.order))
+                        is not None)
+    with pytest.raises(AssertionError):
+        check_closures()
+
+
+def test_span_growth_capped_at_three_rounds_is_caught(monkeypatch):
+    """grow_span that stops after three doublings, whether or not the step
+    already lies in the span."""
+    def capped(add, span, g):
+        out, step = span.copy(), int(g)
+        for _ in range(3):
+            if out[step]:
+                break
+            out[add[:, step][out]] = True
+            step = int(add[step, step])
+        return out
+
+    monkeypatch.setattr(ideals, "grow_span", capped)
+    with pytest.raises(AssertionError):
+        check_spans()
 
 
 def test_p11_without_its_census_cube_is_caught(monkeypatch):

@@ -47,6 +47,7 @@ from ringbench.rings import (
     find_unity,
     make_gaussian,
     make_matrix_ring,
+    make_product_ring,
     make_table_ring,
     make_zn,
     validate_ring,
@@ -599,8 +600,9 @@ def test_closure_decision_assumes_a_ring():
     """check_closure's generator decision is exact only on a ring. With
     mul[1, 0] = 1 on Z_4, {0, 2} absorbs products against its generator 2
     but not against 0, so the decision calls it closed and the ordered scan
-    does not: the reason `validate` judges ideals of broken tables by the
-    scan. (A spec cannot state this ring: its trivial grading needs
+    does not. make_table_ring does not record its tables as a ring, so the
+    public check_closure, ideal_check and make_quotient judge {0, 2} by the
+    scan alone. (A spec cannot state this ring: its trivial grading needs
     R_e R_g inside R_g = {0}, so x * 0 = 0.)"""
     mul = np.zeros((4, 4), dtype=np.int64)
     mul[1, 0] = 1
@@ -608,7 +610,42 @@ def test_closure_decision_assumes_a_ring():
     gr = GradedRing(ring, grading.make_trivial_grading(ring, make_cyclic(2)))
     assert ideals._closure_holds(gr, 0b101, True, True)
     assert ideals._first_closure_failure(gr, 0b101, "two-sided") == (False, ("left", 1, 0))
-    assert ideals.check_closure(gr, 0b101, ring_checked=False) == (False, ("left", 1, 0))
+    assert ideals.check_closure(gr, 0b101) == (False, ("left", 1, 0))
+    assert ideals.ideal_check(gr, 0b101) == (False, ("left", 1, 0), None)
+    with pytest.raises(constructions.ConstructionError,
+                       match=re.escape("failed ('left', 1, 0)")):
+        make_quotient(gr, 0b101)
+
+
+def test_rings_record_whether_their_tables_form_a_ring():
+    """zn and gaussian rings are recorded as rings, and so is a spec's
+    table(...) ring once validate_ring has passed. A make_table_ring ring is
+    not, nor is a matrix, product, quotient or idealization ring built on
+    it, nor the unchecked build that `validate` makes; the same
+    constructions over recorded rings are recorded."""
+    z4 = make_zn(4)
+    assert z4.laws_checked and make_gaussian(2).laws_checked
+
+    def derived(ring):
+        gr = GradedRing(ring, grading.make_trivial_grading(ring, make_cyclic(2)))
+        return [make_matrix_ring(ring, 2), make_product_ring(ring, z4),
+                make_product_ring(z4, ring),
+                make_quotient(gr, generate_ideal(gr, [2])).graded_ring.ring,
+                make_idealization(gr, regular_bimodule(gr)).ring]
+
+    raw = make_table_ring(z4.add, z4.mul)
+    assert not raw.laws_checked
+    assert [r.laws_checked for r in derived(raw)] == [False] * 5
+    assert [r.laws_checked for r in derived(z4)] == [True] * 5
+
+    table = _z8_table_with(1, 4, 4)         # zn(8)'s own tables
+    for text in (f"ring: {table}", f"ring: quotient({table}, [2])",
+                 f"ring: idealization({table}, regular)"):
+        assert build_ring(text).ring.laws_checked, text
+        unchecked = build_document(parse_document(text), check_tables=False)
+        assert not unchecked.graded_ring.ring.laws_checked, text
+    assert build_document(parse_document("ring: matrix(zn(2), 2)"),
+                          check_tables=False).graded_ring.ring.laws_checked
 
 
 # 1 + 0 = 1 but 0 + 1 = 2: 0 is no left identity, and 1 never enters the
