@@ -27,10 +27,18 @@ Left distributivity is checked only for a and g both generators, with c
 over all of R: once right distributivity holds, the elements a whose left
 multiplication is additive are closed under +, and for a fixed a the
 elements g with a(g + c) = ag + ac for all c are closed under + as well.
+
+The two g * n^2 laws read tiles that stay in cache while every generator
+uses them. (g + u) + v = g + (u + v) reads u in tiles of _TILE rows of add,
+cast to intp once; its right side takes from the n-entry row add[g].
+(g + b)c = gc + bc reads c in tiles of _TILE columns of mul, copied once;
+its sides gather from the rows g + b of that copy and from the _TILE rows
+add[gc] (_TILE * n entries), never from the whole n^2 add table.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -41,6 +49,7 @@ from .groups import Validation, first_offender, greedy_generators, range_check
 DEFAULT_RING_CAP = 4096
 _MAX_ORDER = 1 << 16     # element indices are stored as uint16
 _ROWS = 128              # rows per block (and tile side) of the n^2-sized checks
+_TILE = 32               # rows or columns per tile of the decision's g * n^2 laws
 
 
 class RingTooLargeError(ValueError):
@@ -159,7 +168,12 @@ def _digit_table(radices: tuple[int, ...], terms) -> np.ndarray:
 
 
 def make_matrix_ring(base: FiniteRing, k: int, cap: int = DEFAULT_RING_CAP) -> FiniteRing:
-    """k x k matrices over a finite base ring, row-major digit encoding."""
+    """k x k matrices over a finite base ring, row-major digit encoding.
+
+    A row of k entries is a number v below w = m^k, and the rows of x are
+    its digits x_r in radix w. Row r of xy is x_r y and of x + y is x_r + y_r,
+    so digit r of each table is read off a (w, n) table with y innermost.
+    """
     if k <= 0:
         raise ValueError(f"matrix size must be positive, got {k}")
     m = base.order
@@ -172,16 +186,25 @@ def make_matrix_ring(base: FiniteRing, k: int, cap: int = DEFAULT_RING_CAP) -> F
         digits[:, d] = rest % m
         rest //= m
 
-    # dot[a_0..a_{k-1}, b_0..b_{k-1}] = sum_j a_j * b_j in the base ring
-    grid = np.ogrid[(slice(0, m),) * (2 * k)]
-    dot = base.mul[grid[0], grid[k]]
-    for j in range(1, k):
-        dot = base.add[dot, base.mul[grid[j], grid[k + j]]]
-    radices = (m,) * (k * k)
-    add = _digit_table(radices, [((d,), (d,), base.add) for d in range(k * k)])
-    mul = _digit_table(radices, [
-        ([r * k + j for j in range(k)], [j * k + c for j in range(k)], dot)
-        for r in range(k) for c in range(k)])
+    w = m ** k
+    vec = digits[:w, -k:]                   # the entries of row value v
+    if k == 1:                              # the (w, n) tables would be (n, n)
+        add, mul = base.add.astype(np.uint16), base.mul.astype(np.uint16)
+    else:
+        vy = 0                              # v y: entry c is sum_j v_j y_jc
+        for c in range(k):
+            dot = base.mul[vec[:, :1], digits[:, c]]
+            for j in range(1, k):
+                dot = base.add[dot, base.mul[vec[:, j:j + 1], digits[:, j * k + c]]]
+            vy = vy * m + dot
+        row_add = _encode_digits(base.add[vec[:, None], vec[None, :]], m).astype(np.uint16)
+        add, mul = (np.zeros((w,) * k + (order,), dtype=np.uint16) for _ in range(2))
+        for r in range(k):
+            shape, weight = [1] * k + [order], w ** (k - 1 - r)
+            shape[r] = w
+            add += (row_add[:, ids // weight % w] * weight).reshape(shape)
+            mul += (vy * weight).reshape(shape)
+        add, mul = add.reshape(order, order), mul.reshape(order, order)
 
     neg = _encode_digits(base.neg[digits], m)
     unity = None
@@ -189,12 +212,8 @@ def make_matrix_ring(base: FiniteRing, k: int, cap: int = DEFAULT_RING_CAP) -> F
         eye = np.zeros(k * k, dtype=np.int64)
         eye[:: k + 1] = base.unity
         unity = int(_encode_digits(eye, m))
-    names = []
-    for row in digits:
-        rows = ",".join(
-            "[" + ",".join(base.name(int(row[r * k + c])) for c in range(k)) + "]"
-            for r in range(k))
-        names.append(f"[{rows}]")
+    row_names = ["[" + ",".join(base.name(int(d)) for d in v) + "]" for v in vec]
+    names = ["[" + ",".join(rows) + "]" for rows in itertools.product(row_names, repeat=k)]
     return FiniteRing(order, add, neg.astype(np.uint16), mul,
                       unity=unity, element_names=names,
                       kind="matrix", params={"base": base, "k": k, "digits": digits},
@@ -333,15 +352,20 @@ def _associator_sides(mul: np.ndarray, garr: np.ndarray) -> tuple[np.ndarray, np
     return mul[ab[:, :, None], garr[None, None, :]], mul[garr[:, None, None], ab[None, :, :]]
 
 
+def _tiles(n: int, width: int) -> list[slice]:
+    """Slices of `width` indices covering 0..n-1, the last one maybe partial."""
+    return [slice(s, s + width) for s in range(0, n, width)]
+
+
 def _ring_laws_hold(ring: FiniteRing) -> bool:
     """Whether the tables form a ring, with the declared unity if any.
 
     Decides exactly what `_first_ring_failure` decides, from the reduced law
-    set of the module docstring: the additive group, (g + b)c = gc + bc and
-    (g + u) + v = g + (u + v) for generators g and all b, c, u, v, then
+    set of the module docstring: the additive group, (g + u) + v = g + (u + v)
+    and (g + b)c = gc + bc for generators g and all u, v, b, c, then
     a(g + c) = ag + ac for generators a, g and all c, the associator on
-    generator triples and the unity. Every n^2-sized check runs over blocks
-    of rows, indexing the flat add table with a per-block intp offset.
+    generator triples and the unity. The two g * n^2 laws run over tiles
+    that every generator reads in turn; see the module docstring.
     """
     n = ring.order
     add, neg, mul = ring.add, ring.neg, ring.mul
@@ -353,26 +377,26 @@ def _ring_laws_hold(ring: FiniteRing) -> bool:
     if ((add[0] != idx).any() or (add[:, 0] != idx).any()
             or (add[idx, neg] != 0).any()):
         return False
-    for i in range(0, n, _ROWS):
-        for j in range(i, n, _ROWS):
-            if not np.array_equal(add[i:i + _ROWS, j:j + _ROWS],
-                                  add[j:j + _ROWS, i:i + _ROWS].T):
-                return False
+    for i, j in itertools.combinations_with_replacement(_tiles(n, _ROWS), 2):
+        if not np.array_equal(add[i, j], add[j, i].T):
+            return False
 
     # the greedy choice of additive_generators, grown by doubling; sums are
     # taken on one side only, as + was just checked to commute
     gens = greedy_generators(add)
     if gens is None:
         return False
-    flat_add = add.ravel()
-    for g in gens:
-        gc_offset = mul[g].astype(np.intp) * n      # flat index of gc + (.)
-        for r in range(0, n, _ROWS):
-            rows = slice(r, r + _ROWS)
-            g_plus = add[g, rows]
-            if not np.array_equal(add[g_plus], add[g][add[rows]]):
+    g_plus = add[gens].astype(np.intp)          # row i: g_i + (.)
+    for rows in _tiles(n, _TILE):
+        tile = add[rows].astype(np.intp)        # u + v for u in rows
+        for g, gp in zip(gens, g_plus):
+            if not np.array_equal(add[gp[rows]], add[g].take(tile)):
                 return False
-            if not np.array_equal(mul[g_plus], flat_add[mul[rows] + gc_offset]):
+    for cols in _tiles(n, _TILE):
+        tile = np.ascontiguousarray(mul[:, cols])           # bc for c in cols
+        at = tile + np.arange(0, tile.shape[1] * n, n)      # [b, j] -> j n + bc_j
+        for g, gp in zip(gens, g_plus):
+            if not np.array_equal(tile.take(gp, axis=0), add[mul[g, cols]].take(at)):
                 return False
 
     garr = np.asarray(gens, dtype=np.intp)

@@ -1,7 +1,7 @@
-"""Source hygiene of the package: no unused module-level imports, no
-top-level function or class that nothing references, one writer of a
-graded ring's derived state, and the ring's own record of whether its
-tables form a ring."""
+"""Source hygiene of the package: no unused module-level imports (in the
+tests as well), no top-level function or class that nothing references,
+one writer of a graded ring's derived state, and the ring's own record of
+whether its tables form a ring."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ringbench"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted((ROOT / "tests").glob("*.py"))      # conftest.py and slice_oracles.py too
 
 
 def _tree(path: Path) -> ast.Module:
@@ -35,7 +36,7 @@ def _names_used(tree: ast.AST) -> set[str]:
 
 def test_module_level_imports_are_used():
     unused = []
-    for path in MODULES:
+    for path in MODULES + TESTS:
         tree = _tree(path)
         imports = [node for node in tree.body
                    if isinstance(node, (ast.Import, ast.ImportFrom))

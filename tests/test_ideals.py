@@ -22,8 +22,6 @@ from conftest import (
 from ringbench import ideals
 from ringbench.bitsets import indices_from_mask, popcount
 from ringbench.classify import ideal_info
-from ringbench.grading import attach_grading, make_gaussian_grading, make_trivial_grading
-from ringbench.groups import make_cyclic
 from ringbench.ideals import (
     LEFT,
     RIGHT,
@@ -41,7 +39,6 @@ from ringbench.ideals import (
     is_graded_ideal,
     minimal_homogeneous_generators,
 )
-from ringbench.rings import make_gaussian, make_matrix_ring, make_zn
 from ringbench.specs import build_document, parse_document
 from ringbench.theorems import RingContext, default_corpus
 

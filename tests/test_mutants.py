@@ -16,10 +16,12 @@ from conftest import (
     build_ring,
     loop_search,
 )
-from ringbench import classify, ideals, theorems
+from ringbench import classify, ideals, rings, theorems
 from ringbench.bitsets import bools_from_mask
-from ringbench.groups import greedy_generators
+from ringbench.groups import first_offender, greedy_generators
 from slice_oracles import differences, widen_census
+import test_rings
+import test_validation
 
 CENSUS_PAIRS = theorems._census_pairs
 LATTICE_TABLE = classify._lattice_table
@@ -76,6 +78,24 @@ def test_span_growth_capped_at_three_rounds_is_caught(monkeypatch):
     monkeypatch.setattr(ideals, "grow_span", capped)
     with pytest.raises(AssertionError):
         check_spans()
+
+
+def test_decision_skipping_the_last_partial_tile_is_caught(monkeypatch):
+    """_ring_laws_hold whose tiles stop before the last, partial one, so the
+    tile-edge corruptions there pass the decision."""
+    monkeypatch.setattr(rings, "_tiles", lambda n, width:
+                        [slice(s, s + width) for s in range(0, n - width + 1, width)])
+    with pytest.raises(AssertionError):
+        test_rings.test_validate_ring_at_tile_edges()
+
+
+def test_find_unity_scanning_one_row_block_is_caught(monkeypatch):
+    """find_unity whose row-block search reads only the first block, which
+    misses the unity 513 of matrix(zn(8), 2)."""
+    monkeypatch.setattr(rings, "_first_offender_in_rows", lambda n, bad_rows:
+                        first_offender(bad_rows(slice(0, rings._ROWS))))
+    with pytest.raises(AssertionError):
+        test_validation.test_find_unity_matches_the_whole_table_search()
 
 
 def test_p11_without_its_census_cube_is_caught(monkeypatch):

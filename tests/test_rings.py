@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import TRIANGULAR_Z2_Z4, UPPER_TRIANGULAR_F2, build_ring
 from ringbench.groups import greedy_generators
 from ringbench.rings import (
+    _TILE,
     FiniteRing,
     RingTooLargeError,
     _first_ring_failure,
@@ -245,7 +246,7 @@ def one_sided_tables(draw) -> FiniteRing:
     (left distributivity holds). So the verdict turns on the laws that no
     single-entry corruption reaches first: a one-sided distributive law,
     also at generators other than 1, associativity and the declared unity."""
-    moduli = draw(st.sampled_from([(2,), (4,), (2, 2), (2, 4), (4, 2), (2, 2, 2)]))
+    moduli = draw(st.sampled_from([(2,), (4,), (2, 2), (2, 4), (4, 2), (2, 2, 2), (4, 4, 4)]))
     n, k = math.prod(moduli), len(moduli)
     digits = np.array(np.unravel_index(np.arange(n), moduli[::-1])).T[:, ::-1]
 
@@ -277,6 +278,34 @@ def one_sided_tables(draw) -> FiniteRing:
 @given(one_sided_tables())
 def test_validate_ring_on_one_sided_tables(ring):
     assert_matches_scan(ring)
+
+
+# orders above the decision's tile width _TILE, and no multiple of it
+TILE_EDGE_RINGS = [make_zn(100), make_gaussian(9),
+                   make_product_ring(make_matrix_ring(make_zn(2), 2), make_zn(5))]
+
+
+def tile_edge_corruptions():
+    """Each TILE_EDGE_RINGS ring with one add entry, then one mul entry,
+    moved in the first tile, a middle tile and the last, partial one: the
+    entry [x, y] at the last column y of the tile, in row x = n - 2, which is
+    neither an additive generator nor the unity."""
+    for base in TILE_EDGE_RINGS:
+        n = base.order
+        assert n > _TILE and n % _TILE
+        x = n - 2
+        assert x not in additive_generators(base) and x != base.unity
+        for name in ("add", "mul"):
+            for y in (_TILE - 1, (n // _TILE // 2) * _TILE + _TILE - 1, n - 1):
+                tables = {"add": base.add.copy(), "mul": base.mul.copy()}
+                tables[name][x, y] = (int(tables[name][x, y]) + 1) % n
+                yield FiniteRing(n, tables["add"], base.neg, tables["mul"], unity=base.unity)
+
+
+def test_validate_ring_at_tile_edges():
+    for ring in tile_edge_corruptions():
+        assert_matches_scan(ring)
+        assert not validate_ring(ring).ok
 
 
 def test_validate_ring_non_abelian_addition():
@@ -334,6 +363,25 @@ def test_validate_ring_memory_bound():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * r.order ** 2, peak / r.order ** 2
+
+
+def test_matrix_zn8_memory_bounds():
+    """make_matrix_ring holds at most 4.25 n^2 traced bytes, its two uint16
+    tables and small row tables, and validate_ring on the result at most
+    0.5 n^2: its tiles are (32, n) and (n, 32)."""
+    base = make_zn(8)
+    tracemalloc.start()
+    try:
+        r = make_matrix_ring(base, 2)
+        built = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert validate_ring(r).ok
+        checked = tracemalloc.get_traced_memory()[1] - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    n2 = r.order ** 2
+    assert built <= 4.25 * n2, built / n2
+    assert checked <= 0.5 * n2, checked / n2
 
 
 def test_ordered_scan_memory_bound():
@@ -423,8 +471,8 @@ def row_vectors() -> FiniteRing:
 
 @pytest.mark.parametrize("base, k", [
     (make_zn(4), 2), (make_zn(3), 2), (make_gaussian(2), 2), (make_zn(2), 3),
-    (row_vectors(), 2)],
-    ids=["zn4-k2", "zn3-k2", "gaussian2-k2", "zn2-k3", "rowvec-k2"])
+    (row_vectors(), 2), (make_gaussian(3), 1)],
+    ids=["zn4-k2", "zn3-k2", "gaussian2-k2", "zn2-k3", "rowvec-k2", "gaussian3-k1"])
 def test_matrix_ring_tables_match_definitions(base, k):
     r = make_matrix_ring(base, k)
     add, mul = matrix_oracle(base, k)
@@ -454,6 +502,20 @@ def test_matrix_zn8_table_digests():
         "fcc16b5d3e72beee64f7e4c7878b9374b734164e928d4c4b33e9bcfbb6dd2183")
     assert hashlib.sha256(r.mul.tobytes()).hexdigest() == (
         "69022b3243c6fe5c50a36f8d251000a328d27751e747b9812786f89460b72aa2")
+
+
+@pytest.mark.parametrize("m, k, neg, names", [
+    (8, 2, "5329cf6659587fec59ab04b847227c07486e1ce3ed93651650fc80f443b1451d",
+     "ad78a7ea9e9e6c78f2e3a37dfaceee5aa0d325b4aa747ddce3dcc2b0c56007f8"),
+    (2, 3, "407715b8ded48be4426df98401cecd0e7ad61b9ad742649eb844de452d1c5f91",
+     "d279d38c055478a277afef5630005046842b370d5a97f79385f1bc3288e50c38")],
+    ids=["zn8-k2", "zn2-k3"])
+def test_matrix_neg_and_name_digests(m, k, neg, names):
+    # neg bytes and newline-joined element names of M_k(Z_m)
+    r = make_matrix_ring(make_zn(m), k)
+    assert r.neg.dtype == np.uint16
+    assert hashlib.sha256(r.neg.tobytes()).hexdigest() == neg
+    assert hashlib.sha256("\n".join(r.element_names).encode()).hexdigest() == names
 
 
 def test_cap_cannot_exceed_uint16_indices():
