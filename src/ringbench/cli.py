@@ -3,10 +3,11 @@ ideals, run the property suite over a corpus, hunt for counterexamples, and
 tabulate triple-zero censuses.
 
 Exit codes: 0 success (zero violations), 1 violations or counterexamples
-found, 2 malformed input, exceeded caps or exhausted memory, 3 internal
-error. With --report, a JSON document
-(schema ringbench-report/1) is written; identical inputs give byte-identical
-reports regardless of worker count.
+found, 2 malformed input, exceeded caps, exhausted memory or an unwritable
+report, 3 internal error. With --report, a JSON document (schema
+ringbench-report/1) is written whole or not at all, its directory checked
+before the run; identical inputs give byte-identical reports regardless of
+worker count.
 """
 
 from __future__ import annotations
@@ -371,10 +372,38 @@ _HANDLERS = {
 }
 
 
+def _report_directory(path: str) -> str:
+    """The report's directory; OSError naming path unless it is writable."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not (os.path.isdir(directory) and os.access(directory, os.W_OK | os.X_OK)):
+        raise OSError(f"cannot write report {path}: {directory} is not a writable directory")
+    return directory
+
+
+def _write_report(path: str, text: str) -> None:
+    """Move a temporary file beside path onto it, so a failed write leaves
+    neither a partial report nor the temporary file."""
+    tmp = os.path.join(_report_directory(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(f"cannot write report {path}: {exc.strerror or exc}") from None
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.report:
+            _report_directory(args.report)
         code, report = _HANDLERS[args.command](args)
+        if args.report:
+            report["exit"] = code
+            _write_report(args.report, json.dumps(report, sort_keys=True, indent=2) + "\n")
     except (ParseError, ValueError, OSError, EnumerationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -385,10 +414,6 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    if args.report:
-        report["exit"] = code
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     return code
 
 

@@ -42,7 +42,6 @@ from .rings import (
     FiniteRing,
     _check_cap,
     _digit_table,
-    additive_generators,
     check_additive_group,
     find_unity,
 )
@@ -256,10 +255,9 @@ def validate_bimodule(gr: GradedRing, M: GradedBimodule) -> Validation:
         return Validation(False, "additive table shape")
     if M.left.shape != (n, m) or M.right.shape != (m, n):
         return Validation(False, "action table shape")
-    if not (v := range_check(m, add=M.add, left=M.left, right=M.right)):
+    if not (v := range_check(m, add=M.add, left=M.left, right=M.right, neg=M.neg)):
         return v
-    v = check_additive_group(M.add, M.neg, additive_generators(M))
-    if not v:
+    if not (v := check_additive_group(M.add, M.neg)):
         return Validation(False, f"additive group: {v.failure}", v.witness)
 
     add, mul = gr.ring.add, gr.ring.mul

@@ -9,31 +9,25 @@ additive structure and both distributive laws hold, the associator
 (ab)c - a(bc) is additive in each argument, so it vanishes everywhere as
 soon as it vanishes on an additive generating set. The same inductive
 argument reduces additive associativity and distributivity themselves to
-checks against the generators, which costs O(g * n^2) total. The
-additive-group half (`check_additive_group`) is shared with bimodules.
-Results are `groups.Validation`.
+checks against the generators, which costs O(g * n^2) total: on a verified
+abelian group every element is a sum of the generators that
+`groups.greedy_generators` picks, and a law whose set of solutions is
+closed under + holds once it holds on them. Left distributivity is checked
+only for a and g both generators, with c over all of R: once right
+distributivity holds, the elements a whose left multiplication is additive
+are closed under +, and so, for a fixed a, are the g with
+a(g + c) = ag + ac for all c. Results are `groups.Validation`.
 
-`validate_ring` is split in two. A check that only decides (`_ring_laws_hold`)
-runs first, over blocks of rows so that no (n, n) temporary is built; only
-when it finds a law broken does the ordered scan (`_first_ring_failure`) run,
-and that scan alone chooses the reported failure and witness. The decision
-picks its generators with `groups.greedy_generators`, which grows their span
-by doubling. Every member it adds is a member plus a repeated sum of a
-generator, so it lies in the closure of the generators under +; on a
-verified abelian group every element is then a sum of generators, and any
-law whose set of solutions is closed under + holds once it holds on the
-generators.
-Left distributivity is checked only for a and g both generators, with c
-over all of R: once right distributivity holds, the elements a whose left
-multiplication is additive are closed under +, and for a fixed a the
-elements g with a(g + c) = ag + ac for all c are closed under + as well.
-
-The two g * n^2 laws read tiles that stay in cache while every generator
-uses them. (g + u) + v = g + (u + v) reads u in tiles of _TILE rows of add,
-cast to intp once; its right side takes from the n-entry row add[g].
-(g + b)c = gc + bc reads c in tiles of _TILE columns of mul, copied once;
-its sides gather from the rows g + b of that copy and from the _TILE rows
-add[gc] (_TILE * n entries), never from the whole n^2 add table.
+The additive group is checked, and its witness found, in one place,
+`check_additive_group`, which bimodules share. Only the multiplicative laws
+are split in two: a check that only decides (`_mul_laws_hold`) runs first,
+and only when it finds a law broken does the ordered scan
+(`_first_mul_failure`) run, which alone chooses the reported failure and
+witness. No check builds an (n, n) temporary. The two g * n^2 laws read
+tiles that stay in cache while every generator uses them: (g + u) + v
+reads u in tiles of _TILE rows of add, cast to intp once, and (g + b)c
+reads c in tiles of _TILE columns of mul, whose sides gather from the
+_TILE rows add[gc], never from the whole n^2 add table.
 """
 
 from __future__ import annotations
@@ -49,7 +43,7 @@ from .groups import Validation, first_offender, greedy_generators, range_check
 DEFAULT_RING_CAP = 4096
 _MAX_ORDER = 1 << 16     # element indices are stored as uint16
 _ROWS = 128              # rows per block (and tile side) of the n^2-sized checks
-_TILE = 32               # rows or columns per tile of the decision's g * n^2 laws
+_TILE = 32               # rows or columns per tile of the g * n^2 laws
 
 
 class RingTooLargeError(ValueError):
@@ -282,35 +276,6 @@ def make_table_ring(add, mul, neg=None, element_names=None,
     return ring
 
 
-def additive_generators(ring) -> list[int]:
-    """Greedy additive generating set: repeatedly adjoin the smallest element
-    outside the current additive closure. Small (log-sized) for the rings here.
-    Reads only `order` and `add`, so a bimodule serves as well as a ring.
-    The closure takes sums in both orders, so it is exact on any table, and
-    combines _ROWS new members at a time with the span."""
-    n = ring.order
-    add = ring.add
-    span = np.zeros(n, dtype=bool)
-    span[0] = True
-    gens: list[int] = []
-    while at := first_offender(~span):
-        g = at[0]
-        gens.append(g)
-        frontier = np.array([g])
-        span[g] = True
-        while frontier.size:
-            members = np.flatnonzero(span)
-            found = []
-            for r in range(0, frontier.size, _ROWS):
-                cur = frontier[r:r + _ROWS]
-                new = np.concatenate([add[cur[:, None], members].ravel(),
-                                      add[members[:, None], cur].ravel()])
-                found.append(np.unique(new[~span[new]]))
-                span[found[-1]] = True
-            frontier = np.concatenate(found)
-    return gens
-
-
 def _first_offender_in_rows(n: int, bad_rows) -> tuple[int, ...] | None:
     """first_offender of an (n, ...) boolean array built _ROWS rows at a
     time: bad_rows(rows) returns the block for the slice rows. Blocks are
@@ -321,13 +286,56 @@ def _first_offender_in_rows(n: int, bad_rows) -> tuple[int, ...] | None:
     return None
 
 
-def check_additive_group(add: np.ndarray, neg: np.ndarray, gens: list[int]) -> Validation:
-    """(add, neg) is an abelian group with identity 0.
+def _tiles(n: int, width: int) -> list[slice]:
+    """Slices of `width` indices covering 0..n-1, the last one maybe partial."""
+    return [slice(s, s + width) for s in range(0, n, width)]
 
-    Identities, commutativity and inverses are checked exhaustively;
-    associativity against the additive generators `gens`, which suffices: the
-    elements x with (x + u) + v == x + (u + v) for all u, v are closed under +.
-    The (n, n) checks run over blocks of rows.
+
+def _least_commutativity_offender(add: np.ndarray) -> tuple[int, int] | None:
+    """The first (x, y) in C order with x + y != y + x, read over _ROWS-square
+    tile pairs (i, j) with j >= i. (x, y) and (y, x) offend together, so the
+    first offender has x <= y: it lies in the first row tile i that holds
+    any, and is the least of that tile's per-block first offenders."""
+    tiles = _tiles(add.shape[0], _ROWS)
+    for k, i in enumerate(tiles):
+        hits = [(at[0] + i.start, at[1] + j.start) for j in tiles[k:]
+                if (at := first_offender(add[i, j] != add[j, i].T))]
+        if hits:
+            return min(hits)
+    return None
+
+
+def _first_associativity_offender(add: np.ndarray, gens: list[int]) -> tuple[int, int, int] | None:
+    """The first (g, u, v) with (g + u) + v != g + (u + v), g in generator
+    order, then (u, v) in C order. Every generator reads each tile of rows
+    u in turn; once generator k fails in a tile, later tiles check only the
+    generators before k."""
+    g_plus = add[gens].astype(np.intp)          # row k: gens[k] + (.)
+    found, live = None, len(gens)
+    for rows in _tiles(add.shape[0], _TILE):
+        tile = add[rows].astype(np.intp)        # u + v for u in rows
+        for k in range(live):
+            if at := first_offender(add[g_plus[k, rows]] != add[gens[k]].take(tile)):
+                found, live = (gens[k], at[0] + rows.start, at[1]), k
+                break
+    return found
+
+
+def check_additive_group(add: np.ndarray, neg: np.ndarray) -> Validation:
+    """(add, neg) is an abelian group with identity 0, or the first failed
+    law and its witness; the caller has checked shapes and ranges.
+    Associativity is checked against `groups.greedy_generators` (each enters
+    its own span, as 0 + g = g): the x with (x + u) + v = x + (u + v) for
+    all u, v, the left nucleus N, are closed under +.
+
+    The witness is the ordered scan's that takes generators from a frontier
+    closure under +, each the least element outside the closure of those
+    before it. Once identity, commutativity and inverses hold, N is an
+    abelian group: for g in N, (g + x) + (-g) = x makes x -> g + x
+    injective, so g + ((-g + u) + v) = u + v = g + (-g + (u + v)) puts -g
+    in N. The generators before the first that fails associativity lie in
+    N, where the closure and `grow_span`'s doubling give the same span, so
+    both pick the same generators up to the first failing one.
     """
     n = add.shape[0]
     idx = np.arange(n)
@@ -335,14 +343,12 @@ def check_additive_group(add: np.ndarray, neg: np.ndarray, gens: list[int]) -> V
         return Validation(False, "zero is not a left additive identity", (0, *at))
     if at := first_offender(add[:, 0] != idx):
         return Validation(False, "zero is not a right additive identity", (*at, 0))
-    if at := _first_offender_in_rows(n, lambda rows: add[rows] != add[:, rows].T):
+    if at := _least_commutativity_offender(add):
         return Validation(False, "addition is not commutative", at)
     if at := first_offender(add[idx, neg] != 0):
         return Validation(False, "neg is not an additive inverse", (*at, int(neg[at])))
-    for g in gens:
-        if at := _first_offender_in_rows(
-                n, lambda rows: add[add[g, rows], :] != add[g][add[rows]]):
-            return Validation(False, "addition is not associative", (g, *at))
+    if at := _first_associativity_offender(add, greedy_generators(add)):
+        return Validation(False, "addition is not associative", at)
     return Validation(True)
 
 
@@ -352,46 +358,14 @@ def _associator_sides(mul: np.ndarray, garr: np.ndarray) -> tuple[np.ndarray, np
     return mul[ab[:, :, None], garr[None, None, :]], mul[garr[:, None, None], ab[None, :, :]]
 
 
-def _tiles(n: int, width: int) -> list[slice]:
-    """Slices of `width` indices covering 0..n-1, the last one maybe partial."""
-    return [slice(s, s + width) for s in range(0, n, width)]
-
-
-def _ring_laws_hold(ring: FiniteRing) -> bool:
-    """Whether the tables form a ring, with the declared unity if any.
-
-    Decides exactly what `_first_ring_failure` decides, from the reduced law
-    set of the module docstring: the additive group, (g + u) + v = g + (u + v)
-    and (g + b)c = gc + bc for generators g and all u, v, b, c, then
-    a(g + c) = ag + ac for generators a, g and all c, the associator on
-    generator triples and the unity. The two g * n^2 laws run over tiles
-    that every generator reads in turn; see the module docstring.
-    """
+def _mul_laws_hold(ring: FiniteRing, gens: list[int]) -> bool:
+    """Whether the multiplicative laws hold on tables whose addition is an
+    abelian group with generators gens: (g + b)c = gc + bc for all b, c,
+    a(g + c) = ag + ac for generators a and all c, the associator on
+    generator triples and the unity (see the module docstring)."""
     n = ring.order
-    add, neg, mul = ring.add, ring.neg, ring.mul
-    if add.shape != (n, n) or mul.shape != (n, n) or neg.shape != (n,):
-        return False
-    if any(t.min() < 0 or t.max() >= n for t in (add, neg, mul)):
-        return False
-    idx = np.arange(n)
-    if ((add[0] != idx).any() or (add[:, 0] != idx).any()
-            or (add[idx, neg] != 0).any()):
-        return False
-    for i, j in itertools.combinations_with_replacement(_tiles(n, _ROWS), 2):
-        if not np.array_equal(add[i, j], add[j, i].T):
-            return False
-
-    # the greedy choice of additive_generators, grown by doubling; sums are
-    # taken on one side only, as + was just checked to commute
-    gens = greedy_generators(add)
-    if gens is None:
-        return False
+    add, mul = ring.add, ring.mul
     g_plus = add[gens].astype(np.intp)          # row i: g_i + (.)
-    for rows in _tiles(n, _TILE):
-        tile = add[rows].astype(np.intp)        # u + v for u in rows
-        for g, gp in zip(gens, g_plus):
-            if not np.array_equal(add[gp[rows]], add[g].take(tile)):
-                return False
     for cols in _tiles(n, _TILE):
         tile = np.ascontiguousarray(mul[:, cols])           # bc for c in cols
         at = tile + np.arange(0, tile.shape[1] * n, n)      # [b, j] -> j n + bc_j
@@ -406,23 +380,15 @@ def _ring_laws_hold(ring: FiniteRing) -> bool:
     if not np.array_equal(*_associator_sides(mul, garr)):
         return False
 
-    u = ring.unity
+    u, idx = ring.unity, np.arange(n)
     return u is None or (0 <= u < n and (mul[u] == idx).all() and (mul[:, u] == idx).all())
 
 
-def _first_ring_failure(ring: FiniteRing) -> Validation:
-    """The ordered scan: each law in a fixed order, reporting the first
-    violated one with its lexicographically first witness."""
+def _first_mul_failure(ring: FiniteRing, gens: list[int]) -> Validation:
+    """The ordered scan of what `_mul_laws_hold` decides: the first violated
+    law, in a fixed order, with its lexicographically first witness."""
     n = ring.order
-    add, neg, mul = ring.add, ring.neg, ring.mul
-    if add.shape != (n, n) or mul.shape != (n, n) or neg.shape != (n,):
-        return Validation(False, "table shape", (add.shape, mul.shape, neg.shape))
-    if not (v := range_check(n, add=add, mul=mul)):
-        return v
-    gens = additive_generators(ring)
-    if not (v := check_additive_group(add, neg, gens)):
-        return v
-
+    add, mul = ring.add, ring.mul
     # a(g + c) == ag + ac and (g + b)c == gc + bc for generators g,
     # over blocks of rows a and b
     for g in gens:
@@ -449,13 +415,20 @@ def _first_ring_failure(ring: FiniteRing) -> Validation:
 
 
 def validate_ring(ring: FiniteRing) -> Validation:
-    """Exact axiom check; reports the first violated axiom with a witness.
-
-    `_ring_laws_hold` decides; the ordered scan runs only on a failure, so
-    it alone picks the witness. See the module docstring for why checking
-    the laws against an additive generating set is equivalent to the full
-    triple scan.
+    """Exact axiom check; reports the first violated axiom with a witness:
+    shapes and ranges, then the additive group by `check_additive_group`,
+    then the multiplicative laws, decided first and scanned for their
+    witness only on a failure. See the module docstring for why checking
+    the laws against additive generators is equivalent to the triple scan.
     """
-    if _ring_laws_hold(ring):
+    n, add, neg, mul = ring.order, ring.add, ring.neg, ring.mul
+    if add.shape != (n, n) or mul.shape != (n, n) or neg.shape != (n,):
+        return Validation(False, "table shape", (add.shape, mul.shape, neg.shape))
+    if not (v := range_check(n, add=add, mul=mul, neg=neg)):
+        return v
+    if not (v := check_additive_group(add, neg)):
+        return v
+    gens = greedy_generators(add)
+    if _mul_laws_hold(ring, gens):
         return Validation(True)
-    return _first_ring_failure(ring)
+    return _first_mul_failure(ring, gens)

@@ -47,6 +47,26 @@ def test_validate_report_file(tmp_path, capsys):
                                  "name": "P"}]
 
 
+def test_unwritable_report_exits_2(tmp_path, capsys):
+    """A report path in a missing directory fails before the run; one that
+    names a directory fails at the write. Both exit 2 naming the path and
+    leave neither a report nor a temporary file."""
+    spec = tmp_path / "z4.spec"
+    spec.write_text("ring: zn(4)\n")
+    missing = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(["classify", str(spec), "--report", str(missing)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write report {missing}: ")
+
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    code, out, err = run_cli(["classify", str(spec), "--report", str(taken)], capsys)
+    assert code == 2 and "I0: size=1" in out
+    assert err.startswith(f"error: cannot write report {taken}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken", "z4.spec"]
+    assert list(taken.iterdir()) == []
+
+
 def test_parse_error_exits_2(tmp_path, capsys):
     spec = tmp_path / "bad.spec"
     spec.write_text("ring: zn(8)\ngrading: gaussian\n")

@@ -81,12 +81,45 @@ def test_span_growth_capped_at_three_rounds_is_caught(monkeypatch):
 
 
 def test_decision_skipping_the_last_partial_tile_is_caught(monkeypatch):
-    """_ring_laws_hold whose tiles stop before the last, partial one, so the
-    tile-edge corruptions there pass the decision."""
+    """Tiles that stop before the last, partial one, so the tile-edge
+    corruptions there pass check_additive_group and _mul_laws_hold."""
     monkeypatch.setattr(rings, "_tiles", lambda n, width:
                         [slice(s, s + width) for s in range(0, n - width + 1, width)])
     with pytest.raises(AssertionError):
         test_rings.test_validate_ring_at_tile_edges()
+
+
+def test_associativity_witness_in_tile_order_is_caught(monkeypatch):
+    """_first_associativity_offender that reports the first tile in which
+    any generator fails, not the first generator that fails anywhere."""
+    def tile_order(add, gens):
+        g_plus = add[gens].astype(np.intp)
+        for rows in rings._tiles(add.shape[0], rings._TILE):
+            tile = add[rows].astype(np.intp)
+            for g, gp in zip(gens, g_plus):
+                if at := first_offender(add[gp[rows]] != add[g].take(tile)):
+                    return g, at[0] + rows.start, at[1]
+        return None
+
+    monkeypatch.setattr(rings, "_first_associativity_offender", tile_order)
+    with pytest.raises(AssertionError):
+        test_rings.test_associativity_witness_matches_ordered_scan()
+
+
+def test_commutativity_witness_from_the_first_block_is_caught(monkeypatch):
+    """_least_commutativity_offender that reports the first offending block
+    of a row tile, not the least offender over its blocks."""
+    def first_block(add):
+        tiles = rings._tiles(add.shape[0], rings._ROWS)
+        for k, i in enumerate(tiles):
+            for j in tiles[k:]:
+                if at := first_offender(add[i, j] != add[j, i].T):
+                    return at[0] + i.start, at[1] + j.start
+        return None
+
+    monkeypatch.setattr(rings, "_least_commutativity_offender", first_block)
+    with pytest.raises(AssertionError):
+        test_rings.test_commutativity_witness_is_least_over_the_row_tile()
 
 
 def test_find_unity_scanning_one_row_block_is_caught(monkeypatch):

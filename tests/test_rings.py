@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -10,17 +11,18 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import TRIANGULAR_Z2_Z4, UPPER_TRIANGULAR_F2, build_ring
-from ringbench.groups import greedy_generators
+from ring_oracles import additive_generators, first_ring_failure
+from ringbench.constructions import regular_bimodule, validate_bimodule
+from ringbench.grading import GradedRing, make_trivial_grading
+from ringbench.groups import greedy_generators, make_cyclic
 from ringbench.rings import (
     _TILE,
     FiniteRing,
     RingTooLargeError,
-    _first_ring_failure,
-    additive_generators,
     find_unity,
     make_gaussian,
     make_matrix_ring,
@@ -201,9 +203,9 @@ def test_additive_generators_cover():
     rings = [make_zn(8), make_gaussian(2), make_matrix_ring(make_zn(2), 2),
              *distinct_corpus_rings()]
     for r in rings:
-        gens = additive_generators(r)
+        gens = greedy_generators(r.add)
         assert cyclic_sum(r.add, gens).all(), (r.kind, r.order)
-        assert greedy_generators(r.add) == gens, (r.kind, r.order)
+        assert additive_generators(r.add) == gens, (r.kind, r.order)
 
 
 DIFFERENTIAL_RINGS = [make_zn(8), make_gaussian(2), make_matrix_ring(make_zn(2), 2),
@@ -226,7 +228,7 @@ def single_entry_corruptions(draw) -> FiniteRing:
 def assert_matches_scan(ring: FiniteRing) -> None:
     """validate_ring returns the ordered scan's result, and its verdict is
     the brute-force one (with the declared unity checked too)."""
-    got, scan = validate_ring(ring), _first_ring_failure(ring)
+    got, scan = validate_ring(ring), first_ring_failure(ring)
     assert (got.ok, got.failure, got.witness) == (scan.ok, scan.failure, scan.witness)
     unity_ok = ring.unity is None or find_unity(ring) == ring.unity
     assert got.ok == (brute_ring_ok(ring) and unity_ok)
@@ -294,7 +296,7 @@ def tile_edge_corruptions():
         n = base.order
         assert n > _TILE and n % _TILE
         x = n - 2
-        assert x not in additive_generators(base) and x != base.unity
+        assert x not in greedy_generators(base.add) and x != base.unity
         for name in ("add", "mul"):
             for y in (_TILE - 1, (n // _TILE // 2) * _TILE + _TILE - 1, n - 1):
                 tables = {"add": base.add.copy(), "mul": base.mul.copy()}
@@ -306,6 +308,71 @@ def test_validate_ring_at_tile_edges():
     for ring in tile_edge_corruptions():
         assert_matches_scan(ring)
         assert not validate_ring(ring).ok
+
+
+def move_symmetric_pair(base: FiniteRing, x: int, y: int, shift: int) -> FiniteRing:
+    """base with add[x, y] and add[y, x] both moved by shift."""
+    add = base.add.copy()
+    add[x, y] = add[y, x] = (int(add[x, y]) + shift) % base.order
+    return FiniteRing(base.order, add, base.neg, base.mul, unity=base.unity)
+
+
+SYMMETRIC_PAIR_RINGS = [*DIFFERENTIAL_RINGS, *TILE_EDGE_RINGS, make_zn(300)]
+
+
+@st.composite
+def symmetric_pair_corruptions(draw) -> FiniteRing:
+    """A nonzero entry add[x, y] = add[y, x] (x, y != 0) of a valid ring
+    moved, with its mirror: identities, commutativity and inverses still
+    hold, so only associativity fails, at a generator that the scan's
+    frontier closure and greedy_generators both pick. Orders span one
+    tile, several _TILE tiles, and more than one _ROWS tile (zn(300))."""
+    base = draw(st.sampled_from(SYMMETRIC_PAIR_RINGS))
+    n = base.order
+    x, y = draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1))
+    assume(base.add[x, y] != 0)
+    return move_symmetric_pair(base, x, y, draw(st.integers(1, n - 1)))
+
+
+@settings(max_examples=300)
+@given(symmetric_pair_corruptions())
+# generator 9 = i fails in the first tile, generator 1 only in the second
+@example(move_symmetric_pair(TILE_EDGE_RINGS[1], 36, 36, 1))
+def test_associativity_witness_matches_ordered_scan(ring):
+    """validate_ring, and validate_bimodule on the regular bimodule of the
+    broken tables, report the ordered scan's associativity witness."""
+    got, scan = validate_ring(ring), first_ring_failure(ring)
+    assert (got.failure, got.witness) == (scan.failure, scan.witness)
+    assert got.failure == "addition is not associative"
+    gr = GradedRing(ring, make_trivial_grading(ring, make_cyclic(1)))
+    module = validate_bimodule(gr, regular_bimodule(gr))
+    assert (module.failure, module.witness) == (f"additive group: {scan.failure}", scan.witness)
+
+
+def test_commutativity_witness_is_least_over_the_row_tile():
+    """On zn(300), add[10, 20] and add[5, 200] moved: the offenders of the
+    first 128-row tile lie in column blocks 0 and 1, and the first in C
+    order, (5, 200), is in the later block."""
+    base = make_zn(300)
+    add = base.add.copy()
+    for x, y in ((10, 20), (5, 200)):
+        add[x, y] = (int(add[x, y]) + 1) % base.order
+    ring = FiniteRing(base.order, add, base.neg, base.mul, unity=base.unity)
+    check, scan = validate_ring(ring), first_ring_failure(ring)
+    assert (check.failure, check.witness) == ("addition is not commutative", (5, 200))
+    assert (scan.failure, scan.witness) == (check.failure, check.witness)
+
+
+def test_neg_out_of_range_is_reported():
+    """A neg entry outside 0..n-1 is a range failure of a ring and of a
+    bimodule, not an index error or a wrapped-around read."""
+    z4 = make_zn(4)
+    gr = GradedRing(z4, make_trivial_grading(z4, make_cyclic(1)))
+    for neg, at in (([0, 3, 2, 4], 3), ([0, -1, 2, 1], 1)):
+        check = validate_ring(FiniteRing(4, z4.add, np.array(neg), z4.mul))
+        assert (check.failure, check.witness) == ("neg entry out of range", (at,))
+        module = validate_bimodule(gr, dataclasses.replace(regular_bimodule(gr), neg=np.array(neg)))
+        assert (module.failure, module.witness) == ("neg entry out of range", (at,))
 
 
 def test_validate_ring_non_abelian_addition():
@@ -329,7 +396,7 @@ def test_left_distributivity_witness_at_non_generator():
     for a in (4, 5):
         mul[a, 3] = add[mul[a, 3], 1]
     r = make_table_ring(add, mul)
-    assert additive_generators(r) == [1, 2]
+    assert greedy_generators(r.add) == [1, 2]
     assert all(mul[add[1, b], c] == add[mul[1, c], mul[b, c]]
                for b in range(8) for c in range(8))
     check = validate_ring(r)
@@ -346,7 +413,7 @@ def test_left_distributivity_beyond_first_generator():
     d1 = np.arange(8) // 2
     mul = np.where((d1[None, :] == 2) & (d1[:, None] % 2 == 1), 1, 0)
     r = make_table_ring(make_product_ring(make_zn(4), make_zn(2)).add, mul)
-    assert additive_generators(r) == [1, 2]
+    assert greedy_generators(r.add) == [1, 2]
     assert_matches_scan(r)
     check = validate_ring(r)
     assert (check.failure, check.witness) == ("left distributivity fails", (2, 2, 2))
@@ -385,18 +452,25 @@ def test_matrix_zn8_memory_bounds():
 
 
 def test_ordered_scan_memory_bound():
-    """The ordered scan, like the decision, works over blocks of rows: with
-    one mul entry of matrix(zn(8), 2) moved, or with its unity declared as
-    2, validate_ring runs both and reports the scan's witness within a
-    traced peak of n^2 bytes, the size of one (n, n) bool array."""
+    """The ordered scan, like the decision, works over blocks of rows, and
+    the additive group check over tiles: with one mul entry of
+    matrix(zn(8), 2) moved, its unity declared as 2, one add entry moved or
+    one symmetric pair of add entries moved, validate_ring reports the
+    scan's witness within a traced peak of n^2 bytes, the size of one
+    (n, n) bool array."""
     base = make_matrix_ring(make_zn(8), 2)
-    mul = base.mul.copy()
+    mul, add = base.mul.copy(), base.add.copy()
     mul[5, 7] = (int(mul[5, 7]) + 1) % base.order
+    add[5, 7] = (int(add[5, 7]) + 1) % base.order
     cases = [
         (FiniteRing(base.order, base.add, base.neg, mul, unity=base.unity),
          ("left distributivity fails", (5, 1, 6))),
         (FiniteRing(base.order, base.add, base.neg, base.mul, unity=2),
          ("declared unity is not a two-sided identity", (2,))),
+        (FiniteRing(base.order, add, base.neg, base.mul, unity=base.unity),
+         ("addition is not commutative", (5, 7))),
+        (move_symmetric_pair(base, 5, 7, 1),
+         ("addition is not associative", (1, 4, 7))),
     ]
     for r, expected in cases:
         tracemalloc.start()
