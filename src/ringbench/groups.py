@@ -68,7 +68,7 @@ def range_check(n: int, **tables: np.ndarray) -> Validation:
     return Validation(True)
 
 
-def grow_span(add: np.ndarray, span: np.ndarray, g: int) -> np.ndarray:
+def grow_span(add: np.ndarray, span: np.ndarray, g: int, edges: list | None = None) -> np.ndarray:
     """The bool mask span ∪ (span + g) ∪ (span + 2g) ∪ ..., grown by doubling.
 
     Each round adds one translate, A ∪ (A + 2^t g), read as add[a, 2^t g],
@@ -81,18 +81,32 @@ def grow_span(add: np.ndarray, span: np.ndarray, g: int) -> np.ndarray:
     whatever the table. Every member added is a sum taken in `add` of a
     member of span and multiples of g, and the result always holds span;
     pass add.T to translate on the left, g + a. Returns a new mask.
+
+    A list `edges` records the walk: each round appends (step, xs, ys),
+    whose pairs read x = y + step. They are each member x it adds, with
+    one y of the span, and last its doubling, x = 2 step, y = step.
     """
     out = span.copy()
     step = int(g)
     for _ in range(add.shape[0]):
         if out[step]:
             break
-        out[add[:, step][out]] = True
+        if edges is None:
+            out[add[:, step][out]] = True
+        else:
+            ys, before = np.flatnonzero(out), out.copy()
+            reached = add[ys, step]
+            source = np.empty(len(out), dtype=np.intp)
+            source[reached] = ys                    # one y with y + step = x, per x
+            out[reached] = True
+            xs = np.flatnonzero(out & ~before)
+            edges.append((step, np.append(xs, add[step, step]), np.append(source[xs], step)))
         step = int(add[step, step])
     return out
 
 
-def greedy_generators(add: np.ndarray, within: np.ndarray | None = None) -> list[int] | None:
+def greedy_generators(add: np.ndarray, within: np.ndarray | None = None,
+                      edges: list | None = None) -> list[int] | None:
     """Generators of the subgroup spanned by the bool mask `within` (every
     element when None): each the first member outside the span of those
     before it, the span grown by `grow_span`.
@@ -101,7 +115,7 @@ def greedy_generators(add: np.ndarray, within: np.ndarray | None = None) -> list
     subgroup, or when a generator does not enter its own span, which on a
     group 0 + g = g rules out. Otherwise `within` is the span of the
     generators. Every round adds its generator, so at most n rounds run,
-    whatever the table.
+    whatever the table. `edges` records every walk, as in `grow_span`.
     """
     span = np.zeros(add.shape[0], dtype=bool)
     span[0] = True
@@ -112,7 +126,7 @@ def greedy_generators(add: np.ndarray, within: np.ndarray | None = None) -> list
     gens: list[int] = []
     while (outside := within & ~span).any():
         g = int(outside.argmax())
-        span = grow_span(add, span, g)
+        span = grow_span(add, span, g, edges)
         if not span[g] or (span & ~within).any():
             return None
         gens.append(g)

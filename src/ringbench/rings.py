@@ -4,30 +4,42 @@ Rings are not assumed commutative or unital. Elements are dense indices
 0..order-1, zero is always index 0, and tables are numpy uint16 arrays
 (no carrier may exceed the 65536 indices that dtype can hold).
 
-Validation is exact at every size without the O(n^3) triple scan: once the
-additive structure and both distributive laws hold, the associator
-(ab)c - a(bc) is additive in each argument, so it vanishes everywhere as
-soon as it vanishes on an additive generating set. The same inductive
-argument reduces additive associativity and distributivity themselves to
-checks against the generators, which costs O(g * n^2) total: on a verified
-abelian group every element is a sum of the generators that
-`groups.greedy_generators` picks, and a law whose set of solutions is
-closed under + holds once it holds on them. Left distributivity is checked
-only for a and g both generators, with c over all of R: once right
-distributivity holds, the elements a whose left multiplication is additive
-are closed under +, and so, for a fixed a, are the g with
-a(g + c) = ag + ac for all c. Results are `groups.Validation`.
+Validation is exact at every size without the O(n^3) triple scan. It is
+decided from the walk by which `groups.greedy_generators` picks additive
+generators: each round of a generator g's walk adds x = y + s for y in
+the span so far and the step s = 2^t g, and doubles the step, 2s = s + s.
+Both kinds of edge read x = y + s, and each element but 0 is added by
+exactly one tree edge.
 
-The additive group is checked, and its witness found, in one place,
-`check_additive_group`, which bimodules share. Only the multiplicative laws
-are split in two: a check that only decides (`_mul_laws_hold`) runs first,
-and only when it finds a law broken does the ordered scan
-(`_first_mul_failure`) run, which alone chooses the reported failure and
-witness. No check builds an (n, n) temporary. The two g * n^2 laws read
-tiles that stay in cache while every generator uses them: (g + u) + v
-reads u in tiles of _TILE rows of add, cast to intp once, and (g + b)c
-reads c in tiles of _TILE columns of mul, whose sides gather from the
-_TILE rows add[gc], never from the whole n^2 add table.
+Additive group. With T_x the translation v -> x + v, the tables form an
+abelian group with identity 0 iff 0 is a two-sided identity, neg gives
+inverses, the T_g commute pairwise and T_x = T_y o T_s on every edge. By
+induction along the walk every T_x lies in the monoid generated by the
+T_g, which is commutative. Each f in it commutes with each T_v, so
+f(v) = f(T_v(0)) = T_v(f(0)) = v + f(0); for f = T_x, T_x o T_u and
+T_{x+u} this gives x + v = v + x and T_{x+u} = T_x o T_u, associativity.
+
+Right distributivity. Once the group holds, (a + b)c = ac + bc for all
+a, b, c iff xc = yc + sc on every edge, for all c. For the converse fix c.
+The walk's new elements never wrap: in g's walk each is z + mg with z in
+the span S of the earlier generators and 0 <= m < r, the least r with rg
+in S, so each is in normal form. The last doubling edge of g,
+2^T g = z' + jg, is its power relation rg = z' with r = 2^T - j. Images of
+the generators that satisfy these relations define a homomorphism, which
+agrees with x -> xc on every tree edge, so by induction it is x -> xc.
+
+Left distributivity is then checked only for a and g both generators:
+the elements a whose left multiplication is additive are closed under +,
+and so, for a fixed a, are the g with a(g + c) = ag + ac for all c. Once
+both distributive laws hold, the associator (ab)c - a(bc) is additive in
+each argument, so generator triples decide it.
+
+`_group_holds` and `_mul_laws_hold` decide the laws: one n^2 pass over the
+edges' rows of `add`, one over _TILE-column tiles of `mul` and k^2 n work
+for k generators, with no (n, n) temporary. Only on a "no" does the
+ordered code, `check_additive_group` (which bimodules share) or
+`_first_mul_failure`, choose the reported failure and witness. Results
+are `groups.Validation`.
 """
 
 from __future__ import annotations
@@ -43,7 +55,7 @@ from .groups import Validation, first_offender, greedy_generators, range_check
 DEFAULT_RING_CAP = 4096
 _MAX_ORDER = 1 << 16     # element indices are stored as uint16
 _ROWS = 128              # rows per block (and tile side) of the n^2-sized checks
-_TILE = 32               # rows or columns per tile of the g * n^2 laws
+_TILE = 32               # rows or columns per cache-sized tile of the n^2 passes
 
 
 class RingTooLargeError(ValueError):
@@ -358,20 +370,42 @@ def _associator_sides(mul: np.ndarray, garr: np.ndarray) -> tuple[np.ndarray, np
     return mul[ab[:, :, None], garr[None, None, :]], mul[garr[:, None, None], ab[None, :, :]]
 
 
-def _mul_laws_hold(ring: FiniteRing, gens: list[int]) -> bool:
+def _group_holds(add: np.ndarray, neg: np.ndarray, gens: list[int], walk: list) -> bool:
+    """Whether (add, neg) is an abelian group with identity 0, decided from
+    the generators' walk (see the module docstring): 0 is a two-sided
+    identity, neg an inverse, the generators' translations commute and
+    x + (.) = y + (s + (.)) on every edge x = y + s of the walk."""
+    idx = np.arange(add.shape[0])
+    if not ((add[0] == idx).all() and (add[:, 0] == idx).all() and (add[idx, neg] == 0).all()):
+        return False
+    pairs = add[np.asarray(gens, dtype=np.intp)[:, None, None], add[gens][None]]  # g + (h + v)
+    if not np.array_equal(pairs, pairs.transpose(1, 0, 2)):
+        return False
+    for s, xs, ys in walk:
+        plus_s = add[s].astype(np.intp)                     # s + (.)
+        for rows in _tiles(len(xs), _TILE):
+            if not np.array_equal(add[xs[rows]], add[ys[rows]].take(plus_s, axis=1)):
+                return False
+    return True
+
+
+def _mul_laws_hold(ring: FiniteRing, gens: list[int], walk: list) -> bool:
     """Whether the multiplicative laws hold on tables whose addition is an
-    abelian group with generators gens: (g + b)c = gc + bc for all b, c,
-    a(g + c) = ag + ac for generators a and all c, the associator on
-    generator triples and the unity (see the module docstring)."""
+    abelian group walked by `greedy_generators` as `walk`: xc = sc + yc on
+    every edge x = y + s of the walk, for all c, a(g + c) = ag + ac for
+    generators a and g and all c, the associator on generator triples and
+    the unity (see the module docstring)."""
     n = ring.order
     add, mul = ring.add, ring.mul
-    g_plus = add[gens].astype(np.intp)          # row i: g_i + (.)
+    steps = np.array([e[0] for e in walk], dtype=np.intp)
+    counts = [len(e[1]) for e in walk]
+    xs, ys = (np.concatenate([steps[:0], *(e[i] for e in walk)]) for i in (1, 2))
     for cols in _tiles(n, _TILE):
         tile = np.ascontiguousarray(mul[:, cols])           # bc for c in cols
-        at = tile + np.arange(0, tile.shape[1] * n, n)      # [b, j] -> j n + bc_j
-        for g, gp in zip(gens, g_plus):
-            if not np.array_equal(tile.take(gp, axis=0), add[mul[g, cols]].take(at)):
-                return False
+        at = np.repeat(tile[steps].astype(np.intp) * n, counts, axis=0)
+        at += tile[ys]                                      # sc n + yc, edge by edge
+        if not np.array_equal(tile[xs], add.take(at)):
+            return False
 
     garr = np.asarray(gens, dtype=np.intp)
     for a in gens:
@@ -416,19 +450,21 @@ def _first_mul_failure(ring: FiniteRing, gens: list[int]) -> Validation:
 
 def validate_ring(ring: FiniteRing) -> Validation:
     """Exact axiom check; reports the first violated axiom with a witness:
-    shapes and ranges, then the additive group by `check_additive_group`,
-    then the multiplicative laws, decided first and scanned for their
-    witness only on a failure. See the module docstring for why checking
-    the laws against additive generators is equivalent to the triple scan.
+    shapes and ranges, then the additive group, then the multiplicative
+    laws, each decided from one walk of the additive generators and
+    scanned for its witness only on a failure. See the module docstring
+    for why the walk's edges decide the laws as the triple scan would.
     """
     n, add, neg, mul = ring.order, ring.add, ring.neg, ring.mul
     if add.shape != (n, n) or mul.shape != (n, n) or neg.shape != (n,):
         return Validation(False, "table shape", (add.shape, mul.shape, neg.shape))
     if not (v := range_check(n, add=add, mul=mul, neg=neg)):
         return v
-    if not (v := check_additive_group(add, neg)):
-        return v
-    gens = greedy_generators(add)
-    if _mul_laws_hold(ring, gens):
+    walk: list = []
+    gens = greedy_generators(add, edges=walk)
+    if gens is None or not _group_holds(add, neg, gens, walk):
+        if not (v := check_additive_group(add, neg)):
+            return v
+    elif _mul_laws_hold(ring, gens, walk):
         return Validation(True)
     return _first_mul_failure(ring, gens)

@@ -82,11 +82,46 @@ def test_span_growth_capped_at_three_rounds_is_caught(monkeypatch):
 
 def test_decision_skipping_the_last_partial_tile_is_caught(monkeypatch):
     """Tiles that stop before the last, partial one, so the tile-edge
-    corruptions there pass check_additive_group and _mul_laws_hold."""
+    corruptions there pass _group_holds, which reads the walk's edges in
+    tiles, and _mul_laws_hold, which reads mul in column tiles."""
     monkeypatch.setattr(rings, "_tiles", lambda n, width:
                         [slice(s, s + width) for s in range(0, n - width + 1, width)])
     with pytest.raises(AssertionError):
         test_rings.test_validate_ring_at_tile_edges()
+
+
+def test_decision_reading_only_the_first_tile_is_caught(monkeypatch):
+    """Tiles cut to the first one, so the right distributivity pass never
+    reads the late column tiles where late_tile_corruptions break it."""
+    monkeypatch.setattr(rings, "_tiles", lambda n, width: [slice(0, width)])
+    with pytest.raises(AssertionError):
+        test_rings.test_validate_ring_on_late_tile_breaks()
+
+
+def test_decision_without_doubling_edges_is_caught(monkeypatch):
+    """A walk whose rounds drop their doubling edge, so the decision never
+    sees a generator's power relation: it accepts the Z_4 table whose
+    x -> xc is additive on every tree edge but not on u + u = 2u."""
+    def tree_edges_only(add, within=None, edges=None):
+        gens = greedy_generators(add, within, edges)
+        if edges is not None:
+            edges[:] = [(s, xs[:-1], ys[:-1]) for s, xs, ys in edges]
+        return gens
+
+    monkeypatch.setattr(rings, "greedy_generators", tree_edges_only)
+    with pytest.raises(AssertionError):
+        test_rings.test_right_distributivity_broken_only_on_a_doubling_edge()
+
+
+def test_decision_without_generator_commutation_is_caught(monkeypatch):
+    """_group_holds that never compares the generators' translations, so
+    it accepts the permutations of three points as addition: every edge
+    x = y + s has x + (.) = y + (s + (.)) in any group."""
+    group_holds = rings._group_holds
+    monkeypatch.setattr(rings, "_group_holds", lambda add, neg, gens, walk:
+                        group_holds(add, neg, gens[:1], walk))
+    with pytest.raises(AssertionError):
+        test_rings.test_validate_ring_non_abelian_addition()
 
 
 def test_associativity_witness_in_tile_order_is_caught(monkeypatch):

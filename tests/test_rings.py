@@ -18,7 +18,7 @@ from conftest import TRIANGULAR_Z2_Z4, UPPER_TRIANGULAR_F2, build_ring
 from ring_oracles import additive_generators, first_ring_failure
 from ringbench.constructions import regular_bimodule, validate_bimodule
 from ringbench.grading import GradedRing, make_trivial_grading
-from ringbench.groups import greedy_generators, make_cyclic
+from ringbench.groups import greedy_generators, grow_span, make_cyclic
 from ringbench.rings import (
     _TILE,
     FiniteRing,
@@ -310,6 +310,93 @@ def test_validate_ring_at_tile_edges():
         assert not validate_ring(ring).ok
 
 
+def last_rounds(add: np.ndarray):
+    """For each generator of greedy_generators(add), the last round of its
+    walk as recorded by grow_span: (step, members it adds, doubling 2 step)."""
+    span = np.zeros(add.shape[0], dtype=bool)
+    span[0] = True
+    for g in greedy_generators(add):
+        walk: list = []
+        span = grow_span(add, span, g, walk)
+        step, xs, _ = walk[-1]
+        yield step, [int(x) for x in xs[:-1]], int(xs[-1])
+
+
+# walks of one and several generators, rounds of one member and of many;
+# matrix(zn(3), 2) has a non-commutative mul over several column tiles
+WALK_RINGS = [*DIFFERENTIAL_RINGS, *TILE_EDGE_RINGS, make_matrix_ring(make_zn(3), 2)]
+
+
+def walk_corruptions():
+    """Each WALK_RINGS ring with one entry moved, for each generator: in the
+    add and mul rows of the last member its walk's last round adds, at the
+    first and the last column; at add[step, step], the last doubling
+    itself; and in the add and mul rows of its result 2 step, which the
+    walk holds already, so that only the doubling edge reads the row."""
+    for base in WALK_RINGS:
+        n = base.order
+        for step, added, doubled in last_rounds(base.add):
+            places = [("add", added[-1], 0), ("add", added[-1], n - 1),
+                      ("mul", added[-1], 0), ("mul", added[-1], n - 1),
+                      ("add", step, step), ("add", doubled, n - 1), ("mul", doubled, n - 1)]
+            for name, x, y in places:
+                tables = {"add": base.add.copy(), "mul": base.mul.copy()}
+                tables[name][x, y] = (int(tables[name][x, y]) + 1) % n
+                yield FiniteRing(n, tables["add"], base.neg, tables["mul"], unity=base.unity)
+
+
+def test_validate_ring_on_walk_corruptions():
+    for ring in walk_corruptions():
+        assert_matches_scan(ring)
+
+
+def late_tile_corruptions():
+    """The column n - 1, in the last tile, of each ring of orders above
+    2 _TILE, commutative or not, changed to x -> xc + t for every row x
+    other than 0, the additive generators and the unity: no additive map
+    (x, y and x + y outside those rows give xc + yc + 2t against
+    (x + y)c + t), and invisible to the checks on generator rows, so only
+    the right distributivity pass over that tile sees it."""
+    for base in (*TILE_EDGE_RINGS, make_matrix_ring(make_zn(3), 2), make_zn(300)):
+        n, c = base.order, base.order - 1
+        kept = [0, *greedy_generators(base.add), base.unity]
+        assert n > 2 * _TILE and c not in kept
+        for t in (1, n // 2):
+            mul = base.mul.copy()
+            rows = np.setdiff1d(np.arange(n), kept)
+            mul[rows, c] = base.add[mul[rows, c], t]
+            yield FiniteRing(n, base.add, base.neg, mul, unity=base.unity)
+
+
+def test_validate_ring_on_late_tile_breaks():
+    """A right distributivity break confined to the last column tile."""
+    rings = list(late_tile_corruptions())
+    assert any(not r.is_commutative() for r in rings)
+    for ring in rings:
+        assert_matches_scan(ring)
+        assert not validate_ring(ring).ok
+
+
+def doubling_only_break() -> FiniteRing:
+    """Z_4 = <u> with labels 0, 2u, u, 3u and x*c = rho(x)*c, where rho is 0
+    on 0 and 2u and u on u and 3u. rho respects every tree edge of the
+    walk (generators 2u, then u) but not the doubling u + u = 2u."""
+    value = np.array([0, 2, 1, 3])              # label -> element of Z_4
+    label = np.argsort(value)
+    rho = np.array([0, 0, 1, 1])
+    add = label[(value[:, None] + value[None, :]) % 4]
+    mul = label[(rho[:, None] * value[None, :]) % 4]
+    return make_table_ring(add, mul)
+
+
+def test_right_distributivity_broken_only_on_a_doubling_edge():
+    ring = doubling_only_break()
+    assert greedy_generators(ring.add) == [1, 2]
+    assert_matches_scan(ring)
+    check = validate_ring(ring)
+    assert (check.failure, check.witness) == ("right distributivity fails", (2, 2, 2))
+
+
 def move_symmetric_pair(base: FiniteRing, x: int, y: int, shift: int) -> FiniteRing:
     """base with add[x, y] and add[y, x] both moved by shift."""
     add = base.add.copy()
@@ -382,6 +469,18 @@ def test_validate_ring_non_abelian_addition():
     ring = make_table_ring(add, np.zeros((6, 6), dtype=np.int64))
     assert_matches_scan(ring)
     assert validate_ring(ring).failure == "addition is not commutative"
+
+
+def test_validate_ring_right_identity_fails_alone():
+    """For x != 0, x + v is x when v = x and 0 otherwise; multiplication is
+    zero. 0 is a left identity, x + neg(x) = x + 0 = 0, the translations
+    commute and every edge of the walk (generators 1, then 2) holds, but
+    1 + 0 = 0: only the right identity check rejects the table."""
+    ring = make_table_ring([[0, 1, 2], [0, 1, 0], [0, 0, 2]], np.zeros((3, 3), dtype=np.int64))
+    assert greedy_generators(ring.add) == [1, 2]
+    assert_matches_scan(ring)
+    check = validate_ring(ring)
+    assert (check.failure, check.witness) == ("zero is not a right additive identity", (1, 0))
 
 
 def test_left_distributivity_witness_at_non_generator():
