@@ -91,16 +91,13 @@ def grow_span(add: np.ndarray, span: np.ndarray, g: int, edges: list | None = No
     for _ in range(add.shape[0]):
         if out[step]:
             break
-        if edges is None:
-            out[add[:, step][out]] = True
-        else:
-            ys, before = np.flatnonzero(out), out.copy()
-            reached = add[ys, step]
-            source = np.empty(len(out), dtype=np.intp)
-            source[reached] = ys                    # one y with y + step = x, per x
-            out[reached] = True
-            xs = np.flatnonzero(out & ~before)
+        reached = add[:, step][out]                 # y + step for each y in out
+        if edges is not None:
+            source = np.full(len(out), -1)
+            source[reached] = np.flatnonzero(out)   # one y with y + step = x, per x
+            xs = np.flatnonzero((source >= 0) & ~out)
             edges.append((step, np.append(xs, add[step, step]), np.append(source[xs], step)))
+        out[reached] = True
         step = int(add[step, step])
     return out
 

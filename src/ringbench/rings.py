@@ -34,12 +34,12 @@ and so, for a fixed a, are the g with a(g + c) = ag + ac for all c. Once
 both distributive laws hold, the associator (ab)c - a(bc) is additive in
 each argument, so generator triples decide it.
 
-`_group_holds` and `_mul_laws_hold` decide the laws: one n^2 pass over the
-edges' rows of `add`, one over _TILE-column tiles of `mul` and k^2 n work
-for k generators, with no (n, n) temporary. Only on a "no" does the
-ordered code, `check_additive_group` (which bimodules share) or
-`_first_mul_failure`, choose the reported failure and witness. Results
-are `groups.Validation`.
+`_group_generators` and `_mul_laws_hold` decide the laws: one n^2 pass
+over the edges' rows of `add`, one over _TILE-column tiles of `mul` and
+k^2 n work for k <= log2 n generators, with no (n, n) temporary. Only on
+a "no" does the ordered code, `check_additive_group` (which bimodules
+share) or `_first_mul_failure`, choose the reported failure and witness.
+Results are `groups.Validation`.
 """
 
 from __future__ import annotations
@@ -347,7 +347,9 @@ def check_additive_group(add: np.ndarray, neg: np.ndarray) -> Validation:
     injective, so g + ((-g + u) + v) = u + v = g + (-g + (u + v)) puts -g
     in N. The generators before the first that fails associativity lie in
     N, where the closure and `grow_span`'s doubling give the same span, so
-    both pick the same generators up to the first failing one.
+    both pick the same generators up to the first failing one. Those spans
+    are subgroups of N, each at least twice the last, so the first failing
+    generator is among the first n.bit_length().
     """
     n = add.shape[0]
     idx = np.arange(n)
@@ -359,7 +361,7 @@ def check_additive_group(add: np.ndarray, neg: np.ndarray) -> Validation:
         return Validation(False, "addition is not commutative", at)
     if at := first_offender(add[idx, neg] != 0):
         return Validation(False, "neg is not an additive inverse", (*at, int(neg[at])))
-    if at := _first_associativity_offender(add, greedy_generators(add)):
+    if at := _first_associativity_offender(add, greedy_generators(add)[:n.bit_length()]):
         return Validation(False, "addition is not associative", at)
     return Validation(True)
 
@@ -370,23 +372,27 @@ def _associator_sides(mul: np.ndarray, garr: np.ndarray) -> tuple[np.ndarray, np
     return mul[ab[:, :, None], garr[None, None, :]], mul[garr[:, None, None], ab[None, :, :]]
 
 
-def _group_holds(add: np.ndarray, neg: np.ndarray, gens: list[int], walk: list) -> bool:
-    """Whether (add, neg) is an abelian group with identity 0, decided from
-    the generators' walk (see the module docstring): 0 is a two-sided
-    identity, neg an inverse, the generators' translations commute and
-    x + (.) = y + (s + (.)) on every edge x = y + s of the walk."""
-    idx = np.arange(add.shape[0])
+def _group_generators(add: np.ndarray, neg: np.ndarray, walk: list) -> list[int] | None:
+    """The additive generators, their walk recorded in `walk`, if (add, neg)
+    is an abelian group with identity 0, else None, decided on the walk's
+    edges (see the module docstring). Once 0 is a left identity each round
+    adds its step, so the walk takes at most n rounds, and a group has at
+    most log2 n greedy generators, as each at least doubles the span."""
+    n, idx = add.shape[0], np.arange(add.shape[0])
     if not ((add[0] == idx).all() and (add[:, 0] == idx).all() and (add[idx, neg] == 0).all()):
-        return False
+        return None
+    gens = greedy_generators(add, edges=walk)
+    if gens is None or len(gens) >= n.bit_length():
+        return None
     pairs = add[np.asarray(gens, dtype=np.intp)[:, None, None], add[gens][None]]  # g + (h + v)
     if not np.array_equal(pairs, pairs.transpose(1, 0, 2)):
-        return False
+        return None
     for s, xs, ys in walk:
         plus_s = add[s].astype(np.intp)                     # s + (.)
         for rows in _tiles(len(xs), _TILE):
             if not np.array_equal(add[xs[rows]], add[ys[rows]].take(plus_s, axis=1)):
-                return False
-    return True
+                return None
+    return gens
 
 
 def _mul_laws_hold(ring: FiniteRing, gens: list[int], walk: list) -> bool:
@@ -395,8 +401,7 @@ def _mul_laws_hold(ring: FiniteRing, gens: list[int], walk: list) -> bool:
     every edge x = y + s of the walk, for all c, a(g + c) = ag + ac for
     generators a and g and all c, the associator on generator triples and
     the unity (see the module docstring)."""
-    n = ring.order
-    add, mul = ring.add, ring.mul
+    n, add, mul = ring.order, ring.add, ring.mul
     steps = np.array([e[0] for e in walk], dtype=np.intp)
     counts = [len(e[1]) for e in walk]
     xs, ys = (np.concatenate([steps[:0], *(e[i] for e in walk)]) for i in (1, 2))
@@ -453,16 +458,14 @@ def validate_ring(ring: FiniteRing) -> Validation:
     shapes and ranges, then the additive group, then the multiplicative
     laws, each decided from one walk of the additive generators and
     scanned for its witness only on a failure. See the module docstring
-    for why the walk's edges decide the laws as the triple scan would.
-    """
+    for why the walk's edges decide the laws as the triple scan would."""
     n, add, neg, mul = ring.order, ring.add, ring.neg, ring.mul
     if add.shape != (n, n) or mul.shape != (n, n) or neg.shape != (n,):
         return Validation(False, "table shape", (add.shape, mul.shape, neg.shape))
     if not (v := range_check(n, add=add, mul=mul, neg=neg)):
         return v
     walk: list = []
-    gens = greedy_generators(add, edges=walk)
-    if gens is None or not _group_holds(add, neg, gens, walk):
+    if (gens := _group_generators(add, neg, walk)) is None:
         if not (v := check_additive_group(add, neg)):
             return v
     elif _mul_laws_hold(ring, gens, walk):

@@ -82,8 +82,8 @@ def test_span_growth_capped_at_three_rounds_is_caught(monkeypatch):
 
 def test_decision_skipping_the_last_partial_tile_is_caught(monkeypatch):
     """Tiles that stop before the last, partial one, so the tile-edge
-    corruptions there pass _group_holds, which reads the walk's edges in
-    tiles, and _mul_laws_hold, which reads mul in column tiles."""
+    corruptions there pass _group_generators, which reads the walk's edges
+    in tiles, and _mul_laws_hold, which reads mul in column tiles."""
     monkeypatch.setattr(rings, "_tiles", lambda n, width:
                         [slice(s, s + width) for s in range(0, n - width + 1, width)])
     with pytest.raises(AssertionError):
@@ -114,12 +114,15 @@ def test_decision_without_doubling_edges_is_caught(monkeypatch):
 
 
 def test_decision_without_generator_commutation_is_caught(monkeypatch):
-    """_group_holds that never compares the generators' translations, so
-    it accepts the permutations of three points as addition: every edge
-    x = y + s has x + (.) = y + (s + (.)) in any group."""
-    group_holds = rings._group_holds
-    monkeypatch.setattr(rings, "_group_holds", lambda add, neg, gens, walk:
-                        group_holds(add, neg, gens[:1], walk))
+    """A walk that reports only its first generator, so _group_generators
+    compares no two translations and accepts the permutations of three
+    points as addition: every edge x = y + s has x + (.) = y + (s + (.))
+    in any group."""
+    def first_generator_only(add, within=None, edges=None):
+        gens = greedy_generators(add, within, edges)
+        return gens and gens[:1]
+
+    monkeypatch.setattr(rings, "greedy_generators", first_generator_only)
     with pytest.raises(AssertionError):
         test_rings.test_validate_ring_non_abelian_addition()
 

@@ -531,6 +531,67 @@ def test_validate_ring_memory_bound():
     assert peak <= 3 * r.order ** 2, peak / r.order ** 2
 
 
+def absorbing_addition(n: int) -> np.ndarray:
+    """0 a two-sided identity, x + x = 0 and x + y = x for distinct nonzero
+    x, y: every nonzero element is a greedy generator of its own."""
+    idx = np.arange(n)
+    add = np.repeat(idx[:, None], n, axis=1)
+    add[0] = idx
+    add[idx, idx] = 0
+    return add
+
+
+def max_addition(n: int) -> np.ndarray:
+    """x + x = 0 and x + y = max(x, y) otherwise: commutative, with identity
+    and inverses, and again every nonzero element a greedy generator."""
+    idx = np.arange(n)
+    add = np.maximum(idx[:, None], idx[None, :])
+    add[idx, idx] = 0
+    return add
+
+
+def chained_addition(n: int) -> np.ndarray:
+    """0 a right identity only. With m = n/2 - 1, each g <= m has 0 + g = g
+    and g + g = m + 1, and m + 1, ..., n - 1 form a doubling chain that no
+    sum with an earlier member reaches, so every g's walk runs the whole
+    chain: about n^2 / 4 rounds."""
+    m, idx = n // 2 - 1, np.arange(n)
+    gens, chain = idx[1:m + 1], idx[m + 1:]
+    add = np.zeros((n, n), dtype=np.int64)
+    add[:, 0] = idx
+    add[0, gens] = gens
+    add[gens, gens] = m + 1
+    add[chain[:-1], chain[:-1]] = chain[1:]
+    return add
+
+
+@pytest.mark.parametrize("addition, expected", [
+    (absorbing_addition, ("addition is not commutative", (1, 2))),
+    (max_addition, ("addition is not associative", (1, 2, 2))),
+    (chained_addition, ("zero is not a left additive identity", (0, 128))),
+])
+def test_validate_ring_on_walks_no_group_takes(addition, expected):
+    """Additions no group has, at n = 256: validate_ring reports the
+    ordered scan's failure within a traced peak of 6 n^2 bytes, most of it
+    the walk of 255 one-member generators. Comparing the absorbing table's
+    generators pairwise would take 33 MB, the max table's associativity
+    scan would cast 255 rows of add to intp, and recording the chained
+    table's walk would take 16,000 rounds. The left identity check stops
+    the last walk early, and a group has at most log2 n generators, which
+    bounds the other two."""
+    n = 256
+    r = make_table_ring(addition(n), np.zeros((n, n), dtype=np.int64))
+    tracemalloc.start()
+    try:
+        check = validate_ring(r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    scan = first_ring_failure(r)
+    assert (check.failure, check.witness) == (scan.failure, scan.witness) == expected
+    assert peak <= 6 * n ** 2, peak / n ** 2
+
+
 def test_matrix_zn8_memory_bounds():
     """make_matrix_ring holds at most 4.25 n^2 traced bytes, its two uint16
     tables and small row tables, and validate_ring on the result at most
