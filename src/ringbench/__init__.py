@@ -11,7 +11,6 @@ from .classify import (
     Verdict,
     classify_ideal,
     find_g_triple_zeros,
-    graded_ideal_lattice,
     is_g_weakly_2_absorbing,
     is_graded_2_absorbing,
     is_graded_completely_weakly_2_absorbing,

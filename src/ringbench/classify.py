@@ -355,11 +355,6 @@ def find_g_triple_zeros(gr: GradedRing, P: IdealSubset | int,
 # ideal-wise predicates
 
 
-def graded_ideal_lattice(gr: GradedRing, cap: int = DEFAULT_IDEAL_CAP) -> list[IdealSubset]:
-    return [IdealSubset(mask, TWO_SIDED, graded=True)
-            for mask in graded_ideal_masks(gr, TWO_SIDED, cap)]
-
-
 def _words(masks, n: int) -> np.ndarray:
     """Masks as rows of little-endian 64-bit words."""
     w = -(-n // 64)

@@ -15,7 +15,6 @@ before it is reported.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,8 +67,6 @@ from .specs import (
     stop_build_memo,
 )
 
-PROPERTY_IDS = tuple(f"P{i}" for i in range(1, 20))
-
 PROPERTY_SUMMARIES = {
     "P1": "weakly prime ideals split nonzero products of graded one-sided ideal pairs",
     "P2": "a nonzero homogeneous sandwich inside a weakly prime ideal surrenders a factor",
@@ -91,6 +88,8 @@ PROPERTY_SUMMARIES = {
     "P18": "all ideals strongly weakly 2-absorbing matches the triple-product collapse law",
     "P19": "under the collapse law every graded ideal has cube equal to square or to zero",
 }
+
+PROPERTY_IDS = tuple(PROPERTY_SUMMARIES)
 
 _MAX_WITNESSES = 5
 
@@ -272,14 +271,13 @@ class RingContext:
 # property checks
 
 
-def _check_p1(ctx: RingContext) -> PropertyOutcome:
+def _check_p1(ctx: RingContext, out: PropertyOutcome) -> None:
     """Weakly prime P: one-sided graded ideals I, J with 0 != IJ inside P
     force I inside P or J inside P (right pairs and left pairs)."""
-    out = PropertyOutcome("P1", ctx.label)
     gr = ctx.gr
     primes = [p for p in ctx.proper_ideals() if ctx.weakly_prime(p)]
     if not primes:
-        return out
+        return
     for sidedness in (RIGHT, LEFT):
         t = ctx.table(sidedness)
         found = []
@@ -291,17 +289,13 @@ def _check_p1(ctx: RingContext) -> PropertyOutcome:
         for a, b, p in sorted(found)[:_MAX_WITNESSES]:
             out.violate(sidedness=sidedness, P=ideal_info(gr, p),
                         I=ideal_info(gr, t.masks[a]), J=ideal_info(gr, t.masks[b]))
-    return out
 
 
-def _check_p2(ctx: RingContext) -> PropertyOutcome:
+def _check_p2(ctx: RingContext, out: PropertyOutcome) -> None:
     """Weakly prime P: homogeneous x, y, z with 0 != x*R*y*R*z inside P force
     one of x, y, z into P."""
-    out = PropertyOutcome("P2", ctx.label)
     gr = ctx.gr
     primes = [p for p in ctx.proper_ideals() if ctx.weakly_prime(p)]
-    if not primes:
-        return out
     for p in primes:
         tk, inside, _ = classify._kernel(gr, None, p)
         hyp = inside & ~tk["zero"]         # rows: a nonzero sandwich inside P
@@ -313,25 +307,21 @@ def _check_p2(ctx: RingContext) -> PropertyOutcome:
             x, y, z = tk["X"][viol[0]]
             out.violate(P=ideal_info(gr, p),
                         x=_elem(gr, x), y=_elem(gr, y), z=_elem(gr, z))
-    return out
 
 
-def _check_p3(ctx: RingContext) -> PropertyOutcome:
+def _check_p3(ctx: RingContext, out: PropertyOutcome) -> None:
     """Weakly prime implies weakly 2-absorbing."""
-    out = PropertyOutcome("P3", ctx.label)
     for p in ctx.proper_ideals():
         if not ctx.weakly_prime(p):
             continue
         out.hit()
         if not ctx.weakly_2_absorbing(p):
             out.violate(P=ideal_info(ctx.gr, p))
-    return out
 
 
-def _check_p4(ctx: RingContext) -> PropertyOutcome:
+def _check_p4(ctx: RingContext, out: PropertyOutcome) -> None:
     """The intersection of two distinct weakly prime ideals is weakly
     2-absorbing."""
-    out = PropertyOutcome("P4", ctx.label)
     primes = [p for p in ctx.proper_ideals() if ctx.weakly_prime(p)]
     for i, p in enumerate(primes):
         for q in primes[i + 1:]:
@@ -340,17 +330,15 @@ def _check_p4(ctx: RingContext) -> PropertyOutcome:
             if not ctx.weakly_2_absorbing(inter):
                 out.violate(P=ideal_info(ctx.gr, p), K=ideal_info(ctx.gr, q),
                             intersection=ideal_info(ctx.gr, inter))
-    return out
 
 
-def _check_p5(ctx: RingContext) -> PropertyOutcome:
+def _check_p5(ctx: RingContext, out: PropertyOutcome) -> None:
     """If every triple A, B, C of graded left ideals with 0 != ABC inside P
     has a pairwise product inside P, then P is weakly 2-absorbing. Needs
     unity."""
-    out = PropertyOutcome("P5", ctx.label)
     if not ctx.unital:
         out.skipped = "requires unity"
-        return out
+        return
     # (AB)C != 0 inside P with AB, AC and BC outside P, over graded left ideals
     t = ctx.table(LEFT)
     for p in ctx.proper_ideals():
@@ -359,13 +347,11 @@ def _check_p5(ctx: RingContext) -> PropertyOutcome:
         out.hit()
         if not ctx.weakly_2_absorbing(p):
             out.violate(P=ideal_info(ctx.gr, p))
-    return out
 
 
-def _check_p6(ctx: RingContext) -> PropertyOutcome:
+def _check_p6(ctx: RingContext, out: PropertyOutcome) -> None:
     """P weakly 2-absorbing and K a graded ideal inside P: P/K is weakly
     2-absorbing in R/K."""
-    out = PropertyOutcome("P6", ctx.label)
     gr = ctx.gr
     w2 = [p for p in ctx.proper_ideals() if ctx.weakly_2_absorbing(p)]
     for k in ctx.lattice():
@@ -379,13 +365,11 @@ def _check_p6(ctx: RingContext) -> PropertyOutcome:
             if not qc.weakly_2_absorbing(pq):
                 out.violate(P=ideal_info(gr, p), K=ideal_info(gr, k),
                             quotient_ideal_mask=int(pq))
-    return out
 
 
-def _check_p7(ctx: RingContext) -> PropertyOutcome:
+def _check_p7(ctx: RingContext, out: PropertyOutcome) -> None:
     """K inside P, both graded, K weakly 2-absorbing and P/K weakly
     2-absorbing in R/K: then P is weakly 2-absorbing."""
-    out = PropertyOutcome("P7", ctx.label)
     gr = ctx.gr
     for k in ctx.proper_ideals():
         if not ctx.weakly_2_absorbing(k):
@@ -399,7 +383,6 @@ def _check_p7(ctx: RingContext) -> PropertyOutcome:
             out.hit()
             if not ctx.weakly_2_absorbing(p):
                 out.violate(P=ideal_info(gr, p), K=ideal_info(gr, k))
-    return out
 
 
 def _factor_graded_rings(gr: GradedRing) -> tuple[GradedRing, GradedRing]:
@@ -420,10 +403,9 @@ def _factor_graded_rings(gr: GradedRing) -> tuple[GradedRing, GradedRing]:
     return gr1, gr2
 
 
-def _check_p8(ctx: RingContext) -> PropertyOutcome:
+def _check_p8(ctx: RingContext, out: PropertyOutcome) -> None:
     """Kernels of graded ring maps are graded two-sided ideals; a quotient
     projection's kernel is exactly the ideal it quotients by."""
-    out = PropertyOutcome("P8", ctx.label)
     gr = ctx.gr
     homs: list[tuple[str, object, int | None]] = [
         ("identity", GradedRingHom(gr, gr, np.arange(gr.order)), 1)]
@@ -445,14 +427,12 @@ def _check_p8(ctx: RingContext) -> PropertyOutcome:
         elif expected is not None and ker.mask != expected:
             out.violate(map=name, kernel_mask=int(ker.mask),
                         expected_mask=int(expected))
-    return out
 
 
-def _check_p9(ctx: RingContext) -> PropertyOutcome:
+def _check_p9(ctx: RingContext, out: PropertyOutcome) -> None:
     """Surjective graded f: images of weakly 2-absorbing ideals containing the
     kernel are weakly 2-absorbing; preimages of weakly 2-absorbing ideals are
     weakly 2-absorbing when the kernel is too. Both transports stay graded."""
-    out = PropertyOutcome("P9", ctx.label)
     gr = ctx.gr
     w2 = [p for p in ctx.proper_ideals() if ctx.weakly_2_absorbing(p)]
     for k in ctx.proper_ideals():
@@ -477,7 +457,6 @@ def _check_p9(ctx: RingContext) -> PropertyOutcome:
             if not (ok and pre.graded is True and ctx.weakly_2_absorbing(pre.mask)):
                 out.violate(direction="preimage", K=ideal_info(gr, k),
                             target_ideal_mask=int(i), preimage_mask=int(pre.mask))
-    return out
 
 
 def _meets(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -501,12 +480,11 @@ def _census_pairs(triples: np.ndarray, m: int,
         for k in range(0, len(inK), step)])
 
 
-def _check_p10(ctx: RingContext) -> PropertyOutcome:
+def _check_p10(ctx: RingContext, out: PropertyOutcome) -> None:
     """P g-weakly 2-absorbing, x, y in R_g, K a graded left ideal with
     x*R_e*y*K_g inside P, no (x, y, z) a g-triple-zero for z in K_g, and
     xy outside P: then x*K_g or y*K_g lands inside P. A slice takes every K
     at once: v*K_g leaves P when K holds some z of R_g with v*z outside."""
-    out = PropertyOutcome("P10", ctx.label)
     gr = ctx.gr
     lefts = ctx.one_sided(LEFT)
     for g, p, X, Pb, outside, triples in ctx.slices():
@@ -527,7 +505,6 @@ def _check_p10(ctx: RingContext) -> PropertyOutcome:
                 i, j = first_offender(viol[k])
                 out.violate(degree=int(g), P=ideal_info(gr, p), K=ideal_info(gr, lefts[k0 + k]),
                             x=_elem(gr, X[i]), y=_elem(gr, X[j]))
-    return out
 
 
 def _p11_cubes(gr: GradedRing, X: np.ndarray, Pb: np.ndarray, outside: np.ndarray,
@@ -558,7 +535,7 @@ def _exists(inc: np.ndarray, cube: np.ndarray, rows: slice) -> np.ndarray:
     return _meets(_meets(inc, t.swapaxes(1, 2)), inc)
 
 
-def _check_p11(ctx: RingContext) -> PropertyOutcome:
+def _check_p11(ctx: RingContext, out: PropertyOutcome) -> None:
     """Graded ideals A, B, K whose degree-g slices multiply into P without a
     g-triple-zero of P among them: setwise nonzero products force a pairwise
     slice product into P, and even without the nonzero hypothesis every
@@ -567,7 +544,6 @@ def _check_p11(ctx: RingContext) -> PropertyOutcome:
     x lies in A exactly when the principal ideal (x) does, so the elements
     of one principal ideal form a class, and each "some triple in
     A_g x B_g x K_g" is a class cube contracted with inc[a, c], A holds c."""
-    out = PropertyOutcome("P11", ctx.label)
     gr, masks = ctx.gr, ctx.lattice()
     for g, p, X, Pb, o, triples in ctx.slices():
         held = ctx.members(TWO_SIDED, g)
@@ -597,7 +573,6 @@ def _check_p11(ctx: RingContext) -> PropertyOutcome:
                     v.update((nm, _elem(gr, X[at[i]]))
                              for nm, at, i in zip("xyz", (ia, ib, ik), hit))
                 out.violate(**v)
-    return out
 
 
 # P12's six sets, in the sorted order reported, with the census columns
@@ -631,12 +606,11 @@ def _p12_tables(gr: GradedRing, g: int, X: np.ndarray, Pb: np.ndarray) -> dict[s
             "x*Re*y*Pg": (xry["U"] & vq).any(axis=1)[xry["inv"]]}
 
 
-def _check_p12(ctx: RingContext) -> PropertyOutcome:
+def _check_p12(ctx: RingContext, out: PropertyOutcome) -> None:
     """Each g-triple-zero (x, y, z) of a g-weakly 2-absorbing P annihilates
     the matching slices: x*R_e*y*P_g, P_g*y*R_e*z, x*P_g*z, P_g*P_g*z,
     x*P_g*P_g, and P_g*y*P_g are all zero. Each set depends on at most two
     of x, y, z, so the census is read off six tables per slice."""
-    out = PropertyOutcome("P12", ctx.label)
     gr = ctx.gr
     for g, p, X, Pb, _, triples in ctx.slices():
         if not len(triples):
@@ -650,14 +624,12 @@ def _check_p12(ctx: RingContext) -> PropertyOutcome:
             out.violate(degree=int(g), P=ideal_info(gr, p),
                         x=_elem(gr, x), y=_elem(gr, y), z=_elem(gr, z),
                         nonzero_sets=[nm for nm, f in zip(_P12_SETS, nonzero[r]) if f])
-    return out
 
 
-def _check_p13(ctx: RingContext) -> PropertyOutcome:
+def _check_p13(ctx: RingContext, out: PropertyOutcome) -> None:
     """When the setwise cube of P_g is nonzero, g-weakly and plain g-variants
     agree; when P is g-weakly but not plain, the cube is zero and a
     g-triple-zero exists."""
-    out = PropertyOutcome("P13", ctx.label)
     gr = ctx.gr
     mul = gr.ring.mul
     for g in range(gr.group.order):
@@ -683,7 +655,6 @@ def _check_p13(ctx: RingContext) -> PropertyOutcome:
                 elif ctx.census(p, g).count == 0:
                     out.violate(degree=int(g), P=ideal_info(gr, p),
                                 form="no triple-zero found")
-    return out
 
 
 def _idealizations(ctx: RingContext, out: PropertyOutcome) -> list:
@@ -698,10 +669,9 @@ def _idealizations(ctx: RingContext, out: PropertyOutcome) -> list:
     return found
 
 
-def _check_p14(ctx: RingContext) -> PropertyOutcome:
+def _check_p14(ctx: RingContext, out: PropertyOutcome) -> None:
     """P extends to a graded 2-absorbing ideal of the idealization exactly
     when P is graded 2-absorbing. Needs unity."""
-    out = PropertyOutcome("P14", ctx.label)
     for mlabel, _, xc in _idealizations(ctx, out):
         for p in ctx.proper_ideals():
             out.hit()
@@ -710,13 +680,11 @@ def _check_p14(ctx: RingContext) -> PropertyOutcome:
             if lhs != rhs:
                 out.violate(module=mlabel, P=ideal_info(ctx.gr, p),
                             idealization_side=lhs, base_side=rhs)
-    return out
 
 
-def _check_p15(ctx: RingContext) -> PropertyOutcome:
+def _check_p15(ctx: RingContext, out: PropertyOutcome) -> None:
     """If the extension of P to the idealization is weakly 2-absorbing, so is
     P itself. Needs unity."""
-    out = PropertyOutcome("P15", ctx.label)
     for mlabel, _, xc in _idealizations(ctx, out):
         for p in ctx.proper_ideals():
             if not xc.weakly_2_absorbing(embed_ideal_in_idealization(xc.gr, p).mask):
@@ -724,15 +692,13 @@ def _check_p15(ctx: RingContext) -> PropertyOutcome:
             out.hit()
             if not ctx.weakly_2_absorbing(p):
                 out.violate(module=mlabel, P=ideal_info(ctx.gr, p))
-    return out
 
 
-def _check_p16(ctx: RingContext) -> PropertyOutcome:
+def _check_p16(ctx: RingContext, out: PropertyOutcome) -> None:
     """The extension of P is g-weakly 2-absorbing in the idealization exactly
     when P is g-weakly 2-absorbing and every g-triple-zero (x, y, z) of P
     annihilates the module slices x*Re*y*Re*Mg, Mg*Re*y*Re*z, x*Mg*z. Needs
     unity."""
-    out = PropertyOutcome("P16", ctx.label)
     gr = ctx.gr
     mul = gr.ring.mul
     Re = gr.component_indices(gr.group.identity)
@@ -769,13 +735,11 @@ def _check_p16(ctx: RingContext) -> PropertyOutcome:
                                 P=ideal_info(gr, p), idealization_side=lhs,
                                 base_g_weakly=base, annihilated=annihilated,
                                 triple=detail)
-    return out
 
 
-def _check_p17(ctx: RingContext) -> PropertyOutcome:
+def _check_p17(ctx: RingContext, out: PropertyOutcome) -> None:
     """P is strongly weakly 2-absorbing exactly when the triple condition
     holds for triples whose first ideal contains P."""
-    out = PropertyOutcome("P17", ctx.label)
     gr = ctx.gr
     t = ctx.table()
     for p in ctx.proper_ideals():
@@ -789,7 +753,6 @@ def _check_p17(ctx: RingContext) -> PropertyOutcome:
         if lhs != rhs:
             out.violate(P=ideal_info(gr, p), strongly_weakly=lhs,
                         restricted_triples=rhs, witness=witness)
-    return out
 
 
 def _collapse_law_holds(ctx: RingContext) -> tuple[bool, dict | None]:
@@ -808,24 +771,21 @@ def _collapse_law_holds(ctx: RingContext) -> tuple[bool, dict | None]:
     return True, None
 
 
-def _check_p18(ctx: RingContext) -> PropertyOutcome:
+def _check_p18(ctx: RingContext, out: PropertyOutcome) -> None:
     """Every proper graded ideal is strongly weakly 2-absorbing exactly when
     the triple-product collapse law holds."""
-    out = PropertyOutcome("P18", ctx.label)
     out.hit()
     lhs = all(ctx.strongly_weakly(p) for p in ctx.proper_ideals())
     rhs, witness = _collapse_law_holds(ctx)
     if lhs != rhs:
         out.violate(all_strongly_weakly=lhs, collapse_law=rhs, witness=witness)
-    return out
 
 
-def _check_p19(ctx: RingContext) -> PropertyOutcome:
+def _check_p19(ctx: RingContext, out: PropertyOutcome) -> None:
     """In rings where every proper graded ideal is strongly weakly
     2-absorbing, each graded ideal has cube equal to its square or to zero."""
-    out = PropertyOutcome("P19", ctx.label)
     if not all(ctx.strongly_weakly(p) for p in ctx.proper_ideals()):
-        return out
+        return
     t = ctx.table()
     ii = np.arange(len(t.masks))
     sq = t.prod[ii, ii]
@@ -834,7 +794,6 @@ def _check_p19(ctx: RingContext) -> PropertyOutcome:
     for i in np.flatnonzero((cube != sq) & (cube != t.zero)):
         out.violate(I=ideal_info(ctx.gr, t.masks[i]), square_mask=t.masks[sq[i]],
                     cube_mask=t.masks[cube[i]])
-    return out
 
 
 _CHECKS = {
@@ -930,10 +889,13 @@ def run_property(gr: GradedRing, property_id: str, label: str = "ring",
                          f"expected one of {', '.join(PROPERTY_IDS)}")
     if ctx is None:
         ctx = RingContext(gr, label, ideal_cap, ring_cap)
+    out = PropertyOutcome(property_id, ctx.label)
     try:
-        return check(ctx)
+        check(ctx, out)
     except EnumerationCapError as exc:
+        # a fresh outcome: the check may have filled out before the overrun
         return PropertyOutcome(property_id, ctx.label, skipped=str(exc))
+    return out
 
 
 def evaluate_ring(gr: GradedRing, label: str,
@@ -946,11 +908,10 @@ def evaluate_ring(gr: GradedRing, label: str,
             for pid in ids]
 
 
-def _member_task(args: tuple) -> tuple[str, list[dict]]:
-    label, spec_text, pids, ideal_cap, ring_cap = args
-    gr = CorpusMember(label, spec_text).build(ring_cap)
-    outs = evaluate_ring(gr, label, pids, ideal_cap, ring_cap)
-    return label, [o.to_dict() for o in outs]
+def _member_task(args: tuple) -> list[dict]:
+    m, pids, ideal_cap, ring_cap = args
+    outs = evaluate_ring(m.build(ring_cap), m.label, pids, ideal_cap, ring_cap)
+    return [o.to_dict() for o in outs]
 
 
 def _map_over_corpus(task, args_list: list[tuple], workers: int,
@@ -964,6 +925,8 @@ def _map_over_corpus(task, args_list: list[tuple], workers: int,
     try:
         if workers <= 1:
             return [task(a) for a in args_list]
+        # imported here: only a run with a pool pays for concurrent.futures
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers, initializer=start_build_memo,
                                  initargs=(shared,)) as pool:
             return list(pool.map(task, args_list))
@@ -990,17 +953,16 @@ def run_all_properties(corpus: list[CorpusMember] | None = None,
     if unknown:
         raise ValueError(f"unknown properties: {', '.join(unknown)}")
     members = default_corpus(ring_cap, ideal_cap) if corpus is None else corpus
-    args = [(m.label, m.spec_text, ids, ideal_cap, ring_cap) for m in members]
-    by_label = dict(_map_over_corpus(_member_task, args, workers,
-                                     _shared(members, ring_cap)))
+    args = [(m, ids, ideal_cap, ring_cap) for m in members]
+    results = _map_over_corpus(_member_task, args, workers, _shared(members, ring_cap))
     rows = []
     total_violations = 0
     for pos, pid in enumerate(ids):
         instances = 0
         violations: list[dict] = []
         skips: list[dict] = []
-        for m in members:
-            o = by_label[m.label][pos]
+        for m, outs in zip(members, results):
+            o = outs[pos]
             if o["skipped"] is not None:
                 skips.append({"ring": m.label, "reason": o["skipped"]})
                 continue
@@ -1025,10 +987,9 @@ def run_all_properties(corpus: list[CorpusMember] | None = None,
 # counterexample search
 
 
-def _search_member_task(args: tuple) -> tuple[str, dict]:
-    label, spec_text, ideal_cap, ring_cap = args
-    gr = CorpusMember(label, spec_text).build(ring_cap)
-    return label, search_ring(gr, label, ideal_cap)
+def _search_member_task(args: tuple) -> dict:
+    m, ideal_cap, ring_cap = args
+    return search_ring(m.build(ring_cap), m.label, ideal_cap)
 
 
 def search_ring(gr: GradedRing, label: str,
@@ -1088,17 +1049,15 @@ def search_question1(corpus: list[CorpusMember] | None = None,
     Either counterexamples (each re-verified through the raw product route)
     or an exhaustion certificate with the number of examined tuples."""
     members = default_corpus(ring_cap, ideal_cap) if corpus is None else corpus
-    args = [(m.label, m.spec_text, ideal_cap, ring_cap) for m in members]
-    by_label = dict(_map_over_corpus(_search_member_task, args, workers,
-                                     _shared(members, ring_cap)))
+    args = [(m, ideal_cap, ring_cap) for m in members]
+    results = _map_over_corpus(_search_member_task, args, workers, _shared(members, ring_cap))
     counters = {"triples_scanned": 0, "triples_nonzero": 0,
                 "triples_hypothesis": 0}
     eligible: list[dict] = []
     counterexamples: list[dict] = []
     skipped: list[dict] = []
     discarded = 0
-    for m in members:
-        r = by_label[m.label]
+    for m, r in zip(members, results):
         if r.get("skipped"):
             skipped.append({"ring": m.label, "reason": r["skipped"]})
             continue

@@ -110,7 +110,7 @@ def graded_cases(draw):
         expr = f"quotient({expr}, [{gr.name(x)}])"
         gr = build_ring("ring: " + expr)
         full = (1 << gr.order) - 1
-    lattice = classify.graded_ideal_lattice(gr)
+    lattice = ideals.enumerate_graded_ideals(gr)
     sub = draw(st.sampled_from([s for s in lattice if s.mask != full] or lattice))
     degrees = [g for g in range(gr.group.order)
                if sub.mask & gr.component_mask(g) != gr.component_mask(g)]
@@ -278,7 +278,7 @@ def raw_ideal_verdicts(gr, pmask: int) -> dict:
     strongly weakly 2-absorbing, by the definitions' loops over the graded
     ideal lattice in mask order, every ideal product recomputed from all
     members by raw_product_mask. The witness is the first violation met."""
-    masks = [s.mask for s in classify.graded_ideal_lattice(gr)]
+    masks = [s.mask for s in ideals.enumerate_graded_ideals(gr)]
     products: dict = {}
 
     def prod(a: int, b: int) -> int:
@@ -310,7 +310,7 @@ def raw_ideal_verdicts(gr, pmask: int) -> dict:
 def loop_search(gr, eligible: list[int]) -> tuple[dict, list[tuple]]:
     """search_ring's counters and counterexamples (P, A, B, K, ABK masks) by
     the definition's loops, every product from raw_product_mask."""
-    masks = [s.mask for s in classify.graded_ideal_lattice(gr)]
+    masks = [s.mask for s in ideals.enumerate_graded_ideals(gr)]
     products: dict = {}
 
     def prod(a, b):

@@ -8,6 +8,7 @@ under test, and enforces a wall-clock budget where one is stated.  Run with
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 
@@ -20,7 +21,6 @@ from ringbench.bitsets import contains, indices_from_mask, is_subset
 from ringbench.classify import (
     find_g_triple_zeros,
     g_sandwich_values,
-    graded_ideal_lattice,
     is_graded_2_absorbing,
     is_graded_prime,
     is_graded_weakly_2_absorbing,
@@ -28,7 +28,7 @@ from ringbench.classify import (
     raw_product_mask,
     verify_witness,
 )
-from ringbench.ideals import is_graded_ideal
+from ringbench.ideals import enumerate_graded_ideals, is_graded_ideal
 from ringbench.specs import build_document, parse_document
 from ringbench.theorems import default_corpus, run_all_properties, search_question1
 
@@ -152,7 +152,7 @@ def test_criterion_5_fast_path_equals_raw_route(built_corpus):
         if gr.order > 256:
             continue
         checked += 1
-        for sub in graded_ideal_lattice(gr):
+        for sub in enumerate_graded_ideals(gr):
             raw = raw_sandwich_kernels(gr, sub.mask)
             fast = kernel_arrays(gr, sub.mask)
             if not (np.array_equal(fast["subseteq"], raw["subseteq"])
@@ -173,7 +173,7 @@ def test_criterion_6_triple_zero_annihilation(built_corpus, suite_reports):
         mul = gr.ring.mul
         zero = gr.ring.zero
         Re = gr.component_indices(gr.group.identity)
-        for sub in graded_ideal_lattice(gr):
+        for sub in enumerate_graded_ideals(gr):
             for g in range(gr.group.order):
                 comp = gr.component_mask(g)
                 if sub.mask & comp == comp:
@@ -248,3 +248,18 @@ def test_criterion_8_search_yields_certificate(built_corpus):
                f"no counterexample; exhaustion certificate over {scanned} "
                f"ideal-triple candidates")
     _verdict(8, ok, f"{outcome}, 0 discarded, {elapsed:.0f}s")
+
+
+# sha256 of json.dumps(report, sort_keys=True) for the default corpus: the
+# property suite's and the question-1 search's counts, witnesses and order
+SUITE_REPORT_SHA256 = "7186e28eb3e4efbfabdab672cc3adca212bfcc2834373048c9b59b5576c28672"
+SEARCH_REPORT_SHA256 = "225b9f992ac71536160cb3ec757df3752af5b7f80bce91a6b0a42b37f9b2add0"
+
+
+def _digest(report: dict) -> str:
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+def test_default_corpus_report_bytes_pinned(suite_reports):
+    assert _digest(suite_reports["serial"]) == SUITE_REPORT_SHA256
+    assert _digest(search_question1(workers=2)) == SEARCH_REPORT_SHA256

@@ -32,7 +32,6 @@ from ringbench.classify import (
     classify_ideal,
     find_g_triple_zeros,
     g_sandwich_values,
-    graded_ideal_lattice,
     is_g_weakly_2_absorbing,
     is_graded_2_absorbing,
     is_graded_prime,
@@ -60,7 +59,7 @@ from ringbench.theorems import run_property
 def test_dual_route_kernels_agree():
     for text in SMALL_RINGS:
         gr = build_ring(text)
-        for sub in graded_ideal_lattice(gr):
+        for sub in enumerate_graded_ideals(gr):
             raw = raw_sandwich_kernels(gr, sub.mask)
             fast = kernel_arrays(gr, sub.mask)
             assert np.array_equal(fast["subseteq"], raw["subseteq"]), text
@@ -74,7 +73,7 @@ def test_g_kernel_matches_raw_route():
     checked = 0
     for text in SMALL_RINGS:
         gr = build_ring(text)
-        for sub in graded_ideal_lattice(gr):
+        for sub in enumerate_graded_ideals(gr):
             for g in range(gr.group.order):
                 comp = gr.component_mask(g)
                 if sub.mask & comp == comp:
@@ -93,14 +92,14 @@ def test_hom_kernel_matches_raw_route_at_order_256():
     counted_sandwich_kernels is first checked against raw_sandwich_kernels,
     whose (h, n, h, h) temporary would be 4 GB here."""
     small = build_ring("ring: idealization(zn(4), regular)")
-    masks = [s.mask for s in graded_ideal_lattice(small)]
+    masks = [s.mask for s in enumerate_graded_ideals(small)]
     for pmask, counted in counted_sandwich_kernels(small, masks):
         raw = raw_sandwich_kernels(small, pmask)
         for key in ("subseteq", "iszero", "pair_any"):
             assert np.array_equal(counted[key], raw[key]), (pmask, key)
 
     gr = build_ring("ring: idealization(zn(16), regular)")
-    lattice = graded_ideal_lattice(gr)
+    lattice = enumerate_graded_ideals(gr)
     assert (gr.order, len(gr.hom_indices()), len(lattice)) == (256, 256, 23)
     for pmask, raw in counted_sandwich_kernels(gr, [s.mask for s in lattice]):
         fast = kernel_arrays(gr, pmask)
@@ -159,7 +158,7 @@ def test_lattice_ideals_skip_closure_recheck(monkeypatch):
     monkeypatch.setattr(ideals, "check_closure",
                         lambda *a, **kw: calls.append(a[1]) or real(*a, **kw))
     gr = build_ring(TRIANGULAR_Z2_Z4)
-    lattice = [s.mask for s in graded_ideal_lattice(gr)]
+    lattice = [s.mask for s in enumerate_graded_ideals(gr)]
     for mask in lattice:
         make_quotient(gr, mask)
         classify.require_graded_ideal(gr, mask, proper=False)
@@ -177,7 +176,7 @@ def test_lattice_ideals_skip_closure_recheck(monkeypatch):
     assert ideals.ideal_check(fresh, lattice[1]) == (True, None, None)
     unrecorded = build_document(parse_document(TRIANGULAR_Z2_Z4),
                                 check_tables=False).graded_ring
-    assert [s.mask for s in graded_ideal_lattice(unrecorded)] == lattice
+    assert [s.mask for s in enumerate_graded_ideals(unrecorded)] == lattice
     for _ in range(2):
         make_quotient(unrecorded, lattice[1])
         classify.require_graded_ideal(unrecorded, lattice[1], proper=False)
@@ -195,7 +194,7 @@ def test_lattice_ideals_skip_closure_recheck(monkeypatch):
     assert errors(gr, left) == errors(fresh, left)
     assert "not a two-sided ideal" in errors(gr, left)[0][1]
     g4 = build_ring("ring: gaussian(4)")
-    g4_lattice = graded_ideal_lattice(g4)
+    g4_lattice = enumerate_graded_ideals(g4)
     leaky = generate_ideal(g4, [5]).mask            # (1+i) holds 1+i but not 1
     assert leaky not in [s.mask for s in g4_lattice]
     assert errors(g4, leaky) == errors(build_ring("ring: gaussian(4)"), leaky)
@@ -210,7 +209,7 @@ def test_dual_route_verdicts_agree():
     full = 0
     for text in SMALL_RINGS:
         gr = build_ring(text)
-        for sub in graded_ideal_lattice(gr):
+        for sub in enumerate_graded_ideals(gr):
             if sub.mask == (1 << gr.order) - 1:
                 continue
             expected = raw_triple_verdicts(gr, sub.mask)
@@ -226,7 +225,7 @@ def test_dual_route_verdicts_agree():
 def brute_prime_verdicts(gr, pmask: int) -> tuple[bool, bool]:
     """(prime, weakly prime) by scanning every ordered pair of graded ideals
     with products recomputed from all members."""
-    masks = [s.mask for s in graded_ideal_lattice(gr)]
+    masks = [s.mask for s in enumerate_graded_ideals(gr)]
     prime, weakly = True, True
     for im in masks:
         for jm in masks:
@@ -244,7 +243,7 @@ def test_prime_predicates_match_brute_force():
     hits = 0
     for text in SMALL_RINGS:
         gr = build_ring(text)
-        for sub in graded_ideal_lattice(gr):
+        for sub in enumerate_graded_ideals(gr):
             if sub.mask == (1 << gr.order) - 1:
                 continue
             prime, weakly = brute_prime_verdicts(gr, sub.mask)
@@ -260,7 +259,7 @@ def test_prime_predicates_match_brute_force():
 
 
 def brute_strongly_weakly(gr, pmask: int) -> bool:
-    masks = [s.mask for s in graded_ideal_lattice(gr)]
+    masks = [s.mask for s in enumerate_graded_ideals(gr)]
     for am in masks:
         for bm in masks:
             ab = raw_product_mask(gr, am, bm)
@@ -278,7 +277,7 @@ def brute_strongly_weakly(gr, pmask: int) -> bool:
 def test_strongly_weakly_matches_brute_force():
     for text in ("ring: zn(8)", "ring: zn(16)", "ring: gaussian(4)"):
         gr = build_ring(text)
-        for sub in graded_ideal_lattice(gr):
+        for sub in enumerate_graded_ideals(gr):
             if sub.mask == (1 << gr.order) - 1:
                 continue
             expected = brute_strongly_weakly(gr, sub.mask)
@@ -318,7 +317,7 @@ def test_ideal_predicates_match_loop_oracle():
                                ROW_MATRICES_F2, UPPER_TRIANGULAR_F2, TRIANGULAR_Z2_Z4]:
         gr = build_ring(text)
         full = (1 << gr.order) - 1
-        for sub in graded_ideal_lattice(gr):
+        for sub in enumerate_graded_ideals(gr):
             if sub.mask != full:
                 false += check_ideal_predicates(gr, sub.mask, text)
     assert false > 0
@@ -362,7 +361,7 @@ def test_ideal_predicates_keep_blocks_small(monkeypatch):
     chunk) the table and the predicates' verdicts and witnesses agree."""
     def run(text):
         gr = build_ring(text)
-        masks = [s.mask for s in graded_ideal_lattice(gr)][:-1]
+        masks = [s.mask for s in enumerate_graded_ideals(gr)][:-1]
         t = classify.lattice_table(gr)
         return t, [[fn(gr, p) for _, fn in IDEAL_PREDICATES] for p in masks]
 
@@ -436,7 +435,7 @@ def test_matrix_zn8_even_entry_ideal_frozen():
 def test_g_variants_match_scalar_recomputation():
     for text in ("ring: zn(8)", "ring: gaussian(4)"):
         gr = build_ring(text)
-        for sub in graded_ideal_lattice(gr):
+        for sub in enumerate_graded_ideals(gr):
             for g in range(gr.group.order):
                 comp = gr.component_mask(g)
                 if sub.mask & comp == comp:
@@ -540,7 +539,7 @@ def test_census_scan_matches_whole_block_unpack(spec):
     and uncovered degree. On zn(512), whose unpack takes about 1 s an ideal,
     only the first four ideals: the three with a census and one without."""
     gr = build_ring(spec)
-    proper = [s.mask for s in graded_ideal_lattice(gr)][:-1]
+    proper = [s.mask for s in enumerate_graded_ideals(gr)][:-1]
     counts = [_census_scans_agree(gr, p, g)
               for p in (proper if gr.order < 512 else proper[:4])
               for g in range(gr.group.order)
@@ -563,7 +562,7 @@ def test_commutative_weakly_equals_completely_weakly():
                  "ring: product(zn(2), zn(4))"):
         gr = build_ring(text)
         assert gr.ring.is_commutative() and gr.ring.unity is not None
-        for sub in graded_ideal_lattice(gr):
+        for sub in enumerate_graded_ideals(gr):
             if sub.mask == (1 << gr.order) - 1:
                 continue
             w = is_graded_weakly_2_absorbing(gr, sub).value

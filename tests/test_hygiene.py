@@ -8,6 +8,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+from ringbench.theorems import PROPERTY_IDS
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ringbench"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -182,3 +184,24 @@ def test_degree_slice_checks_read_tables():
                 if read & _ROW_SOURCES:
                     found.append(f"{name}:{it.lineno} loops over {sorted(read & _ROW_SOURCES)}")
     assert found == []
+
+
+def test_runner_owns_every_property_outcome():
+    """run_property is the one place a PropertyOutcome is made; each
+    _check_pN fills the outcome it is given and returns nothing, and _CHECKS
+    lists the checks under PROPERTY_IDS, in order, each by its own name."""
+    tree = _tree(PACKAGE / "theorems.py")
+    makers = {f"{path.name}:{owner}" for path in MODULES
+              for owner, node in _top_level_owner(_tree(path))
+              if isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "PropertyOutcome"}
+    assert makers == {"theorems.py:run_property"}
+    returns = [f"{fn.name}:{node.lineno}" for fn in tree.body
+               if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_check_p")
+               for node in ast.walk(fn) if isinstance(node, ast.Return) and node.value is not None]
+    assert returns == []
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["_CHECKS"])
+    keys = [k.value for k in table.keys]
+    assert keys == list(PROPERTY_IDS)
+    assert [v.id for v in table.values] == [f"_check_{k.lower()}" for k in keys]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,25 @@ def test_directory_corpus(tmp_path):
     empty.mkdir()
     with pytest.raises(ValueError, match="no spec files"):
         directory_corpus(empty)
+
+
+def test_duplicate_labels_merge_by_position(tmp_path):
+    """Two files with one stem make two members labelled alike; each keeps
+    its own results in the merged reports."""
+    (tmp_path / "a.spec").write_text("ring: zn(4)\n")
+    (tmp_path / "a.txt").write_text("ring: gaussian(2)\n")
+    corpus = directory_corpus(tmp_path)
+    assert [m.label for m in corpus] == ["a", "a"]
+    merged = run_all_properties(corpus)
+    singles = [run_all_properties([m]) for m in corpus]
+    for pos, row in enumerate(merged["properties"]):
+        assert row["instances_checked"] == sum(
+            r["properties"][pos]["instances_checked"] for r in singles), row["id"]
+    found = search_question1(corpus)
+    alone = [search_question1([m]) for m in corpus]
+    assert found["eligible_ideals"] == [e for r in alone for e in r["eligible_ideals"]]
+    assert found["counters"] == {key: sum(r["counters"][key] for r in alone)
+                                 for key in found["counters"]}
 
 
 def test_search_mini_corpus_exhausts():
@@ -247,7 +268,7 @@ class _SerialPool:
 
 
 def test_pool_never_larger_than_task_list(monkeypatch):
-    monkeypatch.setattr(theorems, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "sizes", [])
     assert theorems._map_over_corpus(abs, [-1, -2, -3], 1000) == [1, 2, 3]
     assert theorems._map_over_corpus(abs, [-1], 1000) == [1]

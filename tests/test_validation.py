@@ -17,7 +17,6 @@ from conftest import SMALL_RINGS, build_ring, ends_within
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from ringbench import cli, constructions, grading, ideals, specs
-from ringbench.classify import graded_ideal_lattice
 from ringbench.constructions import (
     BimoduleError,
     GradedBimodule,
@@ -40,7 +39,7 @@ from ringbench.grading import (
     validate_grading,
 )
 from ringbench.groups import FiniteGroup, make_cyclic, make_product_group, validate_group
-from ringbench.ideals import IdealSubset, generate_ideal
+from ringbench.ideals import IdealSubset, enumerate_graded_ideals, generate_ideal
 from ringbench.rings import (
     DEFAULT_RING_CAP,
     FiniteRing,
@@ -746,7 +745,7 @@ def test_constructors_skip_revalidation_entry_points_keep_it(monkeypatch):
     count(grading, "validate_grading")
     ctx = RingContext(gr, "matrix(zn(2), 2)")
     ctx.idealizations()
-    for sub in graded_ideal_lattice(gr):
+    for sub in enumerate_graded_ideals(gr):
         constructions._idealization(gr, quotient_bimodule(make_quotient(gr, sub)))
     assert run_property(gr, "P8").violations == []
     assert calls == Counter()
