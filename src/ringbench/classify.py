@@ -9,8 +9,18 @@ homogeneous-multiplier sandwich does.
 As x*S*y*S*z = (x*S*y)*S*z, a triple's verdict depends only on the value
 set x*S*y and on z; sandwich_kernel keeps the few distinct value sets, so an
 ideal costs two small products and a bit-packed triple scan, not O(h^3).
-A triple-zero census keeps what that scan yields, a (count, 3) uint16 array
-of element indices, and is never turned into Python tuples.
+
+The scan runs over twin classes of x and of y. Whether (x, y, z) hits reads
+x only through its row of value sets and its products x*y', x*z landing in
+P, and y only through its column of value sets and its products x'*y, y*z
+landing in P. Elements that agree on all of these are twins: each triple
+of theirs hits exactly when the same triple of the least twin does, so a
+hit of the least twins stands for a box of triples. On zn(1024) the units'
+associates make 8 to 11 classes of 1024 elements, and an ideal's scan
+reads about 100 pairs instead of a million. The classes of the value sets
+are found once per kernel, then split by P's products once per ideal. A
+census's count and first triple come from the boxes; only a census asked
+for in full is listed, as a (count, 3) uint16 array of element indices.
 
 sandwich_values and g_sandwich_values evaluate the raw definitions without
 these reductions and exist so results can be cross-checked through an
@@ -29,6 +39,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -151,6 +162,7 @@ def require_graded_ideal(gr: GradedRing, P: IdealSubset | int,
 # sandwich kernel
 
 _BLOCK = 1 << 20     # bytes of the largest temporary in a triple scan
+_TWIN_WORDS = 1 << 14    # words a twin-class scan must save to pay
 
 
 def sandwich_kernel(gr: GradedRing, left: int | None, mult: int | None,
@@ -216,7 +228,8 @@ def _kernel(gr: GradedRing, g: int | None, pmask: int) -> tuple[dict, np.ndarray
     g None: X and S are the homogeneous elements. A degree g: X = R_g and
     S = R_e, and the z side sandwiches C_{g^2}*R_e*R_g. tk["zero"][r, m]
     says row r times S times X[m] vanishes, inside[r, m] that it lies in P;
-    outside[a, b] says X[a]*X[b] is not in P.
+    outside[a, b] says X[a]*X[b] is not in P. The ideal's entry also keeps
+    the twin classes that _ideal_scan refines at P.
     """
     if g is None:
         k1 = k2 = sandwich_kernel(gr, None, None, None)
@@ -224,7 +237,7 @@ def _kernel(gr: GradedRing, g: int | None, pmask: int) -> tuple[dict, np.ndarray
         e = gr.group.identity
         k1, k2 = sandwich_kernel(gr, g, e, g), sandwich_kernel(gr, gr.group.mul(g, g), e, g)
     key = ("triple", k1["key"], k2["key"])
-    tk = gr.memo(key, lambda: {"X": k1["R"], "inv": k1["inv"],
+    tk = gr.memo(key, lambda: {"key": key, "X": k1["R"], "inv": k1["inv"],
                                "zero": _none_in(k1["U"], ~k2["zero"][k2["inv"]]),
                                "prods": gr.ring.mul[np.ix_(k1["R"], k1["R"])]})
     # the one bounded family: each entry holds (h, h) bools, 16 MB at h = 4096
@@ -234,17 +247,145 @@ def _kernel(gr: GradedRing, g: int | None, pmask: int) -> tuple[dict, np.ndarray
         good = _none_in(k2["U"], ~Pb[k2["T"]])[k2["inv"]]
         while len(cache) >= 64:
             cache.popitem(last=False)
-        cache[key, pmask] = (_none_in(k1["U"], ~good), ~Pb[tk["prods"]])
-    return (tk, *cache[key, pmask])
+        cache[key, pmask] = (_none_in(k1["U"], ~good), ~Pb[tk["prods"]], {})
+    return (tk, *cache[key, pmask][:2])
 
 
-def _triples(rows: np.ndarray, inv: np.ndarray, outside: np.ndarray,
-             first: bool) -> np.ndarray:
-    """(i, k, m), lexicographically, with rows[inv[i, k], m] set and the
-    pairs (i, k), (k, m), (i, m) all outside; only the first when asked.
-    The full list is a (count, 3) uint16 array.
+def _products(gr: GradedRing, tk: dict) -> dict:
+    """The distinct products X[i]*X[k] as values, inv[i, k] the position
+    of X[i]*X[k] among them, and az[v, m] = values[v]*X[m] with nonzero
+    where it is not 0, once per kernel."""
+    def build():
+        present = np.zeros(gr.order, dtype=bool)
+        present[tk["prods"]] = True
+        values = np.flatnonzero(present)
+        at = np.cumsum(present, dtype=np.min_scalar_type(len(values))) - 1
+        az = gr.ring.mul[np.ix_(values, tk["X"])]
+        return {"values": values, "inv": at[tk["prods"]], "az": az, "nonzero": az != 0}
+    return gr.memo(("products", tk["key"]), build)
 
-    Bits along m are packed into 64-bit words and i is taken in blocks.
+
+# ---------------------------------------------------------------------------
+# twin classes
+
+
+class _Twins(NamedTuple):
+    """A partition of the positions 0..h-1 of one scan axis into classes
+    numbered by least member: of[i] is i's class, reps[c] the least member
+    of class c and sizes[c] its size."""
+
+    of: np.ndarray
+    reps: np.ndarray
+    sizes: np.ndarray
+
+
+def _partition(*sigs: np.ndarray) -> _Twins:
+    """Positions whose rows agree in every sig (arrays of h rows) share a class."""
+    h = len(sigs[0])
+    key = np.hstack([np.ascontiguousarray(s).reshape(h, -1).view(np.uint8) for s in sigs])
+    _, first, of = np.unique(key.view(np.dtype((np.void, key.shape[1]))).ravel(),
+                             return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[order] = np.arange(len(first))
+    of = rank[of]
+    return _Twins(of, first[order], np.bincount(of))
+
+
+def _kernel_twins(gr: GradedRing, key: tuple, name: str,
+                  inv: np.ndarray) -> tuple[_Twins, _Twins] | None:
+    """Classes of equal rows and of equal columns of a scan's inv, once per
+    kernel, or None when the scan is to run over the positions themselves.
+
+    Refining by an ideal's outside only splits these classes, so they bound
+    what any ideal's scan can save: (h^2 - rows * columns) pairs (i, k),
+    each ceil(h / 64) words. Below _TWIN_WORDS the refinement and the
+    classes' gathers cost more than they save (they take about 0.2 ms a
+    scan; the position scan reads about 50 words a microsecond). A kernel
+    without twins saves nothing."""
+    h = len(inv)
+    words = -(-h // 64)
+
+    def build():
+        if h * h * words < _TWIN_WORDS:
+            return None
+        rows, cols = _partition(inv), _partition(inv.T)
+        if (h * h - len(rows.sizes) * len(cols.sizes)) * words < _TWIN_WORDS:
+            return None
+        return rows, cols
+    return gr.memo(("twins", key, name), build)
+
+
+def _refine(base: tuple[_Twins, _Twins] | None,
+            outside: np.ndarray) -> tuple[_Twins, _Twins] | None:
+    """The twins of a scan: i and i' share inv's rows and outside's rows;
+    k and k' share inv's columns and outside's columns and rows."""
+    if base is None:
+        return None
+    rows = np.packbits(outside, axis=1)
+    return (_partition(base[0].of, rows),
+            _partition(base[1].of, np.packbits(outside, axis=0).T, rows))
+
+
+@dataclass(frozen=True)
+class _Boxes:
+    """What a scan found, in C order: hits[j] = (a, b, m) stands for every
+    triple (i, k, m) with i in class a of twins[0] and k in class b of
+    twins[1]; with twins None, a = i and b = k."""
+
+    hits: np.ndarray
+    twins: tuple[_Twins, _Twins] | None
+
+    def first(self) -> tuple[int, int, int] | None:
+        """The lexicographically first triple: the least members of the
+        first hit's classes, as classes are ordered by least member."""
+        if not len(self.hits):
+            return None
+        a, b, m = (int(v) for v in self.hits[0])
+        if self.twins is None:
+            return a, b, m
+        return int(self.twins[0].reps[a]), int(self.twins[1].reps[b]), m
+
+    def count(self) -> int:
+        if self.twins is None:
+            return len(self.hits)
+        first, second = self.twins
+        return int((first.sizes[self.hits[:, 0]] * second.sizes[self.hits[:, 1]]).sum())
+
+    def triples(self) -> np.ndarray:
+        """Every triple, in C order, as a (count, 3) uint16 array."""
+        if self.twins is None:
+            return self.hits
+        first, second = self.twins
+        a, b, m = self.hits.T.astype(np.intp)
+        # each hit as (a, k, m) for the members k of class b, sorted
+        members = np.argsort(second.of, kind="stable").astype(np.uint16)
+        per = second.sizes[b]
+        src = np.repeat(np.arange(len(b)), per)
+        k = members[np.arange(len(src)) + np.repeat(second.sizes.cumsum()[b] - per.cumsum(), per)]
+        order = np.lexsort((m[src], k, a[src]))
+        km = np.stack([k, m[src].astype(np.uint16)], axis=1)[order]
+        bounds = np.searchsorted(a[src][order], np.arange(len(first.sizes) + 1))
+        # then row i repeats the block of its class
+        lens = np.diff(bounds)[first.of]
+        out = np.empty((int(lens.sum()), 3), dtype=np.uint16)
+        out[:, 0] = np.repeat(np.arange(len(lens), dtype=np.uint16), lens)
+        at = 0
+        for c, n in zip(first.of.tolist(), lens.tolist()):
+            out[at:at + n, 1:] = km[bounds[c]:bounds[c] + n]
+            at += n
+        return out
+
+
+def _scan(rows: np.ndarray, inv: np.ndarray, outside: np.ndarray,
+          twins: tuple[_Twins, _Twins] | None, first: bool) -> _Boxes:
+    """(a, b, m), lexicographically, with rows[inv[i, k], m] set and the
+    pairs (i, k), (k, m), (i, m) all outside, for i the least member of
+    class a and k of class b; only the first when asked. Twins hit alike:
+    (i, k, m) reads row i of inv and outside, column k of inv and outside,
+    row k of outside, and nothing else of i or k.
+
+    Bits along m are packed into 64-bit words and a is taken in blocks.
     """
     h = outside.shape[0]
     nbytes = -(-h // 64) * 8
@@ -256,32 +397,53 @@ def _triples(rows: np.ndarray, inv: np.ndarray, outside: np.ndarray,
 
     # pairs (i, k) that are not outside read an appended empty row
     packed = words(np.vstack([rows, np.zeros(h, dtype=bool)]))
-    idx = np.where(outside, inv, np.intp(len(rows)))
-    out_w = words(outside)
-    step = max(1, _BLOCK // (h * nbytes))
+    if twins is None:
+        out_i = out_k = words(outside)
+        idx = np.where(outside, inv, np.intp(len(rows)))
+    else:
+        ri, rk = twins[0].reps, twins[1].reps
+        out_i, out_k = words(outside[ri]), words(outside[rk])
+        box = np.ix_(ri, rk)
+        idx = np.where(outside[box], inv[box], np.intp(len(rows)))
+    step = max(1, _BLOCK // (len(out_k) * nbytes))
     found = []
-    for i0 in range(0, h, step):
-        blk = packed[idx[i0:i0 + step]] & out_w[None, :, :] & out_w[i0:i0 + step, None, :]
+    for a0 in range(0, len(idx), step):
+        blk = packed[idx[a0:a0 + step]] & out_k[None, :, :] & out_i[a0:a0 + step, None, :]
         live = blk.any(axis=2)
         if not live.any():
             continue
         if first:
-            i, k = np.argwhere(live)[0]
-            return np.array([[i0 + i, k, np.argmax(np.unpackbits(blk[i, k].view(np.uint8)))]])
-        # unpack only the occupied words: (i, k, word) then the bit in the word
+            a, b = np.argwhere(live)[0]
+            m = np.argmax(np.unpackbits(blk[a, b].view(np.uint8)))
+            return _Boxes(np.array([[a0 + a, b, m]], dtype=np.uint16), twins)
+        # unpack only the occupied words: (a, b, word) then the bit in the word
         at = np.argwhere(blk)
         bits = np.argwhere(np.unpackbits(blk[tuple(at.T)].view(np.uint8).reshape(-1, 8), axis=1))
         hits = at[bits[:, 0]]
-        hits[:, 0] += i0
+        hits[:, 0] += a0
         hits[:, 2] = hits[:, 2] * 64 + bits[:, 1]
         found.append(hits.astype(np.uint16))
-    return np.concatenate(found) if found else np.empty((0, 3), dtype=np.uint16)
+    return _Boxes(np.concatenate(found) if found else np.empty((0, 3), dtype=np.uint16),
+                  twins)
 
 
-def _first_triple(gr: GradedRing, X: np.ndarray, rows: np.ndarray,
-                  inv: np.ndarray, outside: np.ndarray) -> Verdict:
-    hit = _triples(rows, inv, outside, first=True)
-    return Verdict(False, _triple_witness(gr, *X[hit[0]])) if len(hit) else Verdict(True)
+def _ideal_scan(gr: GradedRing, tk: dict, pmask: int, rows: np.ndarray,
+                inv: np.ndarray, name: str, first: bool) -> _Boxes:
+    """_scan at a kernel and ideal that _kernel has just prepared: outside
+    and the twin classes come from the ideal's entry, refined once."""
+    _, outside, twins = gr.memo("ideal_rows", OrderedDict)[tk["key"], pmask]
+    if name not in twins:
+        twins[name] = _refine(_kernel_twins(gr, tk["key"], name, inv), outside)
+    return _scan(rows, inv, outside, twins[name], first)
+
+
+def _verdict(gr: GradedRing, X: np.ndarray, boxes: _Boxes) -> Verdict:
+    hit = boxes.first()
+    return Verdict(True) if hit is None else Verdict(False, _triple_witness(gr, *X[list(hit)]))
+
+
+def _first_triple(gr: GradedRing, tk: dict, pmask: int, rows: np.ndarray) -> Verdict:
+    return _verdict(gr, tk["X"], _ideal_scan(gr, tk, pmask, rows, tk["inv"], "inv", True))
 
 
 def _triple_witness(gr: GradedRing, x: int, y: int, z: int) -> dict:
@@ -293,24 +455,26 @@ def _triple_witness(gr: GradedRing, x: int, y: int, z: int) -> dict:
 
 def is_graded_2_absorbing(gr: GradedRing, P: IdealSubset | int) -> Verdict:
     """x*R*y*R*z inside P forces a pairwise product into P (x, y, z homogeneous)."""
-    tk, inside, outside = _kernel(gr, None, require_graded_ideal(gr, P).mask)
-    return _first_triple(gr, tk["X"], inside, tk["inv"], outside)
+    pmask = require_graded_ideal(gr, P).mask
+    tk, inside, _ = _kernel(gr, None, pmask)
+    return _first_triple(gr, tk, pmask, inside)
 
 
 def is_graded_weakly_2_absorbing(gr: GradedRing, P: IdealSubset | int) -> Verdict:
     """Nonzero x*R*y*R*z inside P forces a pairwise product into P."""
-    tk, inside, outside = _kernel(gr, None, require_graded_ideal(gr, P).mask)
-    return _first_triple(gr, tk["X"], inside & ~tk["zero"], tk["inv"], outside)
+    pmask = require_graded_ideal(gr, P).mask
+    tk, inside, _ = _kernel(gr, None, pmask)
+    return _first_triple(gr, tk, pmask, inside & ~tk["zero"])
 
 
 def is_graded_completely_weakly_2_absorbing(gr: GradedRing,
                                             P: IdealSubset | int) -> Verdict:
     """Nonzero product xyz in P forces a pairwise product into P."""
-    P = require_graded_ideal(gr, P)
-    tk, _, outside = _kernel(gr, None, P.mask)
-    az = gr.ring.mul[:, tk["X"]]      # rows[a, m]: a*X[m] is nonzero and in P
-    rows = bools_from_mask(P.mask, gr.order)[az] & (az != 0)
-    return _first_triple(gr, tk["X"], rows, tk["prods"], outside)
+    pmask = require_graded_ideal(gr, P).mask
+    tk, _, _ = _kernel(gr, None, pmask)
+    pr = _products(gr, tk)      # rows[v, m]: values[v]*X[m] is nonzero and in P
+    rows = bools_from_mask(pmask, gr.order)[pr["az"]] & pr["nonzero"]
+    return _verdict(gr, tk["X"], _ideal_scan(gr, tk, pmask, rows, pr["inv"], "products", True))
 
 
 def _require_degree(gr: GradedRing, P: IdealSubset, g: int) -> None:
@@ -333,10 +497,16 @@ def is_g_weakly_2_absorbing(gr: GradedRing, P: IdealSubset | int, g: int,
     _require_degree(gr, P, g)
     if mode not in ("weakly", "plain"):
         raise ValueError(f"unknown mode {mode!r}")
-    tk, inside, outside = _kernel(gr, g, P.mask)
+    tk, inside, _ = _kernel(gr, g, P.mask)
     if mode == "weakly":
         inside = inside & ~tk["zero"]
-    return _first_triple(gr, tk["X"], inside, tk["inv"], outside)
+    return _first_triple(gr, tk, P.mask, inside)
+
+
+def _census(gr: GradedRing, pmask: int, g: int) -> tuple[dict, _Boxes]:
+    """(tk, boxes) of the g-triple-zeros of P at degree g, in positions of tk["X"]."""
+    tk, _, _ = _kernel(gr, g, pmask)
+    return tk, _ideal_scan(gr, tk, pmask, tk["zero"], tk["inv"], "inv", False)
 
 
 def find_g_triple_zeros(gr: GradedRing, P: IdealSubset | int,
@@ -345,10 +515,9 @@ def find_g_triple_zeros(gr: GradedRing, P: IdealSubset | int,
     product in P, in lexicographic order, as the census's uint16 array."""
     P = require_graded_ideal(gr, P, proper=False)
     _require_degree(gr, P, g)
-    tk, _, outside = _kernel(gr, g, P.mask)
-    hits = _triples(tk["zero"], tk["inv"], outside, first=False)
+    tk, boxes = _census(gr, P.mask, g)
     weakly = is_g_weakly_2_absorbing(gr, P, g, "weakly")
-    return GTripleZeroCensus(g, tk["X"].astype(np.uint16)[hits], weakly.value)
+    return GTripleZeroCensus(g, tk["X"].astype(np.uint16)[boxes.triples()], weakly.value)
 
 
 # ---------------------------------------------------------------------------
@@ -680,9 +849,10 @@ def classify_ideal(gr: GradedRing, P: IdealSubset | int,
                 entry[mode] = verdict.value
                 if verdict.witness is not None:
                     entry[f"{mode}_witness"] = verdict.witness
-            census = find_g_triple_zeros(gr, P, g)
-            entry["triple_zeros"] = census.count
-            if census.count:
-                entry["first_triple_zero"] = _triple_witness(gr, *census.triples[0])
+            tk, boxes = _census(gr, P.mask, g)
+            entry["triple_zeros"] = boxes.count()
+            first = boxes.first()
+            if first is not None:
+                entry["first_triple_zero"] = _triple_witness(gr, *tk["X"][list(first)])
         report.g_variants[g] = entry
     return report

@@ -221,6 +221,39 @@ def _cap_error(cap: int, sidedness: str) -> EnumerationCapError:
                                f"raise the ideal cap to enumerate them")
 
 
+def _homogeneous_units(gr: GradedRing) -> np.ndarray:
+    """The homogeneous u with uv = 1 = wu for some homogeneous v and w, on
+    tables recorded as a ring with a unity; none on any other tables."""
+    ring = gr.ring
+    H = gr.hom_indices()
+    if not ring.laws_checked or ring.unity is None:
+        return H[:0]
+    one = ring.mul[np.ix_(H, H)] == ring.unity
+    return H[one.any(axis=1) & one.any(axis=0)]
+
+
+def _principal_masks(gr: GradedRing, left: bool, right: bool) -> list[int]:
+    """The mask of each homogeneous x's principal ideal, in hom_indices order.
+
+    For a homogeneous unit u, x = u^-1 (ux), so (ux) = (x) when the ideal
+    absorbs from the left, and (xu) = (x) from the right: one closure
+    serves x's whole orbit under the units on its absorbing sides.
+    """
+    mul, units = gr.ring.mul, _homogeneous_units(gr)
+    found: dict[int, int] = {}
+    for x in gr.hom_indices().tolist():
+        if x in found:
+            continue
+        mask = int(mask_from_bools(_close(gr, None, [x], left, right)))
+        orbit = np.array([x])
+        if left:
+            orbit = np.union1d(orbit, mul[units, x])
+        if right:
+            orbit = np.union1d(orbit, mul[np.ix_(orbit, units)])
+        found.update(dict.fromkeys(orbit.tolist(), mask))
+    return [found[x] for x in gr.hom_indices().tolist()]
+
+
 def _enumerate(gr: GradedRing, sidedness: str, cap: int) -> tuple[int, ...]:
     """Sorted masks of the graded ideals: the distinct principal ideals of
     homogeneous elements, closed under sums.
@@ -245,8 +278,9 @@ def _enumerate(gr: GradedRing, sidedness: str, cap: int) -> tuple[int, ...]:
             by_size.setdefault(mask.bit_count(), []).append(mask)
         return mask
 
-    principal = list(dict.fromkeys(
-        keep(_close(gr, None, [int(x)], left, right)) for x in gr.hom_indices()))
+    principal = list(dict.fromkeys(_principal_masks(gr, left, right)))
+    for p in principal:
+        keep(bools_from_mask(p, n))
     for p in principal:
         for mask in list(members):
             size = mask.bit_count() * p.bit_count() // (mask & p).bit_count()

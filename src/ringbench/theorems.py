@@ -15,6 +15,8 @@ before it is reported.
 
 from __future__ import annotations
 
+import os
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -302,9 +304,11 @@ def _check_p2(ctx: RingContext, out: PropertyOutcome) -> None:
         out.hit(int(hyp.sum(axis=1)[tk["inv"]].sum()))
         # x, y, z all outside P: every pair of them counts as outside
         notin = ~ctx.pb(p)[tk["X"]]
-        viol = classify._triples(hyp, tk["inv"], notin[:, None] & notin[None, :], True)
-        if len(viol):
-            x, y, z = tk["X"][viol[0]]
+        outside = notin[:, None] & notin[None, :]
+        twins = classify._refine(classify._kernel_twins(gr, tk["key"], "inv", tk["inv"]), outside)
+        hit = classify._scan(hyp, tk["inv"], outside, twins, True).first()
+        if hit is not None:
+            x, y, z = tk["X"][list(hit)]
             out.violate(P=ideal_info(gr, p),
                         x=_elem(gr, x), y=_elem(gr, y), z=_elem(gr, z))
 
@@ -859,18 +863,20 @@ def default_corpus(ring_cap: int = DEFAULT_RING_CAP,
 
 
 def directory_corpus(path: str) -> list[CorpusMember]:
-    """Corpus read from a directory of spec files, sorted by file name."""
-    import os
-
+    """Corpus read from a directory of spec files, sorted by file name. A
+    member is labelled by its file's stem, or by the whole file name where
+    two files share a stem."""
     files = sorted(f for f in os.listdir(path)
                    if not f.startswith(".")
                    and os.path.isfile(os.path.join(path, f)))
     if not files:
         raise ValueError(f"no spec files in {path!r}")
+    stems = Counter(os.path.splitext(f)[0] for f in files)
     members = []
     for fname in files:
+        stem = os.path.splitext(fname)[0]
         with open(os.path.join(path, fname), encoding="utf-8") as fh:
-            members.append(CorpusMember(os.path.splitext(fname)[0], fh.read()))
+            members.append(CorpusMember(stem if stems[stem] == 1 else fname, fh.read()))
     return members
 
 

@@ -497,7 +497,7 @@ def test_census_memory_bound():
 
 def whole_block_triples(rows: np.ndarray, inv: np.ndarray,
                         outside: np.ndarray) -> np.ndarray:
-    """classify._triples(first=False) as it was before it unpacked only the
+    """triple_oracles.position_triples(first=False) as it was before it unpacked only the
     occupied words: every block of the bit cube is unpacked to one byte per
     (i, k, m) before np.argwhere."""
     h = outside.shape[0]
@@ -525,7 +525,7 @@ def _census_scans_agree(gr, pmask: int, g: int) -> int:
     """Compare the census scan with the whole-block unpack at one ideal and
     degree; returns the number of triples."""
     tk, _, outside = classify._kernel(gr, g, pmask)
-    fast = classify._triples(tk["zero"], tk["inv"], outside, first=False)
+    fast = classify._census(gr, pmask, g)[1].triples()
     slow = whole_block_triples(tk["zero"], tk["inv"], outside)
     assert fast.dtype == np.uint16 and fast.shape[1] == 3
     assert np.array_equal(fast, slow)
@@ -534,7 +534,7 @@ def _census_scans_agree(gr, pmask: int, g: int) -> int:
 
 @pytest.mark.parametrize("spec", SMALL_RINGS + ["ring: zn(128)", "ring: zn(512)"])
 def test_census_scan_matches_whole_block_unpack(spec):
-    """_triples unpacks only the nonzero 64-bit words; the census it yields,
+    """The scan unpacks only the nonzero 64-bit words; the census it yields,
     order included, is the whole-block unpack's at every proper graded ideal
     and uncovered degree. On zn(512), whose unpack takes about 1 s an ideal,
     only the first four ideals: the three with a census and one without."""

@@ -21,12 +21,14 @@ from ringbench.bitsets import bools_from_mask
 from ringbench.groups import first_offender, greedy_generators
 from slice_oracles import differences, widen_census
 import test_rings
+import test_twin_scan
 import test_validation
 
 CENSUS_PAIRS = theorems._census_pairs
 LATTICE_TABLE = classify._lattice_table
 P11_CUBES = theorems._p11_cubes
 P12_TABLES = theorems._p12_tables
+BOX_TRIPLES = classify._Boxes.triples
 
 # rings where additive spans of single elements are often not ideals
 CLOSURE_RINGS = ("ring: matrix(zn(2), 2)", "ring: gaussian(4)", TRIANGULAR_Z2_Z4)
@@ -218,3 +220,49 @@ def test_search_with_transposed_ideal_products_is_caught(monkeypatch):
     assert (got["counters"], [(c["P"]["mask"], c["A"]["mask"], c["B"]["mask"], c["K"]["mask"],
                                c["product_mask"]) for c in got["counterexamples"]]) \
         != (counters, found)
+
+
+# non-commutative, so outside's row k and column k differ
+TWIN_RINGS = ("ring: matrix(zn(3), 2)", test_twin_scan.COLUMN_MATRICES_Z4)
+
+
+def test_unmutated_twin_scan_agrees():
+    test_twin_scan.check_twin_scans(TWIN_RINGS)
+
+
+def test_k_twins_without_outside_rows_are_caught(monkeypatch):
+    """k classes refined by outside's columns alone, omitting its row k:
+    on a non-commutative ring they join k that (k, m) tells apart."""
+    def columns_only(base, outside):
+        if base is None:
+            return None
+        return (classify._partition(base[0].of, np.packbits(outside, axis=1)),
+                classify._partition(base[1].of, np.packbits(outside, axis=0).T))
+
+    monkeypatch.setattr(classify, "_refine", columns_only)
+    with pytest.raises(AssertionError):
+        test_twin_scan.check_twin_scans(TWIN_RINGS)
+
+
+def test_boxes_expanded_without_last_member_are_caught(monkeypatch):
+    """A census whose class boxes lose the last member k of each class
+    with more than one."""
+    def short(self):
+        out = BOX_TRIPLES(self)
+        if self.twins is None:
+            return out
+        second = self.twins[1]
+        last = [np.flatnonzero(second.of == c)[-1] for c in np.flatnonzero(second.sizes > 1)]
+        return out[~np.isin(out[:, 1], last)]
+
+    monkeypatch.setattr(classify._Boxes, "triples", short)
+    with pytest.raises(AssertionError):
+        test_twin_scan.check_twin_scans(TWIN_RINGS)
+
+
+def test_twins_not_refined_by_outside_are_caught(monkeypatch):
+    """The kernel's classes scanned as they are, as if no ideal could split
+    them."""
+    monkeypatch.setattr(classify, "_refine", lambda base, outside: base)
+    with pytest.raises(AssertionError):
+        test_twin_scan.check_twin_scans(TWIN_RINGS)

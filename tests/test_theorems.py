@@ -101,12 +101,12 @@ def test_directory_corpus(tmp_path):
 
 
 def test_duplicate_labels_merge_by_position(tmp_path):
-    """Two files with one stem make two members labelled alike; each keeps
-    its own results in the merged reports."""
+    """Two files with one stem make two members labelled by file name; each
+    keeps its own results in the merged reports."""
     (tmp_path / "a.spec").write_text("ring: zn(4)\n")
     (tmp_path / "a.txt").write_text("ring: gaussian(2)\n")
     corpus = directory_corpus(tmp_path)
-    assert [m.label for m in corpus] == ["a", "a"]
+    assert [m.label for m in corpus] == ["a.spec", "a.txt"]
     merged = run_all_properties(corpus)
     singles = [run_all_properties([m]) for m in corpus]
     for pos, row in enumerate(merged["properties"]):
