@@ -16,11 +16,11 @@ P, and y only through its column of value sets and its products x'*y, y*z
 landing in P. Elements that agree on all of these are twins: each triple
 of theirs hits exactly when the same triple of the least twin does, so a
 hit of the least twins stands for a box of triples. On zn(1024) the units'
-associates make 8 to 11 classes of 1024 elements, and an ideal's scan
-reads about 100 pairs instead of a million. The classes of the value sets
-are found once per kernel, then split by P's products once per ideal. A
-census's count and first triple come from the boxes; only a census asked
-for in full is listed, as a (count, 3) uint16 array of element indices.
+associates make 11 classes of 1024 elements, and an ideal's scan reads
+121 pairs instead of a million. The classes of the value sets are found
+once per kernel, then split by P's products once per ideal. A census's
+count and first triple come from the boxes; only a census asked for in
+full is listed, as a (count, 3) uint16 array of element indices.
 
 sandwich_values and g_sandwich_values evaluate the raw definitions without
 these reductions and exist so results can be cross-checked through an
@@ -252,16 +252,16 @@ def _kernel(gr: GradedRing, g: int | None, pmask: int) -> tuple[dict, np.ndarray
 
 
 def _products(gr: GradedRing, tk: dict) -> dict:
-    """The distinct products X[i]*X[k] as values, inv[i, k] the position
-    of X[i]*X[k] among them, and az[v, m] = values[v]*X[m] with nonzero
-    where it is not 0, once per kernel."""
+    """Over the distinct products v of X[i]*X[k]: inv[i, k] the position of
+    X[i]*X[k] among them, az[v, m] = v*X[m] and nonzero where that is not
+    0, once per kernel."""
     def build():
         present = np.zeros(gr.order, dtype=bool)
         present[tk["prods"]] = True
         values = np.flatnonzero(present)
         at = np.cumsum(present, dtype=np.min_scalar_type(len(values))) - 1
         az = gr.ring.mul[np.ix_(values, tk["X"])]
-        return {"values": values, "inv": at[tk["prods"]], "az": az, "nonzero": az != 0}
+        return {"inv": at[tk["prods"]], "az": az, "nonzero": az != 0}
     return gr.memo(("products", tk["key"]), build)
 
 
@@ -280,51 +280,59 @@ class _Twins(NamedTuple):
 
 
 def _partition(*sigs: np.ndarray) -> _Twins:
-    """Positions whose rows agree in every sig (arrays of h rows) share a class."""
+    """Positions whose rows agree in every sig (arrays of h rows) share a
+    class. The rows are sorted as opaque bytes, stably, so that each run of
+    equal rows starts at its least member."""
     h = len(sigs[0])
     key = np.hstack([np.ascontiguousarray(s).reshape(h, -1).view(np.uint8) for s in sigs])
-    _, first, of = np.unique(key.view(np.dtype((np.void, key.shape[1]))).ravel(),
-                             return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty(len(first), dtype=np.intp)
-    rank[order] = np.arange(len(first))
-    of = rank[of]
-    return _Twins(of, first[order], np.bincount(of))
+    order = np.argsort(key.view(np.dtype((np.void, key.shape[1]))).ravel(), kind="stable")
+    ranked = key[order]
+    starts = np.ones(h, dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    reps = order[starts]
+    by_rep = np.argsort(reps)
+    rank = np.empty(len(reps), dtype=np.intp)
+    rank[by_rep] = np.arange(len(reps))
+    of = np.empty(h, dtype=np.intp)
+    of[order] = rank[np.cumsum(starts) - 1]
+    return _Twins(of, reps[by_rep], np.bincount(of))
 
 
-def _kernel_twins(gr: GradedRing, key: tuple, name: str,
-                  inv: np.ndarray) -> tuple[_Twins, _Twins] | None:
-    """Classes of equal rows and of equal columns of a scan's inv, once per
-    kernel, or None when the scan is to run over the positions themselves.
+def _saves(h: int, pairs: int) -> bool:
+    """Whether a scan over pairs (i, k) of twin classes, not h^2 pairs of
+    positions, saves at least _TWIN_WORDS words of ceil(h / 64) a pair.
 
-    Refining by an ideal's outside only splits these classes, so they bound
-    what any ideal's scan can save: (h^2 - rows * columns) pairs (i, k),
-    each ceil(h / 64) words. Below _TWIN_WORDS the refinement and the
-    classes' gathers cost more than they save (they take about 0.2 ms a
-    scan; the position scan reads about 50 words a microsecond). A kernel
-    without twins saves nothing."""
-    h = len(inv)
-    words = -(-h // 64)
+    Below that, about 0.3 ms of a position scan at about 50 words a
+    microsecond, finding the classes and scanning them cost more than they
+    save: on the suite they took 0.2 to 0.5 ms an ideal at h = 15 to 256."""
+    return (h * h - pairs) * -(-h // 64) >= _TWIN_WORDS
+
+
+def _kernel_twins(gr: GradedRing, tk: dict) -> tuple[np.ndarray, np.ndarray] | None:
+    """The classes of equal rows and of equal columns of tk["inv"], once per
+    kernel, or None when the scan is to run over positions. Refining by an
+    ideal's outside only splits these classes, so they bound what any
+    ideal's scan can save; a kernel without twins saves nothing."""
+    inv, h = tk["inv"], len(tk["inv"])
 
     def build():
-        if h * h * words < _TWIN_WORDS:
+        if not _saves(h, 0):
             return None
         rows, cols = _partition(inv), _partition(inv.T)
-        if (h * h - len(rows.sizes) * len(cols.sizes)) * words < _TWIN_WORDS:
-            return None
-        return rows, cols
-    return gr.memo(("twins", key, name), build)
+        return (rows.of, cols.of) if _saves(h, len(rows.sizes) * len(cols.sizes)) else None
+    return gr.memo(("twins", tk["key"]), build)
 
 
-def _refine(base: tuple[_Twins, _Twins] | None,
+def _refine(base: tuple[np.ndarray, np.ndarray] | None,
             outside: np.ndarray) -> tuple[_Twins, _Twins] | None:
-    """The twins of a scan: i and i' share inv's rows and outside's rows;
-    k and k' share inv's columns and outside's columns and rows."""
+    """The twins of a scan from base = (signature of each i, of each k) on
+    inv: i and i' share theirs and outside's rows; k and k' share theirs
+    and outside's columns and rows."""
     if base is None:
         return None
     rows = np.packbits(outside, axis=1)
-    return (_partition(base[0].of, rows),
-            _partition(base[1].of, np.packbits(outside, axis=0).T, rows))
+    return (_partition(base[0], rows),
+            _partition(base[1], np.packbits(outside, axis=0).T, rows))
 
 
 @dataclass(frozen=True)
@@ -428,13 +436,13 @@ def _scan(rows: np.ndarray, inv: np.ndarray, outside: np.ndarray,
 
 
 def _ideal_scan(gr: GradedRing, tk: dict, pmask: int, rows: np.ndarray,
-                inv: np.ndarray, name: str, first: bool) -> _Boxes:
-    """_scan at a kernel and ideal that _kernel has just prepared: outside
-    and the twin classes come from the ideal's entry, refined once."""
+                first: bool) -> _Boxes:
+    """_scan over tk["inv"] at an ideal that _kernel has just prepared:
+    outside and the twin classes come from the ideal's entry, refined once."""
     _, outside, twins = gr.memo("ideal_rows", OrderedDict)[tk["key"], pmask]
-    if name not in twins:
-        twins[name] = _refine(_kernel_twins(gr, tk["key"], name, inv), outside)
-    return _scan(rows, inv, outside, twins[name], first)
+    if "inv" not in twins:
+        twins["inv"] = _refine(_kernel_twins(gr, tk), outside)
+    return _scan(rows, tk["inv"], outside, twins["inv"], first)
 
 
 def _verdict(gr: GradedRing, X: np.ndarray, boxes: _Boxes) -> Verdict:
@@ -443,7 +451,7 @@ def _verdict(gr: GradedRing, X: np.ndarray, boxes: _Boxes) -> Verdict:
 
 
 def _first_triple(gr: GradedRing, tk: dict, pmask: int, rows: np.ndarray) -> Verdict:
-    return _verdict(gr, tk["X"], _ideal_scan(gr, tk, pmask, rows, tk["inv"], "inv", True))
+    return _verdict(gr, tk["X"], _ideal_scan(gr, tk, pmask, rows, True))
 
 
 def _triple_witness(gr: GradedRing, x: int, y: int, z: int) -> dict:
@@ -471,10 +479,18 @@ def is_graded_completely_weakly_2_absorbing(gr: GradedRing,
                                             P: IdealSubset | int) -> Verdict:
     """Nonzero product xyz in P forces a pairwise product into P."""
     pmask = require_graded_ideal(gr, P).mask
-    tk, _, _ = _kernel(gr, None, pmask)
-    pr = _products(gr, tk)      # rows[v, m]: values[v]*X[m] is nonzero and in P
+    tk, _, outside = _kernel(gr, None, pmask)
+    pr = _products(gr, tk)      # rows[v, m]: the v-th product times X[m] is nonzero and in P
     rows = bools_from_mask(pmask, gr.order)[pr["az"]] & pr["nonzero"]
-    return _verdict(gr, tk["X"], _ideal_scan(gr, tk, pmask, rows, pr["inv"], "products", True))
+    inv, twins = pr["inv"], None
+    if _saves(len(inv), 0):
+        # products whose rows agree are one value to the scan; where X holds
+        # a unity, inv has no twins (X[i]*1 tells rows apart), but over
+        # these values it may
+        same = _partition(rows)
+        rows, inv = rows[same.reps], same.of.astype(inv.dtype)[inv]
+        twins = _refine((inv, inv.T), outside)
+    return _verdict(gr, tk["X"], _scan(rows, inv, outside, twins, True))
 
 
 def _require_degree(gr: GradedRing, P: IdealSubset, g: int) -> None:
@@ -506,7 +522,7 @@ def is_g_weakly_2_absorbing(gr: GradedRing, P: IdealSubset | int, g: int,
 def _census(gr: GradedRing, pmask: int, g: int) -> tuple[dict, _Boxes]:
     """(tk, boxes) of the g-triple-zeros of P at degree g, in positions of tk["X"]."""
     tk, _, _ = _kernel(gr, g, pmask)
-    return tk, _ideal_scan(gr, tk, pmask, tk["zero"], tk["inv"], "inv", False)
+    return tk, _ideal_scan(gr, tk, pmask, tk["zero"], False)
 
 
 def find_g_triple_zeros(gr: GradedRing, P: IdealSubset | int,

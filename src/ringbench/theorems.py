@@ -305,7 +305,7 @@ def _check_p2(ctx: RingContext, out: PropertyOutcome) -> None:
         # x, y, z all outside P: every pair of them counts as outside
         notin = ~ctx.pb(p)[tk["X"]]
         outside = notin[:, None] & notin[None, :]
-        twins = classify._refine(classify._kernel_twins(gr, tk["key"], "inv", tk["inv"]), outside)
+        twins = classify._refine(classify._kernel_twins(gr, tk), outside)
         hit = classify._scan(hyp, tk["inv"], outside, twins, True).first()
         if hit is not None:
             x, y, z = tk["X"][list(hit)]

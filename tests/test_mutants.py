@@ -236,8 +236,8 @@ def test_k_twins_without_outside_rows_are_caught(monkeypatch):
     def columns_only(base, outside):
         if base is None:
             return None
-        return (classify._partition(base[0].of, np.packbits(outside, axis=1)),
-                classify._partition(base[1].of, np.packbits(outside, axis=0).T))
+        return (classify._partition(base[0], np.packbits(outside, axis=1)),
+                classify._partition(base[1], np.packbits(outside, axis=0).T))
 
     monkeypatch.setattr(classify, "_refine", columns_only)
     with pytest.raises(AssertionError):
@@ -263,6 +263,7 @@ def test_boxes_expanded_without_last_member_are_caught(monkeypatch):
 def test_twins_not_refined_by_outside_are_caught(monkeypatch):
     """The kernel's classes scanned as they are, as if no ideal could split
     them."""
-    monkeypatch.setattr(classify, "_refine", lambda base, outside: base)
+    monkeypatch.setattr(classify, "_refine", lambda base, outside:
+                        base and (classify._partition(base[0]), classify._partition(base[1])))
     with pytest.raises(AssertionError):
         test_twin_scan.check_twin_scans(TWIN_RINGS)

@@ -34,7 +34,7 @@ ZN1024_DIGEST = "e459846fc06c7821bf0af49a4c5fc34449c20365d7598e4f26c7322decb841c
 
 
 def forced_twins(inv: np.ndarray, outside: np.ndarray):
-    return classify._refine((classify._partition(inv), classify._partition(inv.T)), outside)
+    return classify._refine((inv, inv.T), outside)
 
 
 def widened(rows: np.ndarray) -> np.ndarray:
@@ -46,14 +46,18 @@ def widened(rows: np.ndarray) -> np.ndarray:
 def scans(gr, pmask: int):
     """(label, rows, inv, outside) of every scan made at one ideal: the
     element kernel's three predicates and census rows, completely weakly
-    over the distinct products, P2's outer-product outside, each degree's
+    over the distinct products and over their distinct rows, P2's
+    outer-product outside, each degree's
     kernel the ideal leaves uncovered, and each of those widened."""
     Pb = bools_from_mask(pmask, gr.order)
     tk, inside, outside = classify._kernel(gr, None, pmask)
     found = [("2abs", inside, tk["inv"], outside),
              ("weakly", inside & ~tk["zero"], tk["inv"], outside)]
     pr = classify._products(gr, tk)
-    found.append(("cw", Pb[pr["az"]] & pr["nonzero"], pr["inv"], outside))
+    cw = Pb[pr["az"]] & pr["nonzero"]
+    same = classify._partition(cw)
+    found += [("cw", cw, pr["inv"], outside),
+              ("cw values", cw[same.reps], same.of[pr["inv"]], outside)]
     notin = ~Pb[tk["X"]]
     found.append(("P2", inside & ~tk["zero"], tk["inv"], notin[:, None] & notin[None, :]))
     for g in range(gr.group.order):
@@ -112,11 +116,10 @@ def test_twins_split_on_outside_rows_and_columns():
         gr = build_ring(spec)
         for sub in enumerate_graded_ideals(gr)[:-1]:
             tk, _, outside = classify._kernel(gr, None, sub.mask)
-            base = classify._partition(tk["inv"].T)
             both = len(forced_twins(tk["inv"], outside)[1].sizes)
             for axis in (0, 1):
                 bits = np.packbits(outside, axis=axis)
-                if len(classify._partition(base.of, bits.T if axis == 0 else bits).sizes) < both:
+                if len(classify._partition(tk["inv"].T, bits.T if axis == 0 else bits).sizes) < both:
                     fewer.add(axis)
     assert fewer == {0, 1}
 
@@ -127,6 +130,6 @@ def test_zn1024_reports_unchanged():
     gr = build_ring("ring: zn(1024)")
     report = [classify_ideal(gr, sub).to_dict() for sub in enumerate_graded_ideals(gr)[:-1]]
     tk = classify._kernel(gr, None, 1)[0]
-    assert classify._kernel_twins(gr, tk["key"], "inv", tk["inv"]) is not None
+    assert classify._kernel_twins(gr, tk) is not None
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
     assert digest == ZN1024_DIGEST
