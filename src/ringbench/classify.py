@@ -289,13 +289,11 @@ def _partition(*sigs: np.ndarray) -> _Twins:
     ranked = key[order]
     starts = np.ones(h, dtype=bool)
     starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    reps = order[starts]
-    by_rep = np.argsort(reps)
-    rank = np.empty(len(reps), dtype=np.intp)
-    rank[by_rep] = np.arange(len(reps))
+    least = order[starts]
+    reps = np.sort(least)
     of = np.empty(h, dtype=np.intp)
-    of[order] = rank[np.cumsum(starts) - 1]
-    return _Twins(of, reps[by_rep], np.bincount(of))
+    of[order] = np.searchsorted(reps, least)[np.cumsum(starts) - 1]
+    return _Twins(of, reps, np.bincount(of))
 
 
 def _saves(h: int, pairs: int) -> bool:
