@@ -237,20 +237,21 @@ def _principal_masks(gr: GradedRing, left: bool, right: bool) -> list[int]:
 
     For a homogeneous unit u, x = u^-1 (ux), so (ux) = (x) when the ideal
     absorbs from the left, and (xu) = (x) from the right: one closure
-    serves x's whole orbit under the units on its absorbing sides.
+    serves x's multiples by the units on its absorbing sides. On a
+    commutative ring these are x's whole orbit under the units; the
+    products uxv are left to closures of their own, as they would take
+    |units|^2 products for each x.
     """
     mul, units = gr.ring.mul, _homogeneous_units(gr)
     found: dict[int, int] = {}
     for x in gr.hom_indices().tolist():
         if x in found:
             continue
-        mask = int(mask_from_bools(_close(gr, None, [x], left, right)))
-        orbit = np.array([x])
+        found[x] = mask = int(mask_from_bools(_close(gr, None, [x], left, right)))
         if left:
-            orbit = np.union1d(orbit, mul[units, x])
+            found.update(dict.fromkeys(mul[units, x].tolist(), mask))
         if right:
-            orbit = np.union1d(orbit, mul[np.ix_(orbit, units)])
-        found.update(dict.fromkeys(orbit.tolist(), mask))
+            found.update(dict.fromkeys(mul[x, units].tolist(), mask))
     return [found[x] for x in gr.hom_indices().tolist()]
 
 
