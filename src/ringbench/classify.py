@@ -17,10 +17,11 @@ landing in P. Elements that agree on all of these are twins: each triple
 of theirs hits exactly when the same triple of the least twin does, so a
 hit of the least twins stands for a box of triples. On zn(1024) the units'
 associates make 11 classes of 1024 elements, and an ideal's scan reads
-121 pairs instead of a million. The classes of the value sets are found
-once per kernel, then split by P's products once per ideal. A census's
-count and first triple come from the boxes; only a census asked for in
-full is listed, as a (count, 3) uint16 array of element indices.
+121 pairs instead of a million. Equal sets x*S, value sets and twins are
+all found by _partition, one stable sort of rows as bytes: twins once per
+kernel from its rows per (x*S, y), then split by P's products once per
+ideal. A census's count and first triple come from the boxes; only a
+census asked for in full is listed, as a (count, 3) uint16 array.
 
 sandwich_values and g_sandwich_values evaluate the raw definitions without
 these reductions and exist so results can be cross-checked through an
@@ -44,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bitsets import bools_from_mask, indices_from_mask, is_subset, mask_from_bools
-from .grading import GradedRing, product_slots
+from .grading import GradedRing, GradingError
 from .groups import first_offender
 from .ideals import (
     TWO_SIDED,
@@ -161,116 +162,12 @@ def require_graded_ideal(gr: GradedRing, P: IdealSubset | int,
 # ---------------------------------------------------------------------------
 # sandwich kernel
 
-_BLOCK = 1 << 20     # bytes of the largest temporary in a triple scan
+_BLOCK = 1 << 20     # bytes of the largest temporary in a kernel build or a scan
 _TWIN_WORDS = 1 << 14    # words a twin-class scan must save to pay
 
 
-def sandwich_kernel(gr: GradedRing, left: int | None, mult: int | None,
-                    right: int | None) -> dict:
-    """Distinct value sets V(x, y) = x*S*y for x in L, y in R, s in S.
-
-    Arguments are degrees naming components, or None for every homogeneous
-    element. The values land in T: the product degree's component, or the
-    homogeneous elements when an argument is None. U (u, |T|) holds the u
-    distinct sets as bit rows, inv[i, k] the row of (L[i], R[k]) and zero[r]
-    whether row r is {0}. Keyed by the index sets, so a trivially graded
-    ring shares one kernel between None and the identity degree.
-    """
-    L, S, R = (gr.hom_indices() if d is None else gr.component_indices(d)
-               for d in (left, mult, right))
-    if None in (left, mult, right):
-        T, where = gr.hom_indices(), "a homogeneous component"
-    else:
-        d = gr.group.mul(gr.group.mul(left, mult), right)
-        T, where = gr.component_indices(d), f"component {d}"
-    key = ("sandwich",) + tuple(s.tobytes() for s in (L, S, R, T))
-    return gr.memo(key, lambda: _sandwich_kernel(gr, key, L, S, R, T, where))
-
-
-def _sandwich_kernel(gr: GradedRing, key: tuple, L: np.ndarray, S: np.ndarray,
-                     R: np.ndarray, T: np.ndarray, where: str) -> dict:
-    mul = gr.ring.mul
-    pos = np.full(gr.order, -1, dtype=np.int32)
-    pos[T] = np.arange(len(T), dtype=np.int32)
-    # V(x, y) = (x * S) * y, so pairs whose x share the set x * S share rows
-    left_sets: dict[bytes, int] = {}
-    left_of = [left_sets.setdefault(np.unique(mul[x, S]).tobytes(), len(left_sets))
-               for x in L]
-    rows: dict[bytes, int] = {}
-    row_of = np.empty((len(left_sets), len(R)), dtype=np.int32)
-    for a, xs in enumerate(left_sets):
-        slots = pos[mul[np.ix_(np.frombuffer(xs, dtype=mul.dtype), R)]]
-        if slots.min() < 0:
-            for x in L:     # name the first stray x*s*y
-                product_slots(gr, pos, mul[mul[x, S][:, None], R][None],
-                              ([x], S, R), where)
-        bits = np.zeros((len(R), len(T)), dtype=bool)
-        bits[np.arange(len(R))[None, :], slots] = True
-        packed = np.packbits(bits, axis=1).tobytes()
-        w = len(packed) // len(R)
-        row_of[a] = [rows.setdefault(packed[j:j + w], len(rows))
-                     for j in range(0, len(packed), w)]
-    U = np.unpackbits(np.frombuffer(b"".join(rows), dtype=np.uint8)
-                      .reshape(len(rows), -1), axis=1, count=len(T)).astype(bool)
-    return {"key": key, "T": T, "R": R, "U": U, "inv": row_of[left_of],
-            "zero": ~U[:, T != 0].any(axis=1)}
-
-
-def _none_in(U: np.ndarray, bad: np.ndarray) -> np.ndarray:
-    """[r, ...]: no member of row r of U lies in bad (indexed by slot)."""
-    r, s = np.nonzero(U)       # every row is nonempty
-    return ~np.logical_or.reduceat(bad[s], np.flatnonzero(np.diff(r, prepend=-1)), axis=0)
-
-
-def _kernel(gr: GradedRing, g: int | None, pmask: int) -> tuple[dict, np.ndarray, np.ndarray]:
-    """(tk, inside, outside) for x*S*y*S*z = (x*S*y)*S*z over x, y, z in X.
-
-    g None: X and S are the homogeneous elements. A degree g: X = R_g and
-    S = R_e, and the z side sandwiches C_{g^2}*R_e*R_g. tk["zero"][r, m]
-    says row r times S times X[m] vanishes, inside[r, m] that it lies in P;
-    outside[a, b] says X[a]*X[b] is not in P. The ideal's entry also keeps
-    the twin classes that _ideal_scan refines at P.
-    """
-    if g is None:
-        k1 = k2 = sandwich_kernel(gr, None, None, None)
-    else:
-        e = gr.group.identity
-        k1, k2 = sandwich_kernel(gr, g, e, g), sandwich_kernel(gr, gr.group.mul(g, g), e, g)
-    key = ("triple", k1["key"], k2["key"])
-    tk = gr.memo(key, lambda: {"key": key, "X": k1["R"], "inv": k1["inv"],
-                               "zero": _none_in(k1["U"], ~k2["zero"][k2["inv"]]),
-                               "prods": gr.ring.mul[np.ix_(k1["R"], k1["R"])]})
-    # the one bounded family: each entry holds (h, h) bools, 16 MB at h = 4096
-    cache = gr.memo("ideal_rows", OrderedDict)
-    if (key, pmask) not in cache:
-        Pb = bools_from_mask(pmask, gr.order)
-        good = _none_in(k2["U"], ~Pb[k2["T"]])[k2["inv"]]
-        while len(cache) >= 64:
-            cache.popitem(last=False)
-        cache[key, pmask] = (_none_in(k1["U"], ~good), ~Pb[tk["prods"]], {})
-    return (tk, *cache[key, pmask][:2])
-
-
-def _products(gr: GradedRing, tk: dict) -> dict:
-    """Over the distinct products v of X[i]*X[k]: inv[i, k] the position of
-    X[i]*X[k] among them, az[v, m] = v*X[m] and nonzero where that is not
-    0, once per kernel."""
-    def build():
-        present = np.zeros(gr.order, dtype=bool)
-        present[tk["prods"]] = True
-        values = np.flatnonzero(present)
-        at = np.cumsum(present, dtype=np.min_scalar_type(len(values))) - 1
-        az = gr.ring.mul[np.ix_(values, tk["X"])]
-        return {"inv": at[tk["prods"]], "az": az, "nonzero": az != 0}
-    return gr.memo(("products", tk["key"]), build)
-
-
-# ---------------------------------------------------------------------------
-# twin classes
-
-
 class _Twins(NamedTuple):
-    """A partition of the positions 0..h-1 of one scan axis into classes
+    """A partition of positions 0..h-1, such as one scan axis, into classes
     numbered by least member: of[i] is i's class, reps[c] the least member
     of class c and sizes[c] its size."""
 
@@ -296,6 +193,136 @@ def _partition(*sigs: np.ndarray) -> _Twins:
     return _Twins(of, reps, np.bincount(of))
 
 
+def _classes(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """(of, rows) over the rows of blocks in turn: of[i] the class of row i,
+    numbered by first occurrence, and rows[c] class c's row. A block is
+    partitioned below the distinct rows before it, so only those are held."""
+    of, rows = [], None
+    for blk in blocks:
+        both = blk if rows is None else np.vstack([rows, blk])
+        part = _partition(both)
+        of.append(part.of[len(both) - len(blk):])
+        rows = both[part.reps]
+    return np.concatenate(of), rows
+
+
+def sandwich_kernel(gr: GradedRing, left: int | None, mult: int | None,
+                    right: int | None) -> dict:
+    """Distinct value sets V(x, y) = x*S*y for x in L, y in R, s in S.
+
+    Arguments are degrees naming components, or None for every homogeneous
+    element. The values land in T: the product degree's component, or the
+    homogeneous elements when an argument is None. U (u, |T|) holds the u
+    distinct sets as bit rows, inv[i, k] = row_of[left_of[i], k] the row of
+    (L[i], R[k]) with left_of[i] the class of L[i]*S, and zero[r] whether
+    row r is {0}. Keyed by the index sets, so a trivially graded ring shares
+    one kernel between None and the identity degree.
+    """
+    L, S, R = (gr.hom_indices() if d is None else gr.component_indices(d)
+               for d in (left, mult, right))
+    if None in (left, mult, right):
+        T, where = gr.hom_indices(), "a homogeneous component"
+    else:
+        d = gr.group.mul(gr.group.mul(left, mult), right)
+        T, where = gr.component_indices(d), f"component {d}"
+    key = ("sandwich",) + tuple(s.tobytes() for s in (L, S, R, T))
+    return gr.memo(key, lambda: _sandwich_kernel(gr, key, L, S, R, T, where))
+
+
+def _sandwich_kernel(gr: GradedRing, key: tuple, L: np.ndarray, S: np.ndarray,
+                     R: np.ndarray, T: np.ndarray, where: str) -> dict:
+    mul, width = gr.ring.mul, len(T) + 1
+    pos = np.full(gr.order, len(T), dtype=np.int32)     # a stray product's slot
+    pos[T] = np.arange(len(T), dtype=np.int32)
+    # V(x, y) = (x * S) * y, so pairs whose x share the set x * S share rows
+    step = max(1, _BLOCK // max(8 * len(S), gr.order))
+    left_of, sets = _classes(_bit_rows((np.arange(len(xs))[:, None], mul[np.ix_(xs, S)]),
+                                       (len(xs), gr.order))
+                             for xs in (L[i:i + step] for i in range(0, len(L), step)))
+    c, v = np.nonzero(np.unpackbits(sets, axis=1, count=gr.order, bitorder="little"))
+    step = max(1, _BLOCK // max(8 * len(v), len(sets) * width))
+    of, rows = _classes(_bit_rows((np.arange(len(ys)), c[:, None], pos[mul[np.ix_(v, ys)]]),
+                                  (len(ys), len(sets), width))
+                        for ys in (R[y0:y0 + step] for y0 in range(0, len(R), step)))
+    of = of.reshape(len(R), len(sets)).T.ravel()     # rows came by y: renumber by (a, y)
+    first = _partition(of)
+    row_of, rows = first.of.reshape(len(sets), len(R)).astype(np.int32), rows[of[first.reps]]
+    U = np.unpackbits(rows, axis=1, count=width, bitorder="little").astype(bool)
+    if U[:, -1].any():      # name the first stray, which only a grading not validated makes
+        x = int(L[np.argmax(left_of == np.argmax(U[row_of, -1].any(axis=1)))])
+        s, y = first_offender(pos[mul[mul[x, S][:, None], R]] == len(T))
+        names = "*".join(gr.name(int(e)) for e in (x, S[s], R[y]))
+        raise GradingError(f"product {names} = {gr.name(int(mul[mul[x, S[s]], R[y]]))} is not "
+                           f"in {where}; the grading is not multiplicative")
+    U = U[:, :-1]
+    return {"key": key, "T": T, "R": R, "U": U, "left_of": left_of, "row_of": row_of,
+            "inv": row_of if len(sets) == len(L) else row_of[left_of],
+            "zero": ~U[:, T != 0].any(axis=1)}
+
+
+def _bit_rows(at: tuple, shape: tuple) -> np.ndarray:
+    """Bools of shape, True at the index tuple at, packed little-endian along the last axis."""
+    bits = np.zeros(shape, dtype=bool)
+    bits[at] = True
+    return np.packbits(bits, axis=-1, bitorder="little").reshape(-1, -(-shape[-1] // 8))
+
+
+def _none_in(U: np.ndarray, bad: np.ndarray) -> np.ndarray:
+    """[r, ...]: no member of row r of U lies in bad (indexed by slot)."""
+    r, s = np.nonzero(U)       # every row is nonempty
+    return ~np.logical_or.reduceat(bad[s], np.flatnonzero(np.diff(r, prepend=-1)), axis=0)
+
+
+def _kernel(gr: GradedRing, g: int | None, pmask: int) -> tuple[dict, np.ndarray, np.ndarray]:
+    """(tk, inside, outside) for x*S*y*S*z = (x*S*y)*S*z over x, y, z in X.
+
+    g None: X and S are the homogeneous elements. A degree g: X = R_g and
+    S = R_e, and the z side sandwiches C_{g^2}*R_e*R_g. tk["zero"][r, m]
+    says row r times S times X[m] vanishes, inside[r, m] that it lies in P;
+    outside[a, b] says X[a]*X[b] is not in P. The ideal's entry also keeps
+    the kernel's twin classes, refined at P, for _ideal_scan.
+    """
+    if g is None:
+        k1 = k2 = sandwich_kernel(gr, None, None, None)
+    else:
+        e = gr.group.identity
+        k1, k2 = sandwich_kernel(gr, g, e, g), sandwich_kernel(gr, gr.group.mul(g, g), e, g)
+    key = ("triple", k1["key"], k2["key"])
+    tk = gr.memo(key, lambda: {"key": key, "X": k1["R"], "inv": k1["inv"],
+                               "left_of": k1["left_of"], "row_of": k1["row_of"],
+                               "zero": _none_in(k1["U"], ~k2["zero"][k2["inv"]]),
+                               "prods": gr.ring.mul[np.ix_(k1["R"], k1["R"])]})
+    # the one bounded family: each entry holds (h, h) bools, 16 MB at h = 4096
+    cache = gr.memo("ideal_rows", OrderedDict)
+    if (key, pmask) not in cache:
+        Pb = bools_from_mask(pmask, gr.order)
+        good = _none_in(k2["U"], ~Pb[k2["T"]])[k2["inv"]]
+        outside = ~Pb[tk["prods"]]
+        while len(cache) >= 64:
+            cache.popitem(last=False)
+        cache[key, pmask] = (_none_in(k1["U"], ~good), outside,
+                             _refine(_kernel_twins(gr, tk), outside))
+    return (tk, *cache[key, pmask][:2])
+
+
+def _products(gr: GradedRing, tk: dict) -> dict:
+    """Over the distinct products v of X[i]*X[k]: inv[i, k] the position of
+    X[i]*X[k] among them, az[v, m] = v*X[m] and nonzero where that is not
+    0, once per kernel."""
+    def build():
+        present = np.zeros(gr.order, dtype=bool)
+        present[tk["prods"]] = True
+        values = np.flatnonzero(present)
+        at = np.cumsum(present, dtype=np.min_scalar_type(len(values))) - 1
+        az = gr.ring.mul[np.ix_(values, tk["X"])]
+        return {"inv": at[tk["prods"]], "az": az, "nonzero": az != 0}
+    return gr.memo(("products", tk["key"]), build)
+
+
+# ---------------------------------------------------------------------------
+# twin classes
+
+
 def _saves(h: int, pairs: int) -> bool:
     """Whether a scan over pairs (i, k) of twin classes, not h^2 pairs of
     positions, saves at least _TWIN_WORDS words of ceil(h / 64) a pair.
@@ -310,14 +337,15 @@ def _kernel_twins(gr: GradedRing, tk: dict) -> tuple[np.ndarray, np.ndarray] | N
     """The classes of equal rows and of equal columns of tk["inv"], once per
     kernel, or None when the scan is to run over positions. Refining by an
     ideal's outside only splits these classes, so they bound what any
-    ideal's scan can save; a kernel without twins saves nothing."""
-    inv, h = tk["inv"], len(tk["inv"])
+    ideal's scan can save; a kernel without twins saves nothing. They are
+    row_of's, as inv = row_of[left_of] and left_of reaches all its rows."""
+    row_of, left_of, h = tk["row_of"], tk["left_of"], len(tk["left_of"])
 
     def build():
         if not _saves(h, 0):
             return None
-        rows, cols = _partition(inv), _partition(inv.T)
-        return (rows.of, cols.of) if _saves(h, len(rows.sizes) * len(cols.sizes)) else None
+        r, c = _partition(row_of), _partition(row_of.T)
+        return (r.of[left_of], c.of) if _saves(h, len(r.sizes) * len(c.sizes)) else None
     return gr.memo(("twins", tk["key"]), build)
 
 
@@ -436,11 +464,9 @@ def _scan(rows: np.ndarray, inv: np.ndarray, outside: np.ndarray,
 def _ideal_scan(gr: GradedRing, tk: dict, pmask: int, rows: np.ndarray,
                 first: bool) -> _Boxes:
     """_scan over tk["inv"] at an ideal that _kernel has just prepared:
-    outside and the twin classes come from the ideal's entry, refined once."""
+    outside and the twin classes, refined at P, come from its entry."""
     _, outside, twins = gr.memo("ideal_rows", OrderedDict)[tk["key"], pmask]
-    if "inv" not in twins:
-        twins["inv"] = _refine(_kernel_twins(gr, tk), outside)
-    return _scan(rows, tk["inv"], outside, twins["inv"], first)
+    return _scan(rows, tk["inv"], outside, twins, first)
 
 
 def _verdict(gr: GradedRing, X: np.ndarray, boxes: _Boxes) -> Verdict:
@@ -602,9 +628,8 @@ def _lattice_table(gr: GradedRing, masks: tuple[int, ...]) -> LatticeTable:
         hi = H[homs[i]]
         vals = np.zeros((L, words.shape[1]), dtype="<u8")
         for cols, rows, s, starts in chunks:
-            bits = np.zeros((len(cols), 64 * words.shape[1]), dtype=bool)
-            bits[np.arange(len(cols))[None, :], gr.ring.mul[np.ix_(hi, cols)]] = True
-            packed = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+            packed = _bit_rows((np.arange(len(cols))[None, :], gr.ring.mul[np.ix_(hi, cols)]),
+                               (len(cols), 64 * words.shape[1])).view("<u8")
             vals[rows] |= np.bitwise_or.reduceat(packed[s], starts, axis=0)
         prod[i] = np.where(_inside(vals, words), sizes, n + 1).argmin(axis=1)
     return LatticeTable(masks, {m: i for i, m in enumerate(masks)}, words,
@@ -822,10 +847,9 @@ def classify_ideal(gr: GradedRing, P: IdealSubset | int,
     report = ClassificationReport(
         ideal_mask=P.mask, ideal_size=P.size, proper=proper,
         generators=gens, generator_names=[gr.name(x) for x in gens])
-    all_keys = IDEAL_PREDICATES + ELEMENT_PREDICATES
     if not proper:
-        for key in all_keys:
-            report.skips[key] = "requires a proper ideal"
+        report.skips.update(dict.fromkeys(IDEAL_PREDICATES + ELEMENT_PREDICATES,
+                                          "requires a proper ideal"))
 
     def run(key: str, fn, *args) -> None:
         try:

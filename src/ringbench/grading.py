@@ -179,23 +179,6 @@ def validate_grading(ring: FiniteRing, grading: Grading) -> Validation:
     return Validation(True)
 
 
-def product_slots(gr: GradedRing, pos: np.ndarray, products: np.ndarray,
-                  factors: tuple[np.ndarray, ...], target: str) -> np.ndarray:
-    """pos[products], where pos is -1 outside the set the products must land in.
-
-    products[i, j, ...] is the product of factors[0][i], factors[1][j], ...;
-    the first one that misses raises GradingError naming it, which happens
-    only for a grading that validate_grading would have rejected.
-    """
-    slots = pos[products]
-    if slots.min() < 0:
-        at = first_offender(slots < 0)
-        names = "*".join(gr.name(int(f[i])) for f, i in zip(factors, at))
-        raise GradingError(f"product {names} = {gr.name(int(products[at]))} "
-                           f"is not in {target}; the grading is not multiplicative")
-    return slots
-
-
 def attach_grading(ring: FiniteRing, grading: Grading) -> GradedRing:
     """Validate and bundle; precomputes the decomposition table."""
     check = validate_grading(ring, grading)

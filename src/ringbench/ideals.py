@@ -240,19 +240,21 @@ def _principal_masks(gr: GradedRing, left: bool, right: bool) -> list[int]:
     serves x's multiples by the units on its absorbing sides. On a
     commutative ring these are x's whole orbit under the units; the
     products uxv are left to closures of their own, as they would take
-    |units|^2 products for each x.
+    |units|^2 products for each x. Closed once per ring and sidedness.
     """
-    mul, units = gr.ring.mul, _homogeneous_units(gr)
-    found: dict[int, int] = {}
-    for x in gr.hom_indices().tolist():
-        if x in found:
-            continue
-        found[x] = mask = int(mask_from_bools(_close(gr, None, [x], left, right)))
-        if left:
-            found.update(dict.fromkeys(mul[units, x].tolist(), mask))
-        if right:
-            found.update(dict.fromkeys(mul[x, units].tolist(), mask))
-    return [found[x] for x in gr.hom_indices().tolist()]
+    def build():
+        mul, units = gr.ring.mul, _homogeneous_units(gr)
+        found: dict[int, int] = {}
+        for x in gr.hom_indices().tolist():
+            if x in found:
+                continue
+            found[x] = mask = int(mask_from_bools(_close(gr, None, [x], left, right)))
+            if left:
+                found.update(dict.fromkeys(mul[units, x].tolist(), mask))
+            if right:
+                found.update(dict.fromkeys(mul[x, units].tolist(), mask))
+        return tuple(found[x] for x in gr.hom_indices().tolist())
+    return list(gr.memo(("principal", left, right), build))
 
 
 def _enumerate(gr: GradedRing, sidedness: str, cap: int) -> tuple[int, ...]:
@@ -333,8 +335,9 @@ def ideal_check(gr: GradedRing, mask: int) -> tuple[bool, tuple | None, int | No
 
 
 def minimal_homogeneous_generators(gr: GradedRing, ideal: IdealSubset) -> list[int]:
-    """Small deterministic homogeneous generating set: first try each single
-    homogeneous member in index order, then greedy growth with pruning.
+    """Small deterministic homogeneous generating set: the first homogeneous
+    member, in index order, whose principal ideal is the ideal, else greedy
+    growth with pruning.
 
     Computed once per ring, mask and sidedness; every call returns a fresh
     list."""
@@ -343,23 +346,13 @@ def minimal_homogeneous_generators(gr: GradedRing, ideal: IdealSubset) -> list[i
 
 
 def _minimal_generators(gr: GradedRing, target: int, sidedness: str) -> list[int]:
-    if target == 1:
-        return []
     left, right = _flags(sidedness)
-    hom_members = indices_from_mask(target & gr.hom_mask, gr.order)
-
-    def closure_mask(gens) -> int:
-        return int(mask_from_bools(_close(gr, None, gens, left, right)))
-
-    for m in hom_members:
-        if m == 0:
-            continue
-        if closure_mask([int(m)]) == target:
-            return [int(m)]
+    for m, mask in zip(gr.hom_indices().tolist(), _principal_masks(gr, left, right)):
+        if m and mask == target:
+            return [m]
     gens: list[int] = []
-    span = np.zeros(gr.order, dtype=bool)
-    span[0] = True
-    for m in hom_members:
+    span = bools_from_mask(1, gr.order)
+    for m in indices_from_mask(target & gr.hom_mask, gr.order):
         if not span[m]:
             gens.append(int(m))
             span = _close(gr, span, [int(m)], left, right)
@@ -367,6 +360,6 @@ def _minimal_generators(gr: GradedRing, target: int, sidedness: str) -> list[int
                 break
     for g in list(gens):
         rest = [x for x in gens if x != g]
-        if closure_mask(rest) == target:
+        if mask_from_bools(_close(gr, None, rest, left, right)) == target:
             gens = rest
     return gens

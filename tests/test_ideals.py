@@ -299,14 +299,14 @@ def test_minimal_generators_memoized(monkeypatch):
     gr = build("ring: matrix(zn(4), 2)")
     masks = graded_ideal_masks(gr)
     calls = 0
-    close = ideals._close
+    minimal_generators = ideals._minimal_generators
 
-    def counting_close(*args):
+    def counting_minimal_generators(*args):
         nonlocal calls
         calls += 1
-        return close(*args)
+        return minimal_generators(*args)
 
-    monkeypatch.setattr(ideals, "_close", counting_close)
+    monkeypatch.setattr(ideals, "_minimal_generators", counting_minimal_generators)
     first = [ideal_info(gr, m) for m in masks]
     assert calls > 0
     before = calls

@@ -20,6 +20,7 @@ from ringbench import classify, ideals, rings, theorems
 from ringbench.bitsets import bools_from_mask
 from ringbench.groups import first_offender, greedy_generators
 from slice_oracles import differences, widen_census
+import test_kernel_oracle
 import test_rings
 import test_twin_scan
 import test_validation
@@ -267,3 +268,36 @@ def test_twins_not_refined_by_outside_are_caught(monkeypatch):
                         base and (classify._partition(base[0]), classify._partition(base[1])))
     with pytest.raises(AssertionError):
         test_twin_scan.check_twin_scans(TWIN_RINGS)
+
+
+def test_kernel_column_twins_from_rows_are_caught(monkeypatch):
+    """_kernel_twins whose column classes come from row_of's rows, pulled back
+    like its row classes, not from its columns: on a non-commutative ring
+    they split the elements differently, and on TRIANGULAR_Z2_Z4 no ideal's
+    outside splits the joined columns again."""
+    def rows_for_columns(gr, tk):
+        rows = classify._partition(tk["row_of"]).of[tk["left_of"]]
+        return rows, rows
+
+    monkeypatch.setattr(classify, "_kernel_twins", rows_for_columns)
+    with pytest.raises(AssertionError):
+        test_kernel_oracle.check_explicit_kernels()
+    with pytest.raises(AssertionError):
+        test_twin_scan.check_kernel_twin_scans([TRIANGULAR_Z2_Z4])
+
+
+def test_value_rows_without_last_byte_are_caught(monkeypatch):
+    """Value-set rows, which _bit_rows packs over (y, class of x*S, slot),
+    partitioned with their last packed byte cleared: rows that differ only
+    in their last eight slots share a class, and U loses those slots."""
+    bit_rows = classify._bit_rows
+
+    def cleared(at, shape):
+        rows = bit_rows(at, shape)
+        if len(shape) == 3:
+            rows[:, -1] = 0
+        return rows
+
+    monkeypatch.setattr(classify, "_bit_rows", cleared)
+    with pytest.raises(AssertionError):
+        test_kernel_oracle.check_explicit_kernels()

@@ -107,6 +107,37 @@ def test_drawn_twin_scan_matches_position_scan(case):
             assert_scan_matches(rows, inv, outside, expr, sub.mask, label)
 
 
+def check_kernel_twin_scans(specs) -> None:
+    """Each element kernel's census, weakly and plain rows, and each of those
+    widened, scanned through classify._ideal_scan with the twins that the
+    ideal's entry refines from classify._kernel_twins, against the position
+    scan."""
+    for spec in specs:
+        gr = build_ring(spec)
+        for sub in enumerate_graded_ideals(gr)[:-1]:
+            degrees = [g for g in range(gr.group.order)
+                       if sub.mask & gr.component_mask(g) != gr.component_mask(g)]
+            for g in [None, *degrees]:
+                tk, inside, outside = classify._kernel(gr, g, sub.mask)
+                kinds = (tk["zero"], inside & ~tk["zero"], inside)
+                for rows in kinds + tuple(widened(r) for r in kinds):
+                    context = (spec, sub.mask, g)
+                    want = position_triples(rows, tk["inv"], outside, False)
+                    got = classify._ideal_scan(gr, tk, sub.mask, rows, False)
+                    assert got.twins is not None, context
+                    assert got.count() == len(want), context
+                    assert np.array_equal(got.triples(), want), context
+                    first = classify._ideal_scan(gr, tk, sub.mask, rows, True).first()
+                    assert first == (tuple(int(v) for v in want[0]) if len(want) else None), context
+
+
+def test_kernel_twin_classes_scan_matches_position_scan(monkeypatch):
+    """The scans that the classifier makes, over the kernel's own twin
+    classes: _saves is forced true, so every kernel takes them."""
+    monkeypatch.setattr(classify, "_saves", lambda h, pairs: True)
+    check_kernel_twin_scans(EXPLICIT_RINGS)
+
+
 def test_twins_split_on_outside_rows_and_columns():
     """Where outside is not symmetric, refining the k classes by outside's
     columns alone or by its rows alone gives fewer classes than by both:
