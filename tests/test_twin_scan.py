@@ -3,7 +3,9 @@ replaced (`triple_oracles.position_triples`): equal hit counts, first
 triples and full censuses in C order, for every scan the classifier and
 P2 make, at block edges and on the non-commutative rings where outside is
 not symmetric. The twin classes here are refined without the size rule of
-`classify._kernel_twins`, so small rings take the twin path too."""
+`classify._kernel_twins`, so small rings take the twin path too; one case
+scans with the kernel's own classes from `classify._kernel_twins`, its
+size rule forced."""
 
 from __future__ import annotations
 
