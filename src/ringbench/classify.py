@@ -31,9 +31,10 @@ Ideal-wise predicates (prime, weakly prime, strongly weakly 2-absorbing)
 quantify over the graded two-sided ideal lattice. lattice_table holds it once
 per ring and sidedness as positions: containment sub[i, j] and products
 prod[i, j], since a product of graded ideals of one sidedness is again one.
-Each predicate is then an array expression over (L, L) or (L, L, L) positions,
-taken in blocks of the first index and read in C order, so the witness is the
-lexicographically first violation, as a loop over the sorted lattice finds it.
+Pairs are read as (L, L) positions, and a triple (A, B, C) as 64-bit words
+over C: hit[AB] & ow[A] & ow[B] (0 != ABC inside P, AC and BC outside P) is
+every C at once. Both are taken in blocks of the first index and read in C
+order, so the witness is the lexicographically first violation.
 """
 
 from __future__ import annotations
@@ -267,6 +268,34 @@ def _bit_rows(at: tuple, shape: tuple) -> np.ndarray:
     return np.packbits(bits, axis=-1, bitorder="little").reshape(-1, -(-shape[-1] // 8))
 
 
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Bools [..., c] as little-endian 64-bit words over c, the last word
+    zero-padded: bit c % 64 of word c // 64."""
+    w, nbytes = -(-bits.shape[-1] // 64), -(-bits.shape[-1] // 8)
+    out = np.zeros(bits.shape[:-1] + (8 * w,), dtype=np.uint8)
+    out[..., :nbytes] = np.packbits(bits, axis=-1, bitorder="little")
+    return out.view("<u8")
+
+
+def _first_bit(v: np.ndarray) -> tuple[int, int, int] | None:
+    """(i, b, c) of the first set bit of v[i, b] words over c, in C order."""
+    if (at := first_offender(v != 0)) is None:
+        return None
+    word = int(v[at])
+    return at[0], at[1], 64 * at[2] + (word & -word).bit_length() - 1
+
+
+def _bits(v: np.ndarray) -> np.ndarray:
+    """(count, 3) array of every (i, b, c) set in v[i, b] words over c, in C
+    order; only the nonzero words are unpacked."""
+    at = np.argwhere(v)
+    word, bit = np.nonzero(np.unpackbits(v[tuple(at.T)].view(np.uint8).reshape(-1, 8),
+                                         axis=1, bitorder="little"))
+    hits = at[word]
+    hits[:, 2] = 64 * hits[:, 2] + bit
+    return hits
+
+
 def _none_in(U: np.ndarray, bad: np.ndarray) -> np.ndarray:
     """[r, ...]: no member of row r of U lies in bad (indexed by slot)."""
     r, s = np.nonzero(U)       # every row is nonempty
@@ -421,44 +450,25 @@ def _scan(rows: np.ndarray, inv: np.ndarray, outside: np.ndarray,
 
     Bits along m are packed into 64-bit words and a is taken in blocks.
     """
-    h = outside.shape[0]
-    nbytes = -(-h // 64) * 8
-
-    def words(bits: np.ndarray) -> np.ndarray:
-        out = np.zeros((len(bits), nbytes), dtype=np.uint8)
-        out[:, :-(-h // 8)] = np.packbits(bits, axis=1)
-        return out.view(np.uint64)
-
     # pairs (i, k) that are not outside read an appended empty row
-    packed = words(np.vstack([rows, np.zeros(h, dtype=bool)]))
+    packed = _pack(np.vstack([rows, np.zeros(outside.shape[0], dtype=bool)]))
     if twins is None:
-        out_i = out_k = words(outside)
+        out_i = out_k = _pack(outside)
         idx = np.where(outside, inv, np.intp(len(rows)))
     else:
         ri, rk = twins[0].reps, twins[1].reps
-        out_i, out_k = words(outside[ri]), words(outside[rk])
+        out_i, out_k = _pack(outside[ri]), _pack(outside[rk])
         box = np.ix_(ri, rk)
         idx = np.where(outside[box], inv[box], np.intp(len(rows)))
-    step = max(1, _BLOCK // (len(out_k) * nbytes))
-    found = []
+    step = max(1, _BLOCK // (8 * out_k.size))
+    found = [np.empty((0, 3), dtype=np.intp)]
     for a0 in range(0, len(idx), step):
         blk = packed[idx[a0:a0 + step]] & out_k[None, :, :] & out_i[a0:a0 + step, None, :]
-        live = blk.any(axis=2)
-        if not live.any():
-            continue
-        if first:
-            a, b = np.argwhere(live)[0]
-            m = np.argmax(np.unpackbits(blk[a, b].view(np.uint8)))
-            return _Boxes(np.array([[a0 + a, b, m]], dtype=np.uint16), twins)
-        # unpack only the occupied words: (a, b, word) then the bit in the word
-        at = np.argwhere(blk)
-        bits = np.argwhere(np.unpackbits(blk[tuple(at.T)].view(np.uint8).reshape(-1, 8), axis=1))
-        hits = at[bits[:, 0]]
-        hits[:, 0] += a0
-        hits[:, 2] = hits[:, 2] * 64 + bits[:, 1]
-        found.append(hits.astype(np.uint16))
-    return _Boxes(np.concatenate(found) if found else np.empty((0, 3), dtype=np.uint16),
-                  twins)
+        if not first:
+            found.append(_bits(blk) + [a0, 0, 0])
+        elif hit := _first_bit(blk):
+            return _Boxes(np.array([[a0 + hit[0], hit[1], hit[2]]], dtype=np.uint16), twins)
+    return _Boxes(np.concatenate(found).astype(np.uint16), twins)
 
 
 def _ideal_scan(gr: GradedRing, tk: dict, pmask: int, rows: np.ndarray,
@@ -636,38 +646,43 @@ def _lattice_table(gr: GradedRing, masks: tuple[int, ...]) -> LatticeTable:
                         _inside(words, words), prod, masks.index(1))
 
 
-def _ideal_triples(t: LatticeTable, rows: np.ndarray | None = None):
-    """(a, abc) over blocks of first indices a (from rows, default all):
-    abc[i, b, c] is the position of (A*B)*C for A = a[i]."""
-    rows = np.arange(len(t.masks)) if rows is None else rows
-    step = max(1, _BLOCK // t.prod.nbytes)
+def _triple_blocks(t: LatticeTable, rows: np.ndarray | None = None):
+    """(a, ab) over blocks of first indices a (from rows, default all) with
+    ab = t.prod[a], sized so that a block's (len(a), L, words) table of
+    words over the third ideal stays within _BLOCK."""
+    L = len(t.masks)
+    rows = np.arange(L) if rows is None else rows
+    step = max(1, _BLOCK // (8 * L * -(-L // 64)))
     for i0 in range(0, len(rows), step):
         a = rows[i0:i0 + step]
-        yield a, t.prod[t.prod[a]]
+        yield a, t.prod[a]
+
+
+def _triple_words(t: LatticeTable, inP: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(hit, ow, out) at P: hit[q] packs 0 != Q*C inside P over c, then an
+    empty row; ow[x] packs X*C outside P; out[x, y] is X*Y outside P."""
+    out = ~inP[t.prod]
+    return _pack(np.vstack([~out & (t.prod != t.zero), np.zeros(len(out), dtype=bool)])), \
+        _pack(out), out
+
+
+def _violations(words: tuple[np.ndarray, ...], a: np.ndarray, ab: np.ndarray) -> np.ndarray:
+    """[i, b] over one block of _triple_blocks: the words over c of the
+    triples (a[i], b, c) with 0 != A*B*C inside P and AB, AC and BC all
+    outside P. A pair (a[i], b) with AB inside P reads hit's empty row."""
+    hit, ow, out = words
+    return hit[np.where(out[a], ab, np.intp(len(out)))] & ow[a][:, None] & ow[None]
 
 
 def _first_ideal_triple(t: LatticeTable, inP: np.ndarray,
                         rows: np.ndarray | None = None) -> tuple[int, int, int] | None:
     """First (a, b, c), lexicographically and with a from rows, where
     0 != A*B*C lies inside P and none of AB, AC, BC does; inP from t.inside."""
-    out = ~inP[t.prod]
-    for a, abc in _ideal_triples(t, rows):
-        hit = first_offender(_ideal_triple_violations(t, inP, out, a, abc))
-        if hit is not None:
-            return int(a[hit[0]]), int(hit[1]), int(hit[2])
+    words = _triple_words(t, inP)
+    for a, ab in _triple_blocks(t, rows):
+        if hit := _first_bit(_violations(words, a, ab)):
+            return int(a[hit[0]]), hit[1], hit[2]
     return None
-
-
-def _ideal_triple_violations(t: LatticeTable, inP: np.ndarray, out: np.ndarray,
-                             a: np.ndarray, abc: np.ndarray) -> np.ndarray:
-    """[i, b, c] over one block of _ideal_triples: 0 != A*B*C inside P with
-    AB, AC and BC all outside P (out = ~inP[t.prod])."""
-    viol = inP[abc]
-    viol &= abc != t.zero
-    viol &= out[a][:, :, None]
-    viol &= out[a][:, None, :]
-    viol &= out[None, :, :]
-    return viol
 
 
 def ideal_info(gr: GradedRing, mask: int) -> dict:

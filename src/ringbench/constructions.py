@@ -41,7 +41,7 @@ from .rings import (
     DEFAULT_RING_CAP,
     FiniteRing,
     _check_cap,
-    _digit_table,
+    _pair_table,
     check_additive_group,
     find_unity,
 )
@@ -370,7 +370,7 @@ def _idealization(gr: GradedRing, M: GradedBimodule,
     _check_cap(order, cap, "idealization")
     base = gr.ring
     # index (r, v) -> r*m + v: digit 0 is the ring part, digit 1 the module part
-    add = _digit_table((n, m), [((0,), (0,), base.add), ((1,), (1,), M.add)])
+    add = _pair_table(base.add, M.add)
     mul = _idealization_mul(gr, M)
     neg = base.neg.astype(np.int64)[:, None] * m + M.neg[None, :]
     names = [f"({base.name(r)}, {M.name(v)})" for r in range(n) for v in range(m)]

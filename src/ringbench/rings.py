@@ -45,7 +45,6 @@ Results are `groups.Validation`.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,27 +149,23 @@ def _encode_digits(digits: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _digit_table(radices: tuple[int, ...], terms) -> np.ndarray:
-    """(order, order) uint16 table over a mixed-radix digit encoding.
+def _digit_sum(terms: list[np.ndarray]) -> np.ndarray:
+    """The sum of two or more broadcast uint16 digit terms, written into one
+    uninitialised array: each entry is written once by the first add."""
+    out = np.empty(np.broadcast_shapes(*(t.shape for t in terms)), dtype=np.uint16)
+    np.add(terms[0], terms[1], out=out)
+    for term in terms[2:]:
+        out += term
+    return out
 
-    Elements have digits in `radices`, most significant first. terms[d] is
-    (xs, ys, small): output digit d is small[x-digits xs, y-digits ys], with
-    xs and ys ascending. Each weighted small table is broadcast into a view
-    with one axis per x-digit and one per y-digit, so nothing of size
-    order^2 is indexed or held in a wider dtype. Partial sums stay at most
-    order - 1, which fits uint16.
-    """
-    ndig = len(radices)
-    order = math.prod(radices)
-    out = np.zeros(tuple(radices) * 2, dtype=np.uint16)
-    weight = order
-    for d, (xs, ys, small) in enumerate(terms):
-        weight //= radices[d]
-        shape = [1] * (2 * ndig)
-        for a in (*xs, *(ndig + y for y in ys)):
-            shape[a] = radices[a % ndig]
-        out += (small.astype(np.uint16) * np.uint16(weight)).reshape(shape)
-    return out.reshape(order, order)
+
+def _pair_table(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """(n1 n2, n1 n2) uint16 table of an operation on pairs (x1, x2) at
+    x1*n2 + x2, done by t1 on the first digit and t2 on the second. The
+    entries stay below n1 n2, so nothing is held wider than uint16."""
+    n1, n2 = len(t1), len(t2)
+    return _digit_sum([(t1.astype(np.uint16) * np.uint16(n2))[:, None, :, None],
+                       t2.astype(np.uint16)[None, :, None, :]]).reshape(n1 * n2, n1 * n2)
 
 
 def make_matrix_ring(base: FiniteRing, k: int, cap: int = DEFAULT_RING_CAP) -> FiniteRing:
@@ -204,13 +199,13 @@ def make_matrix_ring(base: FiniteRing, k: int, cap: int = DEFAULT_RING_CAP) -> F
                 dot = base.add[dot, base.mul[vec[:, j:j + 1], digits[:, j * k + c]]]
             vy = vy * m + dot
         row_add = _encode_digits(base.add[vec[:, None], vec[None, :]], m).astype(np.uint16)
-        add, mul = (np.zeros((w,) * k + (order,), dtype=np.uint16) for _ in range(2))
-        for r in range(k):
+        vy, adds, muls = vy.astype(np.uint16), [], []
+        for r in range(k):                  # digit r as a C-contiguous (w, n) operand
             shape, weight = [1] * k + [order], w ** (k - 1 - r)
             shape[r] = w
-            add += (row_add[:, ids // weight % w] * weight).reshape(shape)
-            mul += (vy * weight).reshape(shape)
-        add, mul = add.reshape(order, order), mul.reshape(order, order)
+            adds.append((np.take(row_add, ids // weight % w, axis=1) * weight).reshape(shape))
+            muls.append((vy * weight).reshape(shape))
+        add, mul = (_digit_sum(terms).reshape(order, order) for terms in (adds, muls))
 
     neg = _encode_digits(base.neg[digits], m)
     unity = None
@@ -232,8 +227,7 @@ def make_product_ring(r1: FiniteRing, r2: FiniteRing, cap: int = DEFAULT_RING_CA
     order = n1 * n2
     _check_cap(order, cap, "product ring")
     u, v = np.divmod(np.arange(order, dtype=np.int64), n2)
-    add = _digit_table((n1, n2), [((0,), (0,), r1.add), ((1,), (1,), r2.add)])
-    mul = _digit_table((n1, n2), [((0,), (0,), r1.mul), ((1,), (1,), r2.mul)])
+    add, mul = _pair_table(r1.add, r2.add), _pair_table(r1.mul, r2.mul)
     neg = r1.neg[u].astype(np.int64) * n2 + r2.neg[v]
     unity = None
     if r1.unity is not None and r2.unity is not None:

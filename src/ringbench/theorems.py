@@ -752,27 +752,33 @@ def _check_p17(ctx: RingContext, out: PropertyOutcome) -> None:
         hit = classify._first_ideal_triple(t, t.inside(p),
                                            np.flatnonzero(t.sub[t.index[p]]))
         rhs = hit is None
-        witness = None if rhs else {
-            k: ideal_info(gr, t.masks[i]) for k, i in zip("ABC", hit)}
+        witness = hit and {k: ideal_info(gr, t.masks[i]) for k, i in zip("ABC", hit)}
         if lhs != rhs:
             out.violate(P=ideal_info(gr, p), strongly_weakly=lhs,
                         restricted_triples=rhs, witness=witness)
+
+
+def _collapse_witness(t: classify.LatticeTable) -> tuple[int, int, int] | None:
+    """First (i, j, k) with IJK != 0 and unequal to IJ, IK and JK, from words
+    over k: kept[q] packs QK != 0 and QK != Q, differs[x, q] XK != QK."""
+    prod, L = t.prod, len(t.masks)
+    kept = classify._pack((prod != t.zero) & (prod != np.arange(L)[:, None]))
+    step = max(1, classify._BLOCK // (L * L))
+    differs = np.concatenate([classify._pack(prod[x:x + step, None, :] != prod[None, :, :])
+                              for x in range(0, L, step)])
+    for a, ij in classify._triple_blocks(t):
+        if hit := classify._first_bit(kept[ij] & differs[a[:, None], ij]
+                                      & differs[np.arange(L), ij]):
+            return int(a[hit[0]]), hit[1], hit[2]
+    return None
 
 
 def _collapse_law_holds(ctx: RingContext) -> tuple[bool, dict | None]:
     """Every graded ideal triple satisfies IJ == IJK, IK == IJK, JK == IJK,
     or IJK == 0 (as ideals)."""
     t = ctx.table()
-    for a, ijk in classify._ideal_triples(t):
-        ij, ik = t.prod[a][:, :, None], t.prod[a][:, None, :]
-        hit = first_offender((ijk != t.zero) & (ij != ijk) & (ik != ijk)
-                             & (t.prod[None, :, :] != ijk))
-        if hit is not None:
-            i, j, k = int(a[hit[0]]), int(hit[1]), int(hit[2])
-            return False, {"I": ideal_info(ctx.gr, t.masks[i]),
-                           "J": ideal_info(ctx.gr, t.masks[j]),
-                           "K": ideal_info(ctx.gr, t.masks[k])}
-    return True, None
+    hit = _collapse_witness(t)
+    return hit is None, hit and {k: ideal_info(ctx.gr, t.masks[x]) for k, x in zip("IJK", hit)}
 
 
 def _check_p18(ctx: RingContext, out: PropertyOutcome) -> None:
@@ -1016,17 +1022,15 @@ def search_ring(gr: GradedRing, label: str,
                 if ctx.weakly_2_absorbing(p) and not ctx.two_absorbing(p)]
     scanned = nonzero = hypothesis = discarded = 0
     counterexamples: list[dict] = []
+    nz = classify._pack(t.prod != t.zero)      # [q]: words over k, QK != 0
+    per_p = sum(int(np.bitwise_count(nz[ab]).sum()) for _, ab in classify._triple_blocks(t))
     for p in eligible:
-        inP = t.inside(p)
-        out = ~inP[t.prod]
-        for rows, abk in classify._ideal_triples(t):
-            scanned += abk.size
-            hyp = abk != t.zero
-            nonzero += int(np.count_nonzero(hyp))
-            hyp &= inP[abk]
-            hypothesis += int(np.count_nonzero(hyp))
-            for i, jb, jk in np.argwhere(
-                    classify._ideal_triple_violations(t, inP, out, rows, abk)):
+        words = classify._triple_words(t, t.inside(p))
+        scanned += len(t.masks) ** 3
+        nonzero += per_p
+        for rows, ab in classify._triple_blocks(t):
+            hypothesis += int(np.bitwise_count(words[0][ab]).sum())
+            for i, jb, jk in classify._bits(classify._violations(words, rows, ab)):
                 a, b, k = t.masks[rows[i]], t.masks[jb], t.masks[jk]
                 if verify_witness(gr, p, "graded_strongly_weakly_2_absorbing",
                                   {"A": {"mask": a}, "B": {"mask": b}, "C": {"mask": k}}):
@@ -1034,7 +1038,7 @@ def search_ring(gr: GradedRing, label: str,
                         "ring": label, "P": ideal_info(gr, p),
                         "A": ideal_info(gr, a), "B": ideal_info(gr, b),
                         "K": ideal_info(gr, k),
-                        "product_mask": t.masks[abk[i, jb, jk]]})
+                        "product_mask": t.masks[t.prod[ab[i, jb], jk]]})
                 else:
                     discarded += 1
     return {

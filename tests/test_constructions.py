@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from ringbench.constructions import (
 )
 from ringbench.grading import validate_grading
 from ringbench.ideals import IdealSubset, check_closure, generate_ideal
-from ringbench.rings import RingTooLargeError, _digit_table, validate_ring
+from ringbench.rings import RingTooLargeError, validate_ring
 from ringbench.theorems import _BASE_LABELS, RingContext, _factor_graded_rings
 
 
@@ -238,11 +239,35 @@ def test_idealization_tables_match_definition(spec, kgens):
                                                                 M.right[m1, r2]]
 
 
+def digit_table(radices: tuple[int, ...], terms) -> np.ndarray:
+    """(order, order) uint16 table over a mixed-radix digit encoding, the
+    general form of the former rings._digit_table.
+
+    Elements have digits in `radices`, most significant first. terms[d] is
+    (xs, ys, small): output digit d is small[x-digits xs, y-digits ys], with
+    xs and ys ascending. Each weighted small table is broadcast into a view
+    with one axis per x-digit and one per y-digit, so nothing of size
+    order^2 is indexed or held in a wider dtype. Partial sums stay at most
+    order - 1, which fits uint16.
+    """
+    ndig = len(radices)
+    order = math.prod(radices)
+    out = np.zeros(tuple(radices) * 2, dtype=np.uint16)
+    weight = order
+    for d, (xs, ys, small) in enumerate(terms):
+        weight //= radices[d]
+        shape = [1] * (2 * ndig)
+        for a in (*xs, *(ndig + y for y in ys)):
+            shape[a] = radices[a % ndig]
+        out += (small.astype(np.uint16) * np.uint16(weight)).reshape(shape)
+    return out.reshape(order, order)
+
+
 def gathered_idealization_mul(gr, M) -> np.ndarray:
     """The idealization's mul table by the former route, kept as the oracle:
     the module part r1 m2 + m1 r2 as one 4-D gather on the (r1, m1, r2, m2)
-    axes, combined with r1 r2 by rings._digit_table."""
-    return _digit_table((gr.order, M.order), [
+    axes, combined with r1 r2 by digit_table."""
+    return digit_table((gr.order, M.order), [
         ((0,), (0,), gr.ring.mul),
         ((0, 1), (0, 1), M.add[M.left[:, None, None, :], M.right[None, :, :, None]])])
 

@@ -20,6 +20,7 @@ from ringbench import classify, ideals, rings, theorems
 from ringbench.bitsets import bools_from_mask
 from ringbench.groups import first_offender, greedy_generators
 from slice_oracles import differences, widen_census
+import test_ideal_words
 import test_kernel_oracle
 import test_rings
 import test_twin_scan
@@ -30,6 +31,7 @@ LATTICE_TABLE = classify._lattice_table
 P11_CUBES = theorems._p11_cubes
 P12_TABLES = theorems._p12_tables
 BOX_TRIPLES = classify._Boxes.triples
+PACK = classify._pack
 
 # rings where additive spans of single elements are often not ideals
 CLOSURE_RINGS = ("ring: matrix(zn(2), 2)", "ring: gaussian(4)", TRIANGULAR_Z2_Z4)
@@ -301,3 +303,31 @@ def test_value_rows_without_last_byte_are_caught(monkeypatch):
     monkeypatch.setattr(classify, "_bit_rows", cleared)
     with pytest.raises(AssertionError):
         test_kernel_oracle.check_explicit_kernels()
+
+
+def check_word_edge_ring():
+    """test_ideal_words' comparisons on its L = 96 ring, whose second word
+    over the third ideal is partial."""
+    spec = test_ideal_words.WORD_EDGE_RING
+    test_ideal_words.check_table(classify.lattice_table(build_ring(spec)), spec)
+
+
+def test_words_without_the_last_partial_word_are_caught(monkeypatch):
+    """Words over the third ideal that stop before the last, partial word,
+    so no violation whose third ideal lies past position 63 is seen."""
+    monkeypatch.setattr(classify, "_pack", lambda bits: PACK(bits)[..., :bits.shape[-1] // 64])
+    with pytest.raises(AssertionError):
+        check_word_edge_ring()
+
+
+def test_words_packed_big_endian_are_caught(monkeypatch):
+    """Bits packed big-endian within each byte of a word, so the first set
+    bit names the wrong third ideal."""
+    def big_endian(bits):
+        out = np.zeros(bits.shape[:-1] + (8 * -(-bits.shape[-1] // 64),), dtype=np.uint8)
+        out[..., :-(-bits.shape[-1] // 8)] = np.packbits(bits, axis=-1, bitorder="big")
+        return out.view("<u8")
+
+    monkeypatch.setattr(classify, "_pack", big_endian)
+    with pytest.raises(AssertionError):
+        check_word_edge_ring()
