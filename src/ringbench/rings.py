@@ -150,8 +150,9 @@ def _encode_digits(digits: np.ndarray, m: int) -> np.ndarray:
 
 
 def _digit_sum(terms: list[np.ndarray]) -> np.ndarray:
-    """The sum of two or more broadcast uint16 digit terms, written into one
-    uninitialised array: each entry is written once by the first add."""
+    """The sum of two or more broadcast uint16 digit terms in a new array,
+    which the first add fills with no zero-fill: with two terms (k = 2, and
+    every pair table) each entry is written once."""
     out = np.empty(np.broadcast_shapes(*(t.shape for t in terms)), dtype=np.uint16)
     np.add(terms[0], terms[1], out=out)
     for term in terms[2:]:
@@ -199,13 +200,13 @@ def make_matrix_ring(base: FiniteRing, k: int, cap: int = DEFAULT_RING_CAP) -> F
                 dot = base.add[dot, base.mul[vec[:, j:j + 1], digits[:, j * k + c]]]
             vy = vy * m + dot
         row_add = _encode_digits(base.add[vec[:, None], vec[None, :]], m).astype(np.uint16)
-        vy, adds, muls = vy.astype(np.uint16), [], []
-        for r in range(k):                  # digit r as a C-contiguous (w, n) operand
-            shape, weight = [1] * k + [order], w ** (k - 1 - r)
-            shape[r] = w
-            adds.append((np.take(row_add, ids // weight % w, axis=1) * weight).reshape(shape))
-            muls.append((vy * weight).reshape(shape))
-        add, mul = (_digit_sum(terms).reshape(order, order) for terms in (adds, muls))
+        vy = vy.astype(np.uint16)
+        # digit r of each table as a C-contiguous (w, n) operand on axis r
+        at = [(w ** (k - 1 - r), [w if a == r else 1 for a in range(k)] + [order])
+              for r in range(k)]
+        add = _digit_sum([(np.take(row_add, ids // weight % w, axis=1) * weight).reshape(shape)
+                          for weight, shape in at]).reshape(order, order)
+        mul = _digit_sum([(vy * weight).reshape(shape) for weight, shape in at]).reshape(order, order)
 
     neg = _encode_digits(base.neg[digits], m)
     unity = None
