@@ -265,12 +265,15 @@ def _enumerate(gr: GradedRing, sidedness: str, cap: int) -> tuple[int, ...]:
     sum of their principal ideals. A sum I + J of additive subgroups is the
     set of sums i + j, so it needs one gather and no re-closure; and as
     |I + J| = |I| |J| / |I & J|, a known member of that size holding I and J
-    is the sum, so no gather at all.
+    is the sum, so no gather at all. Each principal ideal p is added to the
+    members known before it at once, on their masks as 64-bit words; only
+    the sums left unknown are compared, in order, with the members that
+    its own sums added.
     """
     left, right = _flags(sidedness)
-    add, n = gr.ring.add, gr.order
+    add, n, w = gr.ring.add, gr.order, -(-gr.order // 64)
     members: dict[int, np.ndarray] = {}
-    by_size: dict[int, list[int]] = {}
+    words = bytearray()
 
     def keep(flags: np.ndarray) -> int:
         mask = int(mask_from_bools(flags))
@@ -278,20 +281,39 @@ def _enumerate(gr: GradedRing, sidedness: str, cap: int) -> tuple[int, ...]:
             if len(members) >= cap:
                 raise _cap_error(cap, sidedness)
             members[mask] = np.flatnonzero(flags)
-            by_size.setdefault(mask.bit_count(), []).append(mask)
+            words.extend(mask.to_bytes(8 * w, "little"))
         return mask
 
     principal = list(dict.fromkeys(_principal_masks(gr, left, right)))
     for p in principal:
         keep(bools_from_mask(p, n))
-    for p in principal:
-        for mask in list(members):
-            size = mask.bit_count() * p.bit_count() // (mask & p).bit_count()
-            if not any((mask | p) & ~m == 0 for m in by_size.get(size, ())):
+    for at, p in enumerate(principal):
+        known = list(members)
+        sizes, held = _known_sums(np.frombuffer(bytes(words), dtype="<u8").reshape(-1, w), at)
+        fresh: list[int] = []
+        for i in np.flatnonzero(~held).tolist():
+            mask, size = known[i], int(sizes[i])
+            if not any((mask | p) & ~m == 0 for m in fresh if m.bit_count() == size):
                 flags = np.zeros(n, dtype=bool)
                 flags[add[members[mask][:, None], members[p]]] = True
-                keep(flags)
+                fresh.append(keep(flags))
     return tuple(sorted(members))
+
+
+def _known_sums(words: np.ndarray, at: int) -> tuple[np.ndarray, np.ndarray]:
+    """(size, known) over the masks words[i] as rows of 64-bit words:
+    size[i] = |I + P| with P = words[at], and known[i] whether some row of
+    that size holds I and P, in blocks of rows of about a megabyte."""
+    sizes = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+    size = sizes * sizes[at] // np.bitwise_count(words & words[at]).sum(axis=1, dtype=np.int64)
+    union, known = words | words[at], np.empty(len(words), dtype=bool)
+    step = max(1, (1 << 20) // (8 * len(words)))
+    for i0 in range(0, len(words), step):
+        holds = size[i0:i0 + step, None] == sizes[None, :]
+        for c in range(words.shape[1]):
+            holds &= (union[i0:i0 + step, c, None] & ~words[None, :, c]) == 0
+        known[i0:i0 + step] = holds.any(axis=1)
+    return size, known
 
 
 def graded_ideal_masks(gr: GradedRing, sidedness: str = TWO_SIDED,
@@ -314,6 +336,15 @@ def enumerate_graded_ideals(gr: GradedRing, sidedness: str = TWO_SIDED,
             for mask in graded_ideal_masks(gr, sidedness, cap)]
 
 
+def lattice_position(gr: GradedRing, mask: int) -> tuple[tuple[int, ...], int | None]:
+    """(masks, at): the memoized two-sided lattice, () when it has not been
+    enumerated (it is not enumerated here), and the position of mask in
+    it, or None."""
+    masks = gr._cache.get(f"lattice:{TWO_SIDED}", ())
+    at = bisect_left(masks, mask)
+    return masks, at if at < len(masks) and masks[at] == mask else None
+
+
 def ideal_check(gr: GradedRing, mask: int) -> tuple[bool, tuple | None, int | None]:
     """Whether mask is a graded two-sided ideal: check_closure's (ok, witness)
     and, when ok, graded_defect.
@@ -324,9 +355,7 @@ def ideal_check(gr: GradedRing, mask: int) -> tuple[bool, tuple | None, int | No
     lattice not yet enumerated is not enumerated here.
     """
     def check():
-        masks = gr._cache.get(f"lattice:{TWO_SIDED}", ()) if gr.ring.laws_checked else ()
-        at = bisect_left(masks, mask)
-        if at < len(masks) and masks[at] == mask:
+        if gr.ring.laws_checked and lattice_position(gr, mask)[1] is not None:
             return True, None, None
         ok, witness = check_closure(gr, mask, TWO_SIDED)
         return ok, witness, graded_defect(gr, mask) if ok else None

@@ -220,7 +220,7 @@ class RingContext:
                 for p in self.lattice():
                     if p & comp == comp or not self.g_weakly(p, g):
                         continue
-                    # outside sits in the kernel's LRU: g_weakly just built it
+                    # outside from the kernel's LRU entry, which the census's listing reads next
                     out.append((g, p, X, self.pb(p), classify._kernel(gr, g, p)[2],
                                 pos[self.census(p, g).triples]))
             return out
