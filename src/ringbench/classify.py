@@ -54,7 +54,6 @@ from .ideals import (
     IdealSubset,
     graded_ideal_masks,
     ideal_check,
-    lattice_position,
     minimal_homogeneous_generators,
 )
 
@@ -513,149 +512,19 @@ def _completely_weakly_scan(gr: GradedRing, tk: dict, pmask: int,
     return _scan(rows, inv, outside, twins, True)
 
 
-# ---------------------------------------------------------------------------
-# the element scans of a whole lattice: stacks of ideals
-
-_STACK = 64     # ideals a stack decides at once, one bit of a 64-bit word each
-
-# an ideal's scans, by kind: rows of the x side's kernel inside P ("plain"),
-# inside P and not zero ("weakly"), zero ("census", which is counted too),
-# and the completely weakly scan over products ("cw")
-
-
 def _decide(gr: GradedRing, g: int | None, pmask: int,
             kind: str) -> tuple[tuple[int, int, int] | None, int | None]:
-    """(first, count) of one scan at P: its first triple, as positions of X,
-    or None; and for the census its number of triples, else None.
-
-    Kept by (kernel, kind, P). A P of the memoized two-sided lattice is
-    decided with the _STACK lattice masks around it, in one stacked scan
-    over positions, unless the kernel has twin classes; any other P, on
-    its own.
-    """
-    tk = _triple_kernel(gr, g)
-    masks, at = lattice_position(gr, pmask)
-    if at is None or _kernel_twins(gr, tk) is not None:
-        return gr.memo(("decided", tk["key"], kind, pmask),
-                       lambda: _ideal_decide(gr, g, pmask, kind))
-    c = at // _STACK
-    stack = gr.memo(("stack", tk["key"], kind, c), lambda: _stack_decide(
-        gr, tk, kind, masks[c * _STACK:(c + 1) * _STACK]))
-    return stack[at % _STACK]
-
-
-def _ideal_decide(gr: GradedRing, g: int | None, pmask: int,
-                  kind: str) -> tuple[tuple[int, int, int] | None, int | None]:
-    """_decide for one ideal on its own, through its _kernel entry."""
+    """(first, count) of one scan of _kernel(gr, g, P): its first triple, as
+    positions of X, or None; and for the census its number of triples,
+    else None. The kinds scan the rows of the x side's kernel inside P
+    ("plain"), inside P and not zero ("weakly") or zero ("census"), or the
+    distinct products ("cw", completely weakly)."""
     tk, inside, outside = _kernel(gr, g, pmask)
     if kind == "cw":
         return _completely_weakly_scan(gr, tk, pmask, outside).first(), None
     rows = {"plain": inside, "weakly": inside & ~tk["zero"]}.get(kind, tk["zero"])
     boxes = _ideal_scan(gr, tk, pmask, rows, kind != "census")
     return boxes.first(), boxes.count() if kind == "census" else None
-
-
-def _ideal_words(masks, n: int) -> np.ndarray:
-    """[e, c]: little-endian 64-bit words, bit j of word c set when element
-    e lies outside the ideal masks[64 * c + j]; the last word zero-padded."""
-    inside = np.unpackbits(_words(masks, n).view(np.uint8), axis=1, count=n, bitorder="little")
-    return _pack(inside.T == 0)
-
-
-def _stack_inside(tk: dict, w: np.ndarray) -> np.ndarray:
-    """[r, m]: words over a stack's ideals, bit j set when row r of the x
-    side times S times X[m] leaves ideal j, from w[e], the words of element
-    e. One reduceat a side decides every ideal of the stack: the z side's
-    rows that leave, then, in blocks of m, the x side's."""
-    k1, k2 = tk["sides"]
-    r, s = np.nonzero(k2["U"])
-    leaves = np.bitwise_or.reduceat(w[k2["T"][s]], np.flatnonzero(np.diff(r, prepend=-1)))
-    r, s = np.nonzero(k1["U"])
-    starts, inv = np.flatnonzero(np.diff(r, prepend=-1)), k2["inv"]
-    step = max(1, _BLOCK // (8 * len(s)))
-    return np.hstack([np.bitwise_or.reduceat(leaves[inv[s, m0:m0 + step]], starts, axis=0)
-                      for m0 in range(0, inv.shape[1], step)])
-
-
-def _stack_decide(gr: GradedRing, tk: dict, kind: str,
-                  masks: tuple[int, ...]) -> list[tuple]:
-    """_decide's (first, count) for every ideal of one stack of masks."""
-    w = _ideal_words(masks, gr.order)[:, 0]
-    zero, inv = tk["zero"], tk["inv"]
-    if kind == "cw":
-        pr = _products(gr, tk)
-        rows, inv = np.where(pr["nonzero"], ~w[pr["az"]], np.uint64(0)), pr["inv"]
-    elif kind == "census":
-        rows = np.where(zero, ~np.uint64(0), np.uint64(0))
-    else:
-        rows = ~_stack_inside(tk, w)
-        if kind == "weakly":
-            rows[zero] = 0
-    return _stack_scan(rows, inv, w[tk["prods"]], len(masks), kind == "census")
-
-
-def _planes(words: np.ndarray, js: np.ndarray) -> np.ndarray:
-    """[t, ...]: bit js[t] of each of words, 64-bit words over a stack."""
-    byte = words[..., None].view(np.uint8)[..., js >> 3]
-    return np.moveaxis(byte >> (js & 7).astype(np.uint8) & 1, -1, 0).astype(bool, order="C")
-
-
-def _first_bits(v: list[np.ndarray]) -> list[tuple[int, int, int] | None]:
-    """For each t, (a, b, c) of the first set bit of the words v[c][t, a, b]
-    over c, in C order within t's slice alone, or None."""
-    t = np.arange(len(v[0]))
-    live = np.logical_or.reduce([word != 0 for word in v]).reshape(len(t), -1)
-    a, b = np.unravel_index(live.argmax(axis=1), v[0].shape[1:])
-    words = np.stack([word[t, a, b] for word in v], axis=1)
-    c = (words != 0).argmax(axis=1)
-    word = words[t, c]
-    low = np.bitwise_count((word - np.uint64(1)) & ~word)      # trailing zeros
-    return [(int(a[i]), int(b[i]), 64 * int(c[i]) + int(low[i])) if word[i] else None
-            for i in t.tolist()]
-
-
-def _stack_scan(rows: np.ndarray, inv: np.ndarray, outside: np.ndarray, s: int,
-                count: bool) -> list[tuple]:
-    """_scan over positions for each ideal j < s of a stack at once, with
-    rows[v, m] and outside[a, b] words over the stack (bit j for ideal j):
-    (first, count) per ideal, its first triple in C order within its own
-    slice and, when asked, its number of triples, summed over words.
-
-    Ideals are unpacked as bit planes, as many at a time as fit _BLOCK,
-    and first indices are taken in blocks when one ideal does not fit.
-    Each word c over m is a block of its own, so that no operand
-    broadcasts along a short last axis.
-    """
-    (u, h), W, inv = rows.shape, -(-rows.shape[1] // 64), inv.astype(np.intp)
-    per = max(8 * h * h * W, (u + 1) * h)
-    step, rows_i = max(1, _BLOCK // per), h if per <= _BLOCK else max(1, _BLOCK // (8 * h * W))
-    firsts, counts = [None] * s, [0 if count else None] * s
-    for j0 in range(0, s, step):
-        js = np.arange(j0, min(s, j0 + step))
-        out = _planes(outside, js)
-        ow = [np.ascontiguousarray(word) for word in np.moveaxis(_pack(out), -1, 0)]
-        # pairs (a, b) that are not outside read an appended empty row
-        packed = _pack(np.concatenate([_planes(rows, js), np.zeros((len(js), 1, h), dtype=bool)],
-                                      axis=1)).reshape(-1, W)
-        packed = [np.ascontiguousarray(word) for word in packed.T]
-        base = (np.arange(len(js), dtype=np.intp) * (u + 1))[:, None, None]
-        for a0 in range(0, h, rows_i):
-            idx = inv[a0:a0 + rows_i] + base
-            np.copyto(idx, base + u, where=~out[:, a0:a0 + rows_i])
-            blk = [packed[c][idx] for c in range(W)]
-            for c, words in enumerate(blk):
-                words &= ow[c][:, None, :]
-                words &= ow[c][:, a0:a0 + rows_i, None]
-            for j, hit in zip(js.tolist(), _first_bits(blk)):
-                if firsts[j] is None and hit is not None:
-                    firsts[j] = (a0 + hit[0], hit[1], hit[2])
-            if count:
-                for j, n in zip(js.tolist(), sum(np.bitwise_count(words).sum(axis=(1, 2))
-                                                 for words in blk).tolist()):
-                    counts[j] += n
-            elif all(firsts[j] is not None for j in js.tolist()):
-                break
-    return list(zip(firsts, counts))
 
 
 def _triple_witness(gr: GradedRing, x: int, y: int, z: int) -> dict:

@@ -336,15 +336,6 @@ def enumerate_graded_ideals(gr: GradedRing, sidedness: str = TWO_SIDED,
             for mask in graded_ideal_masks(gr, sidedness, cap)]
 
 
-def lattice_position(gr: GradedRing, mask: int) -> tuple[tuple[int, ...], int | None]:
-    """(masks, at): the memoized two-sided lattice, () when it has not been
-    enumerated (it is not enumerated here), and the position of mask in
-    it, or None."""
-    masks = gr._cache.get(f"lattice:{TWO_SIDED}", ())
-    at = bisect_left(masks, mask)
-    return masks, at if at < len(masks) and masks[at] == mask else None
-
-
 def ideal_check(gr: GradedRing, mask: int) -> tuple[bool, tuple | None, int | None]:
     """Whether mask is a graded two-sided ideal: check_closure's (ok, witness)
     and, when ok, graded_defect.
@@ -355,7 +346,9 @@ def ideal_check(gr: GradedRing, mask: int) -> tuple[bool, tuple | None, int | No
     lattice not yet enumerated is not enumerated here.
     """
     def check():
-        if gr.ring.laws_checked and lattice_position(gr, mask)[1] is not None:
+        masks = gr._cache.get(f"lattice:{TWO_SIDED}", ()) if gr.ring.laws_checked else ()
+        at = bisect_left(masks, mask)
+        if at < len(masks) and masks[at] == mask:
             return True, None, None
         ok, witness = check_closure(gr, mask, TWO_SIDED)
         return ok, witness, graded_defect(gr, mask) if ok else None

@@ -5,7 +5,6 @@ failing its mutant means that test has lost its teeth."""
 from __future__ import annotations
 
 import dataclasses
-import functools
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from ringbench.groups import first_offender, greedy_generators
 from slice_oracles import differences, widen_census
 import test_ideal_words
 import test_kernel_oracle
-import test_lattice_stacks
 import test_rings
 import test_twin_scan
 import test_validation
@@ -34,7 +32,6 @@ P11_CUBES = theorems._p11_cubes
 P12_TABLES = theorems._p12_tables
 BOX_TRIPLES = classify._Boxes.triples
 PACK = classify._pack
-IDEAL_WORDS = classify._ideal_words
 
 # rings where additive spans of single elements are often not ideals
 CLOSURE_RINGS = ("ring: matrix(zn(2), 2)", "ring: gaussian(4)", TRIANGULAR_Z2_Z4)
@@ -334,53 +331,3 @@ def test_words_packed_big_endian_are_caught(monkeypatch):
     monkeypatch.setattr(classify, "_pack", big_endian)
     with pytest.raises(AssertionError):
         check_word_edge_ring()
-
-
-@functools.cache
-def word_edge_references() -> dict:
-    """test_lattice_stacks' per-ideal references on the L = 96 ring, whose
-    second stack of ideals fills half a word; the mutants below leave that
-    route alone."""
-    return test_lattice_stacks.references(test_ideal_words.WORD_EDGE_RING)
-
-
-def check_word_edge_stacks():
-    test_lattice_stacks.check_stacks(test_ideal_words.WORD_EDGE_RING, word_edge_references())
-
-
-def test_unmutated_stacks_agree():
-    check_word_edge_stacks()
-
-
-def test_ideal_words_without_the_last_partial_word_are_caught(monkeypatch):
-    """Words over a stack's ideals whose last, partial word is dropped (read
-    as zero), so the 32 ideals of the second stack seem to hold every
-    element and no scan of theirs hits."""
-    def dropped(masks, n):
-        words = IDEAL_WORDS(masks, n)
-        if len(masks) % 64:
-            words[:, -1] = 0
-        return words
-
-    monkeypatch.setattr(classify, "_ideal_words", dropped)
-    with pytest.raises(AssertionError):
-        check_word_edge_stacks()
-
-
-def test_first_hit_over_the_flattened_stack_is_caught(monkeypatch):
-    """Each ideal's first hit taken over the whole stack flattened, not
-    within its own slice: every ideal that hits at all reports the stack's
-    first triple."""
-    def flattened(v):
-        live = np.logical_or.reduce([words != 0 for words in v])
-        if not live.any():
-            return [None] * len(v[0])
-        t, a, b = np.unravel_index(live.argmax(), live.shape)
-        words = [int(w[t, a, b]) for w in v]
-        c = next(i for i, w in enumerate(words) if w)
-        first = (int(a), int(b), 64 * c + (words[c] & -words[c]).bit_length() - 1)
-        return [first if live[i].any() else None for i in range(len(live))]
-
-    monkeypatch.setattr(classify, "_first_bits", flattened)
-    with pytest.raises(AssertionError):
-        check_word_edge_stacks()

@@ -166,3 +166,21 @@ def test_zn1024_reports_unchanged():
     assert classify._kernel_twins(gr, tk) is not None
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
     assert digest == ZN1024_DIGEST
+
+
+def test_completely_weakly_alone_refines_once(monkeypatch):
+    """A lone completely weakly call refines only its own product classes;
+    the kernel's twins are refined at P when a scan of the kernel first
+    reads them, and once."""
+    refined = []
+    real = classify._refine
+    monkeypatch.setattr(classify, "_refine", lambda base, outside:
+                        refined.append(base is not None) or real(base, outside))
+    monkeypatch.setattr(classify, "_saves", lambda h, pairs: True)
+    gr = build_ring("ring: zn(8)")
+    two = 0b01010101
+    classify.is_graded_completely_weakly_2_absorbing(gr, two)
+    assert refined == [True]
+    classify.is_graded_2_absorbing(gr, two)
+    classify.is_graded_weakly_2_absorbing(gr, two)
+    assert refined == [True, True]
