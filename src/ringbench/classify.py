@@ -522,7 +522,10 @@ def _decide(gr: GradedRing, g: int | None, pmask: int,
     tk, inside, outside = _kernel(gr, g, pmask)
     if kind == "cw":
         return _completely_weakly_scan(gr, tk, pmask, outside).first(), None
-    rows = {"plain": inside, "weakly": inside & ~tk["zero"]}.get(kind, tk["zero"])
+    if kind == "census":
+        rows = tk["zero"]
+    else:
+        rows = inside & ~tk["zero"] if kind == "weakly" else inside
     boxes = _ideal_scan(gr, tk, pmask, rows, kind != "census")
     return boxes.first(), boxes.count() if kind == "census" else None
 
