@@ -373,7 +373,7 @@ def _idealization(gr: GradedRing, M: GradedBimodule,
     add = _pair_table(base.add, M.add)
     mul = _idealization_mul(gr, M)
     neg = base.neg.astype(np.int64)[:, None] * m + M.neg[None, :]
-    names = [f"({base.name(r)}, {M.name(v)})" for r in range(n) for v in range(m)]
+    names = [f"({a}, {b})" for a in base.element_names for b in M.element_names]
     unity = None
     if base.unity is not None and M.unital:
         unity = base.unity * m
@@ -391,26 +391,30 @@ def _idealization_mul(gr: GradedRing, M: GradedBimodule) -> np.ndarray:
 
     Filled in place on the (r1, v1, r2, v2) axes, one r1 at a time: with
     sums[w, v2] = r1 v2 + w, the r1 block is sums[v1 r2, v2], a row gather
-    written straight into the output. Then r1 r2 is added as the high digit.
-    Both parts stay below n m, so nothing is held wider than uint16.
+    written straight into the output. While the block is in cache, the high
+    digit r1 r2 is added to each of its m rows as one contiguous (n m,) row,
+    row r1 of `high`. Both parts stay below n m, so nothing is held wider
+    than uint16.
     """
     n, m = gr.order, M.order
     out = np.empty((n, m, n, m), dtype=np.uint16)
     right = M.right.astype(np.intp)
+    high = np.repeat(gr.ring.mul.astype(np.uint16) * np.uint16(m), m, axis=1)    # (n, n m)
     for r in range(n):
         sums = np.take(M.add.T, M.left[r], axis=1)
         np.take(sums, right, axis=0, out=out[r])
-    out += (gr.ring.mul.astype(np.uint16) * np.uint16(m))[:, None, :, None]
+        block = out[r].reshape(m, n * m)
+        np.add(block, high[r], out=block)
     return out.reshape(n * m, n * m)
 
 
 def idealization_subset(pmask: int, module_mask: int, ring_order: int,
                         module_order: int) -> int:
-    """Bitset of {(p, v) : p in pmask, v in module_mask} inside R x M."""
-    mask = 0
-    for p in indices_from_mask(pmask, ring_order):
-        mask |= module_mask << (int(p) * module_order)
-    return mask
+    """Bitset of {(p, v) : p in pmask, v in module_mask} inside R x M: the
+    outer AND of the two flag vectors, packed once."""
+    flags = (bools_from_mask(pmask, ring_order)[:, None]
+             & bools_from_mask(module_mask, module_order)[None, :])
+    return mask_from_bools(flags.ravel())
 
 
 def embed_ideal_in_idealization(xgr: GradedRing, P: IdealSubset | int) -> IdealSubset:

@@ -162,11 +162,17 @@ def _digit_sum(terms: list[np.ndarray]) -> np.ndarray:
 
 def _pair_table(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     """(n1 n2, n1 n2) uint16 table of an operation on pairs (x1, x2) at
-    x1*n2 + x2, done by t1 on the first digit and t2 on the second. The
-    entries stay below n1 n2, so nothing is held wider than uint16."""
+    x1*n2 + x2, done by t1 on the first digit and t2 on the second. With
+    N = n1 n2, row block x1 is the (N,) high-digit row t1[x1]*n2, each entry
+    repeated n2 times, added to the (n2, N) low-digit table, t2 tiled n1 times
+    along its rows: both operands are contiguous along the N-long inner loop.
+    The entries stay below N, so nothing is held wider than uint16."""
     n1, n2 = len(t1), len(t2)
-    return _digit_sum([(t1.astype(np.uint16) * np.uint16(n2))[:, None, :, None],
-                       t2.astype(np.uint16)[None, :, None, :]]).reshape(n1 * n2, n1 * n2)
+    high = np.repeat(t1.astype(np.uint16) * np.uint16(n2), n2, axis=1)     # (n1, N)
+    low = np.tile(t2.astype(np.uint16), n1)                                 # (n2, N)
+    out = np.empty((n1, n2, n1 * n2), dtype=np.uint16)
+    np.add(high[:, None, :], low[None, :, :], out=out)
+    return out.reshape(n1 * n2, n1 * n2)
 
 
 def make_matrix_ring(base: FiniteRing, k: int, cap: int = DEFAULT_RING_CAP) -> FiniteRing:

@@ -247,6 +247,12 @@ class RingContext:
             self.quotient(kmask).graded_ring, f"{self.label}/{kmask:#x}",
             self.ideal_cap, self.ring_cap))
 
+    def extension(self, p: int) -> int:
+        """P(+)M's mask, in the context of an idealization R(+)M: one
+        embedding per ideal P of R and idealization."""
+        return self._memo(("extension", p),
+                          lambda: embed_ideal_in_idealization(self.gr, p).mask)
+
     def idealizations(self) -> list[tuple[str, GradedBimodule, "RingContext"]]:
         """(label, M, context of the idealization by M) for the regular
         bimodule and every quotient bimodule by a proper nonzero graded
@@ -679,7 +685,7 @@ def _check_p14(ctx: RingContext, out: PropertyOutcome) -> None:
     for mlabel, _, xc in _idealizations(ctx, out):
         for p in ctx.proper_ideals():
             out.hit()
-            lhs = xc.two_absorbing(embed_ideal_in_idealization(xc.gr, p).mask)
+            lhs = xc.two_absorbing(xc.extension(p))
             rhs = ctx.two_absorbing(p)
             if lhs != rhs:
                 out.violate(module=mlabel, P=ideal_info(ctx.gr, p),
@@ -691,48 +697,81 @@ def _check_p15(ctx: RingContext, out: PropertyOutcome) -> None:
     P itself. Needs unity."""
     for mlabel, _, xc in _idealizations(ctx, out):
         for p in ctx.proper_ideals():
-            if not xc.weakly_2_absorbing(embed_ideal_in_idealization(xc.gr, p).mask):
+            if not xc.weakly_2_absorbing(xc.extension(p)):
                 continue
             out.hit()
             if not ctx.weakly_2_absorbing(p):
                 out.violate(module=mlabel, P=ideal_info(ctx.gr, p))
 
 
+# P16's three module sets, in the sorted order reported, with the census
+# columns (x, y, z) = (0, 1, 2) that each one reads
+_P16_SETS = {"Mg*Re*y*Re*z": (1, 2), "x*Mg*z": (0, 2), "x*Re*y*Re*Mg": (0, 1)}
+
+
+def _p16_tables(gr: GradedRing, M: GradedBimodule, g: int) -> dict[str, np.ndarray]:
+    """Each module set of P16 as a nonzero flag over the two census columns
+    it reads, indexed by positions in X = R_g. A product of two elements of
+    R_g lies in C2 = R_{g^2}; a set W*z is nonzero when some w of W has
+    w*z != 0, which _meets reads off presence rows of W."""
+    mul, e = gr.ring.mul, gr.group.identity
+    X, Re = gr.component_indices(g), gr.component_indices(e)
+    mg = indices_from_mask(M.components[g], M.order)
+    rows = np.arange(len(X))[:, None]
+    wz = (M.right[:, X] != 0).T                          # [k, w]: w*X[k] != 0
+    ar = np.zeros(M.order, dtype=bool)                   # Mg*Re
+    ar[M.right[np.ix_(mg, Re)]] = True
+    ary = np.zeros((len(X), M.order), dtype=bool)        # [j, u]: u in Mg*Re*X[j]
+    ary[rows, M.right[np.flatnonzero(ar)][:, X].T] = True
+    ure = np.zeros((M.order, M.order), dtype=bool)       # [w, u]: w in u*Re
+    ure[M.right[:, Re], np.arange(M.order)[:, None]] = True
+    xm = np.zeros((len(X), M.order), dtype=bool)         # [i, w]: w in X[i]*Mg
+    xm[rows, M.left[np.ix_(X, mg)]] = True
+    xry = classify.sandwich_kernel(gr, g, e, g)          # x*Re*y, values in C2
+    v_out = (M.left[:, mg] != 0).any(axis=1)[mul[np.ix_(xry["T"], Re)]].any(axis=1)
+    return {"Mg*Re*y*Re*z": _meets(_meets(ary, ure), wz),
+            "x*Mg*z": _meets(xm, wz),
+            "x*Re*y*Re*Mg": (xry["U"] & v_out).any(axis=1)[xry["inv"]]}
+
+
+def _p16_first(tables: dict[str, np.ndarray], at: np.ndarray) -> tuple[int, list[str]] | None:
+    """(row, names): the first census row, as positions in R_g, with a
+    nonzero set, and the sorted names of its nonzero sets; None if none."""
+    nonzero = np.stack([tables[nm][at[:, a], at[:, b]]
+                        for nm, (a, b) in _P16_SETS.items()], axis=1)
+    hits = np.flatnonzero(nonzero.any(axis=1))
+    if not len(hits):
+        return None
+    return int(hits[0]), [nm for nm, f in zip(_P16_SETS, nonzero[hits[0]]) if f]
+
+
 def _check_p16(ctx: RingContext, out: PropertyOutcome) -> None:
     """The extension of P is g-weakly 2-absorbing in the idealization exactly
     when P is g-weakly 2-absorbing and every g-triple-zero (x, y, z) of P
     annihilates the module slices x*Re*y*Re*Mg, Mg*Re*y*Re*z, x*Mg*z. Needs
-    unity."""
+    unity. Each set depends on two of x, y, z, so a census is read off
+    three tables per (M, g), built once a census is nonempty."""
     gr = ctx.gr
-    mul = gr.ring.mul
-    Re = gr.component_indices(gr.group.identity)
     for mlabel, M, xc in _idealizations(ctx, out):
+        tables = {}
         for p in ctx.lattice():
-            pxm = embed_ideal_in_idealization(xc.gr, p).mask
+            pxm = xc.extension(p)
             for g in ctx.valid_degrees(p):
                 out.hit()
                 lhs = xc.g_weakly(pxm, g)
                 base = ctx.g_weakly(p, g)
-                annihilated = True
                 detail = None
-                if base:
-                    mg = indices_from_mask(M.components[g], M.order)
-                    for (x, y, z) in ctx.census(p, g).triples.tolist():
-                        xryr = mul[np.ix_(mul[mul[x, Re], y], Re)].ravel()
-                        mry = M.right[M.right[np.ix_(mg, Re)].ravel(), y]
-                        mryr = M.right[np.ix_(mry, Re)].ravel()
-                        sets = {
-                            "x*Re*y*Re*Mg": M.left[np.ix_(xryr, mg)],
-                            "Mg*Re*y*Re*z": M.right[mryr, z],
-                            "x*Mg*z": M.right[M.left[x, mg], z],
-                        }
-                        bad = sorted(nm for nm, vals in sets.items()
-                                     if (np.asarray(vals) != 0).any())
-                        if bad:
-                            annihilated = False
-                            detail = {"x": _elem(gr, x), "y": _elem(gr, y),
-                                      "z": _elem(gr, z), "nonzero_sets": bad}
-                            break
+                triples = ctx.census(p, g).triples if base else ()
+                if len(triples):
+                    if g not in tables:
+                        tables[g] = _p16_tables(gr, M, g)
+                    # census entries lie in R_g, whose indices are sorted
+                    at = np.searchsorted(gr.component_indices(g), triples)
+                    if first := _p16_first(tables[g], at):
+                        x, y, z = triples[first[0]]
+                        detail = {"x": _elem(gr, x), "y": _elem(gr, y),
+                                  "z": _elem(gr, z), "nonzero_sets": first[1]}
+                annihilated = detail is None
                 rhs = base and annihilated
                 if lhs != rhs:
                     out.violate(module=mlabel, degree=int(g),

@@ -21,6 +21,7 @@ from ringbench.bitsets import bools_from_mask
 from ringbench.groups import first_offender, greedy_generators
 from slice_oracles import differences, widen_census
 import test_ideal_words
+import test_idealization_tables
 import test_kernel_oracle
 import test_rings
 import test_twin_scan
@@ -32,6 +33,8 @@ P11_CUBES = theorems._p11_cubes
 P12_TABLES = theorems._p12_tables
 BOX_TRIPLES = classify._Boxes.triples
 PACK = classify._pack
+PAIR_TABLE = rings._pair_table
+P16_TABLES = theorems._p16_tables
 
 # rings where additive spans of single elements are often not ideals
 CLOSURE_RINGS = ("ring: matrix(zn(2), 2)", "ring: gaussian(4)", TRIANGULAR_Z2_Z4)
@@ -331,3 +334,55 @@ def test_words_packed_big_endian_are_caught(monkeypatch):
     monkeypatch.setattr(classify, "_pack", big_endian)
     with pytest.raises(AssertionError):
         check_word_edge_ring()
+
+
+def check_extension_rings():
+    """test_idealization_tables' embedding check on rings with two or more
+    bimodules of different orders."""
+    for label in test_idealization_tables.EXTENSION_RINGS:
+        test_idealization_tables.check_extensions(
+            theorems.RingContext(build_ring(f"ring: {label}"), label))
+
+
+def test_unmutated_idealization_side_agrees():
+    test_idealization_tables.check_explicit_tables()
+    test_idealization_tables.check_p16_row_rings()
+    check_extension_rings()
+
+
+def test_pair_table_with_swapped_digits_is_caught(monkeypatch):
+    """_pair_table that puts t2 on the high digit and t1 on the low one:
+    equal on a regular idealization, where the two tables are one, but not
+    on (256, 16) or on a product of unequal factors."""
+    monkeypatch.setattr(rings, "_pair_table", lambda t1, t2: PAIR_TABLE(t2, t1))
+    with pytest.raises(AssertionError):
+        test_idealization_tables.check_explicit_tables()
+
+
+def test_p16_t2_from_x_times_mg_is_caught(monkeypatch):
+    """P16's Mg*Re*y*Re*z table read as the x*Mg*z table, which equals it
+    on every census slice of the default corpus but not on the spread rows
+    of a non-commutative ring."""
+    def tables(gr, M, g):
+        out = P16_TABLES(gr, M, g)
+        return {**out, "Mg*Re*y*Re*z": out["x*Mg*z"]}
+
+    monkeypatch.setattr(theorems, "_p16_tables", tables)
+    with pytest.raises(AssertionError):
+        test_idealization_tables.check_p16_row_rings()
+
+
+def test_extension_memo_shared_between_modules_is_caught(monkeypatch):
+    """P(+)M memoized per base ring and P, not per idealization context, so
+    the second bimodule of a ring reads the first one's mask."""
+    shared = {}
+
+    def extension(self, p):
+        key = (id(self.gr.ring.params["base"]), p)
+        if key not in shared:
+            shared[key] = theorems.embed_ideal_in_idealization(self.gr, p).mask
+        return shared[key]
+
+    monkeypatch.setattr(theorems.RingContext, "extension", extension)
+    with pytest.raises(AssertionError):
+        check_extension_rings()
