@@ -727,11 +727,19 @@ def ideal_info(gr: GradedRing, mask: int) -> dict:
 
 
 def _prime_pair(gr: GradedRing, P: IdealSubset | int, cap: int, weakly: bool) -> Verdict:
-    """First (I, J), lexicographically, with I, J outside P and IJ inside P
-    (and IJ != 0 when weakly)."""
     P = require_graded_ideal(gr, P)
     t = lattice_table(gr, TWO_SIDED, cap)
-    inP = t.inside(P.mask)
+    hit = _first_prime_pair(t, t.inside(P.mask), weakly)
+    if hit is None:
+        return Verdict(True)
+    i, j = hit
+    return Verdict(False, {k: ideal_info(gr, t.masks[x])
+                           for k, x in (("I", i), ("J", j), ("product", t.prod[i, j]))})
+
+
+def _first_prime_pair(t: LatticeTable, inP: np.ndarray, weakly: bool) -> tuple[int, int] | None:
+    """First (i, j), lexicographically, with I, J outside P and IJ inside P
+    (and IJ != 0 when weakly); inP from t.inside."""
     L = len(t.masks)
     step = max(1, _BLOCK // L)
     for i0 in range(0, L, step):
@@ -739,12 +747,9 @@ def _prime_pair(gr: GradedRing, P: IdealSubset | int, cap: int, weakly: bool) ->
         viol = ~inP[i0:i0 + step, None] & ~inP[None, :] & inP[ij]
         if weakly:
             viol &= ij != t.zero
-        hit = first_offender(viol)
-        if hit is not None:
-            i, j = i0 + hit[0], hit[1]
-            return Verdict(False, {k: ideal_info(gr, t.masks[x])
-                                   for k, x in (("I", i), ("J", j), ("product", t.prod[i, j]))})
-    return Verdict(True)
+        if (hit := first_offender(viol)) is not None:
+            return i0 + hit[0], hit[1]
+    return None
 
 
 def is_graded_prime(gr: GradedRing, P: IdealSubset | int,
@@ -771,6 +776,30 @@ def is_graded_strongly_weakly_2_absorbing(
     a, b, c = hit
     return Verdict(False, {k: ideal_info(gr, t.masks[x]) for k, x in (
         ("A", a), ("B", b), ("C", c), ("product", t.prod[t.prod[a, b], c]))})
+
+
+def lattice_verdicts(gr: GradedRing, g: int | None, masks, kind: str,
+                     cap: int = DEFAULT_IDEAL_CAP) -> np.ndarray:
+    """[i]: the graded two-sided ideal masks[i] has the kind's property, the
+    value of its is_* predicate, with no witness built: "plain" and "weakly"
+    (2-absorbing and weakly 2-absorbing, or their g-variants at a degree),
+    and, at g None, "weakly_prime" and "strongly_weakly". False where the
+    predicate is undefined: at the whole ring, and at P with P_g = R_g."""
+    if kind in ("plain", "weakly"):
+        def first(m):
+            return _decide(gr, g, m, kind)[0]
+    elif kind in ("weakly_prime", "strongly_weakly") and g is None:
+        t = lattice_table(gr, TWO_SIDED, cap)
+
+        def first(m):
+            inP = t.inside(m)
+            return _first_prime_pair(t, inP, True) if kind == "weakly_prime" \
+                else _first_ideal_triple(t, inP)
+    else:
+        raise ValueError(f"no verdict vector of kind {kind!r} at degree {g}")
+    comp = _full_mask(gr.order) if g is None else gr.component_mask(g)
+    return np.array([require_graded_ideal(gr, m, proper=False).mask & comp != comp
+                     and first(m) is None for m in masks], dtype=bool)
 
 
 # ---------------------------------------------------------------------------

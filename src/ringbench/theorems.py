@@ -18,22 +18,13 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
 from . import classify
 from .bitsets import bools_from_mask, indices_from_mask, is_subset, mask_from_bools, popcount
-from .classify import (
-    DEFAULT_IDEAL_CAP,
-    find_g_triple_zeros,
-    ideal_info,
-    is_g_weakly_2_absorbing,
-    is_graded_2_absorbing,
-    is_graded_strongly_weakly_2_absorbing,
-    is_graded_weakly_2_absorbing,
-    is_graded_weakly_prime,
-    verify_witness,
-)
+from .classify import DEFAULT_IDEAL_CAP, find_g_triple_zeros, ideal_info, verify_witness
 from .constructions import (
     _idealization,
     GradedBimodule,
@@ -150,10 +141,6 @@ class RingContext:
     def unital(self) -> bool:
         return self.gr.ring.unity is not None
 
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.gr.order) - 1
-
     def subset(self, mask: int) -> IdealSubset:
         return IdealSubset(mask, TWO_SIDED, graded=True)
 
@@ -166,8 +153,13 @@ class RingContext:
     def lattice(self) -> tuple[int, ...]:
         return graded_ideal_masks(self.gr, TWO_SIDED, self.ideal_cap)
 
-    def proper_ideals(self) -> list[int]:
-        return [m for m in self.lattice() if m != self.full_mask]
+    def proper_ideals(self) -> tuple[int, ...]:
+        """lattice() but R, its largest mask and so its last: positions agree."""
+        return self.lattice()[:-1]
+
+    def at(self, mask: int) -> int:
+        """The position of a graded ideal in lattice()."""
+        return self._memo("positions", lambda: {m: i for i, m in enumerate(self.lattice())})[mask]
 
     def one_sided(self, sidedness: str) -> tuple[int, ...]:
         return graded_ideal_masks(self.gr, self._sidedness(sidedness), self.ideal_cap)
@@ -179,27 +171,18 @@ class RingContext:
     def pb(self, mask: int) -> np.ndarray:
         return self._memo(("pb", mask), lambda: bools_from_mask(mask, self.gr.order))
 
-    def _verdict(self, name: str, fn, *args) -> bool:
-        return self._memo((name, *args), lambda: fn(self.gr, *args).value)
+    def verdicts(self, kind: str, g: int | None = None) -> np.ndarray:
+        """[i]: lattice()[i] has the kind's property, by
+        classify.lattice_verdicts at degree g; False at R and, at a degree
+        g, at every P with P_g = R_g, where it is undefined."""
+        return self._memo(("verdicts", kind, g), lambda: classify.lattice_verdicts(
+            self.gr, g, self.lattice(), kind, self.ideal_cap))
 
-    def weakly_prime(self, p: int) -> bool:
-        return self._verdict("wprime", is_graded_weakly_prime, self.subset(p), self.ideal_cap)
-
-    def two_absorbing(self, p: int) -> bool:
-        return self._verdict("2abs", is_graded_2_absorbing, self.subset(p))
-
-    def weakly_2_absorbing(self, p: int) -> bool:
-        return self._verdict("w2abs", is_graded_weakly_2_absorbing, self.subset(p))
-
-    def strongly_weakly(self, p: int) -> bool:
-        return self._verdict("sw2abs", is_graded_strongly_weakly_2_absorbing,
-                             self.subset(p), self.ideal_cap)
-
-    def g_weakly(self, p: int, g: int) -> bool:
-        return self._verdict("gweak", is_g_weakly_2_absorbing, self.subset(p), g, "weakly")
-
-    def g_plain(self, p: int, g: int) -> bool:
-        return self._verdict("gplain", is_g_weakly_2_absorbing, self.subset(p), g, "plain")
+    def extended(self, xc: "RingContext", kind: str, g: int | None = None) -> np.ndarray:
+        """verdicts at each P(+)M in xc, the context of an idealization R(+)M,
+        in the order of P in lattice(); R(+)M's own lattice is never read."""
+        return xc._memo(("extended", kind, g), lambda: classify.lattice_verdicts(
+            xc.gr, g, [xc.extension(p) for p in self.lattice()], kind, xc.ideal_cap))
 
     def census(self, p: int, g: int):
         return self._memo(("census", p, g),
@@ -214,12 +197,10 @@ class RingContext:
         def build():
             gr, out = self.gr, []
             for g in range(gr.group.order):
-                comp, X = gr.component_mask(g), gr.component_indices(g)
+                X = gr.component_indices(g)
                 pos = np.zeros(gr.order, dtype=np.uint16)   # census entries lie in X
                 pos[X] = np.arange(len(X))
-                for p in self.lattice():
-                    if p & comp == comp or not self.g_weakly(p, g):
-                        continue
+                for p in compress(self.lattice(), self.verdicts("weakly", g)):
                     # outside from the kernel's LRU entry, which the census's listing reads next
                     out.append((g, p, X, self.pb(p), classify._kernel(gr, g, p)[2],
                                 pos[self.census(p, g).triples]))
@@ -261,9 +242,9 @@ class RingContext:
             n, mods = self.gr.order, []
             if n * n <= self.ring_cap:
                 mods.append(("regular", regular_bimodule(self.gr)))
-            for kmask in self.lattice():
+            for kmask in self.proper_ideals():
                 # |R/K| = n / |K|: the cap is decided before any table is built
-                if kmask in (1, self.full_mask) or n * (n // popcount(kmask)) > self.ring_cap:
+                if kmask == 1 or n * (n // popcount(kmask)) > self.ring_cap:
                     continue
                 info = ideal_info(self.gr, kmask)
                 label = "quotient([" + ", ".join(info["generator_names"]) + "])"
@@ -283,7 +264,7 @@ def _check_p1(ctx: RingContext, out: PropertyOutcome) -> None:
     """Weakly prime P: one-sided graded ideals I, J with 0 != IJ inside P
     force I inside P or J inside P (right pairs and left pairs)."""
     gr = ctx.gr
-    primes = [p for p in ctx.proper_ideals() if ctx.weakly_prime(p)]
+    primes = list(compress(ctx.lattice(), ctx.verdicts("weakly_prime")))
     if not primes:
         return
     for sidedness in (RIGHT, LEFT):
@@ -303,8 +284,7 @@ def _check_p2(ctx: RingContext, out: PropertyOutcome) -> None:
     """Weakly prime P: homogeneous x, y, z with 0 != x*R*y*R*z inside P force
     one of x, y, z into P."""
     gr = ctx.gr
-    primes = [p for p in ctx.proper_ideals() if ctx.weakly_prime(p)]
-    for p in primes:
+    for p in compress(ctx.lattice(), ctx.verdicts("weakly_prime")):
         tk, inside, _ = classify._kernel(gr, None, p)
         hyp = inside & ~tk["zero"]         # rows: a nonzero sandwich inside P
         out.hit(int(hyp.sum(axis=1)[tk["inv"]].sum()))
@@ -321,23 +301,23 @@ def _check_p2(ctx: RingContext, out: PropertyOutcome) -> None:
 
 def _check_p3(ctx: RingContext, out: PropertyOutcome) -> None:
     """Weakly prime implies weakly 2-absorbing."""
-    for p in ctx.proper_ideals():
-        if not ctx.weakly_prime(p):
-            continue
+    w2 = ctx.verdicts("weakly")
+    for i in np.flatnonzero(ctx.verdicts("weakly_prime")):
         out.hit()
-        if not ctx.weakly_2_absorbing(p):
-            out.violate(P=ideal_info(ctx.gr, p))
+        if not w2[i]:
+            out.violate(P=ideal_info(ctx.gr, ctx.lattice()[i]))
 
 
 def _check_p4(ctx: RingContext, out: PropertyOutcome) -> None:
     """The intersection of two distinct weakly prime ideals is weakly
     2-absorbing."""
-    primes = [p for p in ctx.proper_ideals() if ctx.weakly_prime(p)]
+    primes = list(compress(ctx.lattice(), ctx.verdicts("weakly_prime")))
+    w2 = ctx.verdicts("weakly")
     for i, p in enumerate(primes):
         for q in primes[i + 1:]:
             out.hit()
             inter = p & q
-            if not ctx.weakly_2_absorbing(inter):
+            if not w2[ctx.at(inter)]:
                 out.violate(P=ideal_info(ctx.gr, p), K=ideal_info(ctx.gr, q),
                             intersection=ideal_info(ctx.gr, inter))
 
@@ -351,11 +331,12 @@ def _check_p5(ctx: RingContext, out: PropertyOutcome) -> None:
         return
     # (AB)C != 0 inside P with AB, AC and BC outside P, over graded left ideals
     t = ctx.table(LEFT)
-    for p in ctx.proper_ideals():
+    w2 = ctx.verdicts("weakly")
+    for i, p in enumerate(ctx.proper_ideals()):
         if classify._first_ideal_triple(t, t.inside(p)) is not None:
             continue
         out.hit()
-        if not ctx.weakly_2_absorbing(p):
+        if not w2[i]:
             out.violate(P=ideal_info(ctx.gr, p))
 
 
@@ -363,7 +344,7 @@ def _check_p6(ctx: RingContext, out: PropertyOutcome) -> None:
     """P weakly 2-absorbing and K a graded ideal inside P: P/K is weakly
     2-absorbing in R/K."""
     gr = ctx.gr
-    w2 = [p for p in ctx.proper_ideals() if ctx.weakly_2_absorbing(p)]
+    w2 = list(compress(ctx.lattice(), ctx.verdicts("weakly")))
     for k in ctx.lattice():
         carriers = [p for p in w2 if is_subset(k, p)]
         if not carriers:
@@ -372,7 +353,7 @@ def _check_p6(ctx: RingContext, out: PropertyOutcome) -> None:
         for p in carriers:
             out.hit()
             pq = q.projection.image_mask(p)
-            if not qc.weakly_2_absorbing(pq):
+            if not qc.verdicts("weakly")[qc.at(pq)]:
                 out.violate(P=ideal_info(gr, p), K=ideal_info(gr, k),
                             quotient_ideal_mask=int(pq))
 
@@ -380,18 +361,16 @@ def _check_p6(ctx: RingContext, out: PropertyOutcome) -> None:
 def _check_p7(ctx: RingContext, out: PropertyOutcome) -> None:
     """K inside P, both graded, K weakly 2-absorbing and P/K weakly
     2-absorbing in R/K: then P is weakly 2-absorbing."""
-    gr = ctx.gr
-    for k in ctx.proper_ideals():
-        if not ctx.weakly_2_absorbing(k):
-            continue
+    gr, w2 = ctx.gr, ctx.verdicts("weakly")
+    for k in compress(ctx.lattice(), w2):
         q, qc = ctx.quotient(k), ctx.over_quotient(k)
-        for p in ctx.proper_ideals():
+        for i, p in enumerate(ctx.proper_ideals()):
             if not is_subset(k, p):
                 continue
-            if not qc.weakly_2_absorbing(q.projection.image_mask(p)):
+            if not qc.verdicts("weakly")[qc.at(q.projection.image_mask(p))]:
                 continue
             out.hit()
-            if not ctx.weakly_2_absorbing(p):
+            if not w2[i]:
                 out.violate(P=ideal_info(gr, p), K=ideal_info(gr, k))
 
 
@@ -443,28 +422,25 @@ def _check_p9(ctx: RingContext, out: PropertyOutcome) -> None:
     """Surjective graded f: images of weakly 2-absorbing ideals containing the
     kernel are weakly 2-absorbing; preimages of weakly 2-absorbing ideals are
     weakly 2-absorbing when the kernel is too. Both transports stay graded."""
-    gr = ctx.gr
-    w2 = [p for p in ctx.proper_ideals() if ctx.weakly_2_absorbing(p)]
-    for k in ctx.proper_ideals():
+    gr, w2 = ctx.gr, ctx.verdicts("weakly")
+    for j, k in enumerate(ctx.proper_ideals()):
         f, qc = ctx.quotient(k).projection, ctx.over_quotient(k)
-        for p in w2:
+        for p in compress(ctx.lattice(), w2):
             if not is_subset(k, p):
                 continue
             out.hit()
             fp = hom_image(f, ctx.subset(p))
             ok, _ = check_closure(qc.gr, fp.mask, TWO_SIDED)
-            if not (ok and fp.graded is True and qc.weakly_2_absorbing(fp.mask)):
+            if not (ok and fp.graded is True and qc.verdicts("weakly")[qc.at(fp.mask)]):
                 out.violate(direction="image", P=ideal_info(gr, p),
                             K=ideal_info(gr, k), image_mask=int(fp.mask))
-        if not ctx.weakly_2_absorbing(k):
+        if not w2[j]:
             continue
-        for i in qc.proper_ideals():
-            if not qc.weakly_2_absorbing(i):
-                continue
+        for i in compress(qc.lattice(), qc.verdicts("weakly")):
             out.hit()
             pre = hom_preimage(f, i)
             ok, _ = check_closure(gr, pre.mask, TWO_SIDED)
-            if not (ok and pre.graded is True and ctx.weakly_2_absorbing(pre.mask)):
+            if not (ok and pre.graded is True and w2[ctx.at(pre.mask)]):
                 out.violate(direction="preimage", K=ideal_info(gr, k),
                             target_ideal_mask=int(i), preimage_mask=int(pre.mask))
 
@@ -644,14 +620,13 @@ def _check_p13(ctx: RingContext, out: PropertyOutcome) -> None:
     mul = gr.ring.mul
     for g in range(gr.group.order):
         comp = gr.component_mask(g)
-        for p in ctx.lattice():
+        gw, gp = ctx.verdicts("weakly", g).tolist(), ctx.verdicts("plain", g).tolist()
+        for p, weakly, plain in zip(ctx.lattice(), gw, gp):
             if p & comp == comp:
                 continue
             pg = indices_from_mask(p & comp, gr.order)
             # P_g*P_g*P_g != 0 iff v*c != 0 for a value v of P_g*P_g and c in P_g
             cube_nonzero = bool((mul[np.ix_(np.unique(mul[np.ix_(pg, pg)]), pg)] != 0).any())
-            weakly = ctx.g_weakly(p, g)
-            plain = ctx.g_plain(p, g)
             if cube_nonzero:
                 out.hit()
                 if weakly != plain:
@@ -682,11 +657,10 @@ def _idealizations(ctx: RingContext, out: PropertyOutcome) -> list:
 def _check_p14(ctx: RingContext, out: PropertyOutcome) -> None:
     """P extends to a graded 2-absorbing ideal of the idealization exactly
     when P is graded 2-absorbing. Needs unity."""
+    base = ctx.verdicts("plain").tolist()
     for mlabel, _, xc in _idealizations(ctx, out):
-        for p in ctx.proper_ideals():
+        for p, lhs, rhs in zip(ctx.proper_ideals(), ctx.extended(xc, "plain").tolist(), base):
             out.hit()
-            lhs = xc.two_absorbing(xc.extension(p))
-            rhs = ctx.two_absorbing(p)
             if lhs != rhs:
                 out.violate(module=mlabel, P=ideal_info(ctx.gr, p),
                             idealization_side=lhs, base_side=rhs)
@@ -695,13 +669,12 @@ def _check_p14(ctx: RingContext, out: PropertyOutcome) -> None:
 def _check_p15(ctx: RingContext, out: PropertyOutcome) -> None:
     """If the extension of P to the idealization is weakly 2-absorbing, so is
     P itself. Needs unity."""
+    w2 = ctx.verdicts("weakly")
     for mlabel, _, xc in _idealizations(ctx, out):
-        for p in ctx.proper_ideals():
-            if not xc.weakly_2_absorbing(xc.extension(p)):
-                continue
+        for i in np.flatnonzero(ctx.extended(xc, "weakly")):
             out.hit()
-            if not ctx.weakly_2_absorbing(p):
-                out.violate(module=mlabel, P=ideal_info(ctx.gr, p))
+            if not w2[i]:
+                out.violate(module=mlabel, P=ideal_info(ctx.gr, ctx.lattice()[i]))
 
 
 # P16's three module sets, in the sorted order reported, with the census
@@ -754,12 +727,11 @@ def _check_p16(ctx: RingContext, out: PropertyOutcome) -> None:
     gr = ctx.gr
     for mlabel, M, xc in _idealizations(ctx, out):
         tables = {}
-        for p in ctx.lattice():
-            pxm = xc.extension(p)
+        for i, p in enumerate(ctx.lattice()):
             for g in ctx.valid_degrees(p):
                 out.hit()
-                lhs = xc.g_weakly(pxm, g)
-                base = ctx.g_weakly(p, g)
+                lhs = bool(ctx.extended(xc, "weakly", g)[i])
+                base = bool(ctx.verdicts("weakly", g)[i])
                 detail = None
                 triples = ctx.census(p, g).triples if base else ()
                 if len(triples):
@@ -785,9 +757,8 @@ def _check_p17(ctx: RingContext, out: PropertyOutcome) -> None:
     holds for triples whose first ideal contains P."""
     gr = ctx.gr
     t = ctx.table()
-    for p in ctx.proper_ideals():
+    for p, lhs in zip(ctx.proper_ideals(), ctx.verdicts("strongly_weakly").tolist()):
         out.hit()
-        lhs = ctx.strongly_weakly(p)
         hit = classify._first_ideal_triple(t, t.inside(p),
                                            np.flatnonzero(t.sub[t.index[p]]))
         rhs = hit is None
@@ -824,7 +795,7 @@ def _check_p18(ctx: RingContext, out: PropertyOutcome) -> None:
     """Every proper graded ideal is strongly weakly 2-absorbing exactly when
     the triple-product collapse law holds."""
     out.hit()
-    lhs = all(ctx.strongly_weakly(p) for p in ctx.proper_ideals())
+    lhs = bool(ctx.verdicts("strongly_weakly")[:-1].all())     # R, the last, is not proper
     rhs, witness = _collapse_law_holds(ctx)
     if lhs != rhs:
         out.violate(all_strongly_weakly=lhs, collapse_law=rhs, witness=witness)
@@ -833,7 +804,7 @@ def _check_p18(ctx: RingContext, out: PropertyOutcome) -> None:
 def _check_p19(ctx: RingContext, out: PropertyOutcome) -> None:
     """In rings where every proper graded ideal is strongly weakly
     2-absorbing, each graded ideal has cube equal to its square or to zero."""
-    if not all(ctx.strongly_weakly(p) for p in ctx.proper_ideals()):
+    if not ctx.verdicts("strongly_weakly")[:-1].all():     # R, the last, is not proper
         return
     t = ctx.table()
     ii = np.arange(len(t.masks))
@@ -1057,8 +1028,7 @@ def search_ring(gr: GradedRing, label: str,
                 "counters": {"triples_scanned": 0, "triples_nonzero": 0,
                              "triples_hypothesis": 0},
                 "counterexamples": [], "discarded": 0}
-    eligible = [p for p in ctx.proper_ideals()
-                if ctx.weakly_2_absorbing(p) and not ctx.two_absorbing(p)]
+    eligible = list(compress(ctx.lattice(), ctx.verdicts("weakly") & ~ctx.verdicts("plain")))
     scanned = nonzero = hypothesis = discarded = 0
     counterexamples: list[dict] = []
     nz = classify._pack(t.prod != t.zero)      # [q]: words over k, QK != 0

@@ -3,9 +3,10 @@ kept as its differential oracle: R(+)M's tables by broadcast digit sums,
 P(+)M embedded afresh at every use, and P16's module sets evaluated triple
 by triple from the census rows.
 
-Like slice_oracles, the loops read the same RingContext memos (lattices,
-verdicts, censuses) as the fast path, except the embedding of P into R(+)M,
-which is what the fast path memoizes.
+The loops read the same RingContext lattices and censuses as the fast
+path, but embed P into R(+)M afresh and ask each verdict of the public
+classify.is_* predicates, one ideal at a time, so that they stay
+independent of the verdict vectors.
 """
 
 from __future__ import annotations
@@ -13,7 +14,12 @@ from __future__ import annotations
 import numpy as np
 
 from ringbench.bitsets import indices_from_mask
-from ringbench.classify import ideal_info
+from ringbench.classify import (
+    ideal_info,
+    is_g_weakly_2_absorbing,
+    is_graded_2_absorbing,
+    is_graded_weakly_2_absorbing,
+)
 from ringbench.constructions import embed_ideal_in_idealization
 from ringbench.rings import _digit_sum
 from ringbench.theorems import PropertyOutcome, _elem, _idealizations, run_property
@@ -67,8 +73,8 @@ def loop_p14(ctx) -> PropertyOutcome:
     for mlabel, _, xc in _idealizations(ctx, out):
         for p in ctx.proper_ideals():
             out.hit()
-            lhs = xc.two_absorbing(embed_ideal_in_idealization(xc.gr, p).mask)
-            rhs = ctx.two_absorbing(p)
+            lhs = is_graded_2_absorbing(xc.gr, embed_ideal_in_idealization(xc.gr, p)).value
+            rhs = is_graded_2_absorbing(ctx.gr, p).value
             if lhs != rhs:
                 out.violate(module=mlabel, P=ideal_info(ctx.gr, p),
                             idealization_side=lhs, base_side=rhs)
@@ -79,10 +85,11 @@ def loop_p15(ctx) -> PropertyOutcome:
     out = PropertyOutcome("P15", ctx.label)
     for mlabel, _, xc in _idealizations(ctx, out):
         for p in ctx.proper_ideals():
-            if not xc.weakly_2_absorbing(embed_ideal_in_idealization(xc.gr, p).mask):
+            pxm = embed_ideal_in_idealization(xc.gr, p)
+            if not is_graded_weakly_2_absorbing(xc.gr, pxm).value:
                 continue
             out.hit()
-            if not ctx.weakly_2_absorbing(p):
+            if not is_graded_weakly_2_absorbing(ctx.gr, p).value:
                 out.violate(module=mlabel, P=ideal_info(ctx.gr, p))
     return out
 
@@ -95,8 +102,8 @@ def loop_p16(ctx) -> PropertyOutcome:
             pxm = embed_ideal_in_idealization(xc.gr, p).mask
             for g in ctx.valid_degrees(p):
                 out.hit()
-                lhs = xc.g_weakly(pxm, g)
-                base = ctx.g_weakly(p, g)
+                lhs = is_g_weakly_2_absorbing(xc.gr, pxm, g).value
+                base = is_g_weakly_2_absorbing(ctx.gr, p, g).value
                 first = loop_p16_first(gr, M, g, ctx.census(p, g).triples) if base else None
                 detail = None
                 if first:

@@ -2,9 +2,9 @@
 rows: the definitions the table expressions in ringbench.theorems replace,
 kept as their differential oracle.
 
-Each oracle reads the same RingContext memos (lattices, g-weakly verdicts,
-censuses) as the fast path, so a monkeypatched verdict or census reaches
-both routes alike.
+Each oracle reads the same RingContext memos (lattices, g-weakly verdict
+vectors, censuses) as the fast path, so a monkeypatched verdict or census
+reaches both routes alike.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ def loop_p10(ctx) -> PropertyOutcome:
         # the value sets Rg[i] * Re * Rg[j], inside the g*g component C2
         xry = classify.sandwich_kernel(gr, g, gr.group.identity, g)
         C2 = xry["T"]
-        for p in ctx.lattice():
-            if p & comp == comp or not ctx.g_weakly(p, g):
+        for p, gw in zip(ctx.lattice(), ctx.verdicts("weakly", g)):
+            if p & comp == comp or not gw:
                 continue
             Pb = ctx.pb(p)
             pp = Pb[mul[np.ix_(Rg, Rg)]]
@@ -63,8 +63,8 @@ def loop_p11(ctx) -> PropertyOutcome:
     lattice = ctx.lattice()
     for g in range(gr.group.order):
         comp = gr.component_mask(g)
-        for p in lattice:
-            if p & comp == comp or not ctx.g_weakly(p, g):
+        for p, gw in zip(lattice, ctx.verdicts("weakly", g)):
+            if p & comp == comp or not gw:
                 continue
             Pb = ctx.pb(p)
             tz = ctx.census(p, g).triples
@@ -112,8 +112,8 @@ def loop_p12(ctx) -> PropertyOutcome:
     Re = gr.component_indices(gr.group.identity)
     for g in range(gr.group.order):
         comp = gr.component_mask(g)
-        for p in ctx.lattice():
-            if p & comp == comp or not ctx.g_weakly(p, g):
+        for p, gw in zip(ctx.lattice(), ctx.verdicts("weakly", g)):
+            if p & comp == comp or not gw:
                 continue
             pg = indices_from_mask(p & comp, gr.order)
             pp = mul[np.ix_(pg, pg)].ravel()
@@ -174,6 +174,14 @@ def widen_census(monkeypatch, extra: int = 24) -> None:
 
 
 def force_g_weakly(monkeypatch) -> None:
-    """Take every ideal as g-weakly 2-absorbing at every degree, which makes
-    the hypotheses of P10 and P11 fire."""
-    monkeypatch.setattr(RingContext, "g_weakly", lambda self, p, g: True)
+    """Take every ideal P as g-weakly 2-absorbing at every degree g with
+    P_g != R_g, which makes the hypotheses of P10 and P11 fire."""
+    verdicts = RingContext.verdicts
+
+    def forced(self, kind: str, g: int | None = None) -> np.ndarray:
+        if kind != "weakly" or g is None:
+            return verdicts(self, kind, g)
+        comp = self.gr.component_mask(g)
+        return np.array([p & comp != comp for p in self.lattice()])
+
+    monkeypatch.setattr(RingContext, "verdicts", forced)

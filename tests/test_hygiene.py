@@ -130,33 +130,64 @@ def _top_level_owner(tree: ast.Module):
 
 
 def _is_slice_header(node: ast.AST) -> bool:
-    """`... or not <ctx>.g_weakly(p, g)`: the test that picks the (g, P)
-    slices of P10-P12."""
-    return (isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or)
-            and any(isinstance(v, ast.UnaryOp) and isinstance(v.op, ast.Not)
-                    and isinstance(v.operand, ast.Call)
-                    and isinstance(v.operand.func, ast.Attribute)
-                    and v.operand.func.attr == "g_weakly" for v in node.values))
+    """`compress(<lattice>, <ctx>.verdicts("weakly", g))`: the test that
+    picks the (g, P) slices of P10-P12 from the g-weakly verdict vector."""
+    if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "compress"
+            and len(node.args) == 2):
+        return False
+    vec = node.args[1]
+    return (isinstance(vec, ast.Call) and getattr(vec.func, "attr", None) == "verdicts"
+            and len(vec.args) == 2 and getattr(vec.args[0], "value", None) == "weakly")
 
 
 def test_slice_header_only_in_ring_context():
-    """The (g, P) slice header `p & comp == comp or not ctx.g_weakly(p, g)`
+    """The (g, P) slice header, P's entry of the g-weakly verdict vector,
     is written once, in RingContext; P10-P12 iterate its slices."""
     owners = [f"{path.name}:{owner}" for path in MODULES
               for owner, node in _top_level_owner(_tree(path)) if _is_slice_header(node)]
     assert owners == ["theorems.py:RingContext"]
 
 
+def _named(node: ast.AST) -> str | None:
+    return getattr(node, "id", None) if isinstance(node, ast.Name) \
+        else getattr(node, "attr", None) if isinstance(node, ast.Attribute) else None
+
+
 def test_only_ring_context_asks_the_predicates():
-    """In theorems.py the classify.is_* predicates are named only inside
-    RingContext, so every verdict a property asks, on R, R/K or an
-    idealization, goes through a context's memo."""
+    """Outside classify.py, lattice_verdicts is named only inside
+    RingContext, so every verdict a property reads, on R, R/K or an
+    idealization, is an entry of a context's memoized vector; theorems.py
+    names no classify.is_* predicate."""
     predicates = {node.name for node in _tree(PACKAGE / "classify.py").body
                   if isinstance(node, ast.FunctionDef) and node.name.startswith("is_")}
-    owners = {owner for owner, node in _top_level_owner(_tree(PACKAGE / "theorems.py"))
-              if getattr(node, "id", getattr(node, "attr", None)) in predicates
-              and isinstance(node, (ast.Name, ast.Attribute))}
-    assert owners == {"RingContext"}
+    owners = {f"{path.name}:{owner}" for path in MODULES if path.name != "classify.py"
+              for owner, node in _top_level_owner(_tree(path))
+              if _named(node) == "lattice_verdicts"}
+    assert owners == {"theorems.py:RingContext"}
+    assert {_named(node) for node in ast.walk(_tree(PACKAGE / "theorems.py"))} & predicates \
+        == set()
+
+
+# the per-ideal verdict methods that the verdict vectors replaced
+_PER_IDEAL = {"weakly_prime", "two_absorbing", "weakly_2_absorbing", "strongly_weakly",
+              "g_weakly", "g_plain", "_verdict"}
+
+
+def test_checks_call_no_per_ideal_verdict_method():
+    """No _check_pN, RingContext.slices or search_ring calls a per-ideal
+    verdict method, and RingContext defines none: they index verdict
+    vectors."""
+    tree = _tree(PACKAGE / "theorems.py")
+    context = next(node for node in tree.body
+                   if isinstance(node, ast.ClassDef) and node.name == "RingContext")
+    readers = [fn for fn in tree.body + context.body if isinstance(fn, ast.FunctionDef)
+               and (fn.name.startswith("_check_p") or fn.name in ("slices", "search_ring"))]
+    assert len(readers) == 21
+    calls = [f"{fn.name}:{node.lineno}" for fn in readers for node in ast.walk(fn)
+             if isinstance(node, ast.Call) and _named(node.func) in _PER_IDEAL]
+    assert calls == []
+    assert {fn.name for fn in context.body if isinstance(fn, ast.FunctionDef)} & _PER_IDEAL \
+        == set()
 
 
 # what a loop over census rows or over (A, B, K) would iterate

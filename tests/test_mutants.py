@@ -26,6 +26,7 @@ import test_kernel_oracle
 import test_rings
 import test_twin_scan
 import test_validation
+import test_verdict_vectors
 
 CENSUS_PAIRS = theorems._census_pairs
 LATTICE_TABLE = classify._lattice_table
@@ -35,6 +36,7 @@ BOX_TRIPLES = classify._Boxes.triples
 PACK = classify._pack
 PAIR_TABLE = rings._pair_table
 P16_TABLES = theorems._p16_tables
+VERDICTS = theorems.RingContext.verdicts
 
 # rings where additive spans of single elements are often not ideals
 CLOSURE_RINGS = ("ring: matrix(zn(2), 2)", "ring: gaussian(4)", TRIANGULAR_Z2_Z4)
@@ -217,8 +219,8 @@ def test_search_with_transposed_ideal_products_is_caught(monkeypatch):
         return dataclasses.replace(t, prod=np.ascontiguousarray(t.prod.T))
 
     monkeypatch.setattr(classify, "_lattice_table", transposed)
-    monkeypatch.setattr(theorems.RingContext, "weakly_2_absorbing", lambda self, p: True)
-    monkeypatch.setattr(theorems.RingContext, "two_absorbing", lambda self, p: False)
+    monkeypatch.setattr(theorems.RingContext, "verdicts", lambda self, kind, g=None:
+                        np.append(np.full(len(self.proper_ideals()), kind == "weakly"), False))
     gr = build_ring(TRIANGULAR_Z2_Z4)
     got = theorems.search_ring(gr, "mutant")
     assert got["discarded"] >= 1
@@ -386,3 +388,24 @@ def test_extension_memo_shared_between_modules_is_caught(monkeypatch):
     monkeypatch.setattr(theorems.RingContext, "extension", extension)
     with pytest.raises(AssertionError):
         check_extension_rings()
+
+
+def test_verdict_vector_rolled_by_one_ideal_is_caught(monkeypatch):
+    """Every verdict vector shifted by one ideal along the lattice."""
+    monkeypatch.setattr(theorems.RingContext, "verdicts", lambda self, kind, g=None:
+                        np.roll(VERDICTS(self, kind, g), 1))
+    with pytest.raises(AssertionError):
+        test_verdict_vectors.check_vector_rings()
+
+
+def test_verdict_memo_without_degree_is_caught(monkeypatch):
+    """Verdict vectors memoized by kind alone, so that the first vector of a
+    kind serves every degree; the vector rings have two degrees whose
+    g-weakly vectors differ."""
+    def by_kind(self, kind, g=None):
+        return self._memo(("verdicts", kind), lambda: classify.lattice_verdicts(
+            self.gr, g, self.lattice(), kind, self.ideal_cap))
+
+    monkeypatch.setattr(theorems.RingContext, "verdicts", by_kind)
+    with pytest.raises(AssertionError):
+        test_verdict_vectors.check_vector_rings()

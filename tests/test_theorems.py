@@ -150,8 +150,8 @@ def test_search_ring_matches_loop_oracle(monkeypatch):
 
     got = compare(build_ring("ring: zn(8)"), "zn(8)")
     assert [e["mask"] for e in got["eligible_ideals"]] == [1]
-    monkeypatch.setattr(theorems.RingContext, "weakly_2_absorbing", lambda self, p: True)
-    monkeypatch.setattr(theorems.RingContext, "two_absorbing", lambda self, p: False)
+    monkeypatch.setattr(theorems.RingContext, "verdicts", lambda self, kind, g=None:
+                        np.append(np.full(len(self.proper_ideals()), kind == "weakly"), False))
     found = 0
     for text in ("ring: zn(16)", "ring: product(zn(4), zn(4))", UPPER_TRIANGULAR_F2,
                  TRIANGULAR_Z2_Z4):
