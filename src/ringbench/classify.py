@@ -232,17 +232,17 @@ def sandwich_kernel(gr: GradedRing, left: int | None, mult: int | None,
 
 def _sandwich_kernel(gr: GradedRing, key: tuple, L: np.ndarray, S: np.ndarray,
                      R: np.ndarray, T: np.ndarray, where: str) -> dict:
-    mul, width = gr.ring.mul, len(T) + 1
+    ring, width = gr.ring, len(T) + 1
     pos = np.full(gr.order, len(T), dtype=np.int32)     # a stray product's slot
     pos[T] = np.arange(len(T), dtype=np.int32)
     # V(x, y) = (x * S) * y, so pairs whose x share the set x * S share rows
     step = max(1, _BLOCK // max(8 * len(S), gr.order))
-    left_of, sets = _classes(_bit_rows((np.arange(len(xs))[:, None], mul[np.ix_(xs, S)]),
+    left_of, sets = _classes(_bit_rows((np.arange(len(xs))[:, None], ring.products(xs, S)),
                                        (len(xs), gr.order))
                              for xs in (L[i:i + step] for i in range(0, len(L), step)))
     c, v = np.nonzero(np.unpackbits(sets, axis=1, count=gr.order, bitorder="little"))
     step = max(1, _BLOCK // max(8 * len(v), len(sets) * width))
-    of, rows = _classes(_bit_rows((np.arange(len(ys)), c[:, None], pos[mul[np.ix_(v, ys)]]),
+    of, rows = _classes(_bit_rows((np.arange(len(ys)), c[:, None], pos[ring.products(v, ys)]),
                                   (len(ys), len(sets), width))
                         for ys in (R[y0:y0 + step] for y0 in range(0, len(R), step)))
     of = of.reshape(len(R), len(sets)).T.ravel()     # rows came by y: renumber by (a, y)
@@ -250,7 +250,7 @@ def _sandwich_kernel(gr: GradedRing, key: tuple, L: np.ndarray, S: np.ndarray,
     row_of, rows = first.of.reshape(len(sets), len(R)).astype(np.int32), rows[of[first.reps]]
     U = np.unpackbits(rows, axis=1, count=width, bitorder="little").astype(bool)
     if U[:, -1].any():      # name the first stray, which only a grading not validated makes
-        x = int(L[np.argmax(left_of == np.argmax(U[row_of, -1].any(axis=1)))])
+        x, mul = int(L[np.argmax(left_of == np.argmax(U[row_of, -1].any(axis=1)))]), ring.mul
         s, y = first_offender(pos[mul[mul[x, S][:, None], R]] == len(T))
         names = "*".join(gr.name(int(e)) for e in (x, S[s], R[y]))
         raise GradingError(f"product {names} = {gr.name(int(mul[mul[x, S[s]], R[y]]))} is not "
@@ -322,7 +322,7 @@ def _triple_kernel(gr: GradedRing, g: int | None) -> dict:
         return gr.memo(key, lambda: {"key": key, "X": k1["R"], "inv": k1["inv"],
                                      "left_of": k1["left_of"], "row_of": k1["row_of"],
                                      "zero": _none_in(k1["U"], ~k2["zero"][k2["inv"]]),
-                                     "prods": gr.ring.mul[np.ix_(k1["R"], k1["R"])],
+                                     "prods": gr.ring.products(k1["R"], k1["R"]),
                                      "sides": (k1, k2)})
     return gr.memo(("triple kernel of", g), build)
 
@@ -356,7 +356,7 @@ def _products(gr: GradedRing, tk: dict) -> dict:
         present[tk["prods"]] = True
         values = np.flatnonzero(present)
         at = np.cumsum(present, dtype=np.min_scalar_type(len(values))) - 1
-        az = gr.ring.mul[np.ix_(values, tk["X"])]
+        az = gr.ring.products(values, tk["X"])
         return {"inv": at[tk["prods"]], "az": az, "nonzero": az != 0}
     return gr.memo(("products", tk["key"]), build)
 
@@ -592,15 +592,21 @@ def _census(gr: GradedRing, pmask: int, g: int) -> tuple[dict, _Boxes]:
     return tk, _ideal_scan(gr, tk, pmask, tk["zero"], False)
 
 
+def _g_triple_zeros(gr: GradedRing, pmask: int, g: int, weakly: bool) -> GTripleZeroCensus:
+    """The census of a graded ideal at a degree it leaves uncovered, with
+    weakly, the ideal's g-weakly verdict, as the caller holds it."""
+    tk, boxes = _census(gr, pmask, g)
+    return GTripleZeroCensus(g, tk["X"].astype(np.uint16)[boxes.triples()], weakly)
+
+
 def find_g_triple_zeros(gr: GradedRing, P: IdealSubset | int,
                         g: int) -> GTripleZeroCensus:
     """Triples (x, y, z) in R_g with x*R_e*y*R_e*z = 0 and no pairwise
-    product in P, in lexicographic order, as the census's uint16 array."""
+    product in P, in lexicographic order, as the census's uint16 array;
+    P's g-weakly verdict from one scan, with no witness built."""
     P = require_graded_ideal(gr, P, proper=False)
     _require_degree(gr, P, g)
-    tk, boxes = _census(gr, P.mask, g)
-    weakly = is_g_weakly_2_absorbing(gr, P, g, "weakly")
-    return GTripleZeroCensus(g, tk["X"].astype(np.uint16)[boxes.triples()], weakly.value)
+    return _g_triple_zeros(gr, P.mask, g, _decide(gr, g, P.mask, "weakly")[0] is None)
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +677,7 @@ def _lattice_table(gr: GradedRing, masks: tuple[int, ...]) -> LatticeTable:
         hi = H[homs[i]]
         vals = np.zeros((L, words.shape[1]), dtype="<u8")
         for cols, rows, s, starts in chunks:
-            packed = _bit_rows((np.arange(len(cols))[None, :], gr.ring.mul[np.ix_(hi, cols)]),
+            packed = _bit_rows((np.arange(len(cols))[None, :], gr.ring.products(hi, cols)),
                                (len(cols), 64 * words.shape[1])).view("<u8")
             vals[rows] |= np.bitwise_or.reduceat(packed[s], starts, axis=0)
         prod[i] = np.where(_inside(vals, words), sizes, n + 1).argmin(axis=1)

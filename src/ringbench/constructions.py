@@ -4,19 +4,23 @@ Quotients keep the coset with the smallest base index as representative, so
 element order (and hence every downstream witness) is deterministic.
 Idealizations pair the ring with a graded bimodule; the pair (r, m) sits at
 index r*|M| + m and multiplies as (r1, m1)(r2, m2) = (r1 r2, r1 m2 + m1 r2).
+An idealization computes its products from that rule and builds its dense
+tables only when they are read (`IdealizationRing`).
 
 Trust boundary: given a valid graded ring R, make_quotient checks only that
 K is a graded two-sided ideal and make_idealization only that M is a graded
 bimodule. What they build is a graded ring, and R -> R/K a graded map, by
 construction, so neither re-validates it. An ideal that R's two-sided
 graded-ideal enumeration produced is graded and two-sided by construction
-too, and is not re-checked; any other ideal is checked once per ring and
-mask, in one `ideals.ideal_check` entry that the classifier reads too. The
-regular and quotient bimodules built here are bimodules by construction, so
-their idealizations go through _idealization, which skips
-validate_bimodule. make_graded_hom, product_projections and
-grading.attach_grading validate what callers pass. R/K and R(+)M keep R's
-record of whether its tables form a ring (`FiniteRing.laws_checked`).
+too, and is not re-checked; nor is P x M in R(+)M for a two-sided ideal P
+of R, which embed_ideal_in_idealization records as one. Any other ideal is
+checked once per ring and mask, in one `ideals.ideal_check` entry that the
+classifier reads too. The regular and quotient bimodules built here are
+bimodules by construction, so their idealizations go through
+_idealization, which skips validate_bimodule. make_graded_hom,
+product_projections and grading.attach_grading validate what callers pass.
+R/K and R(+)M keep R's record of whether its tables form a ring
+(`FiniteRing.laws_checked`).
 
 R/{0} is R again: make_quotient by the zero ideal reads R's tables through
 read-only views and projects by the identity, with no coset gathers.
@@ -25,6 +29,7 @@ read-only views and projects by the identity, with no coset gathers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +37,7 @@ from .bitsets import bools_from_mask, indices_from_mask, mask_from_bools, popcou
 from .grading import (
     GradedRing,
     Grading,
+    _decomposition_table,
     check_components,
     check_graded_products,
 )
@@ -361,29 +367,60 @@ def make_idealization(gr: GradedRing, M: GradedBimodule,
     return _idealization(gr, M, cap)
 
 
+class IdealizationRing(FiniteRing):
+    """R(+)M on its pair rule (r1, v1)(r2, v2) = (r1 r2, r1 v2 + v1 r2), with
+    (r, v) at index r*m + v: digit 0 is the ring part, digit 1 the module
+    part. `products` evaluates the rule on just the pairs asked for, from
+    R's mul and M's add and actions; the dense add and mul tables are built
+    when first read. graded_base is R and module is M."""
+
+    def __init__(self, gr: GradedRing, M: GradedBimodule):
+        base, m = gr.ring, M.order
+        neg = base.neg.astype(np.int64)[:, None] * m + M.neg[None, :]
+        unity = base.unity * m if base.unity is not None and M.unital else None
+        super().__init__(gr.order * m, None, neg.ravel().astype(np.uint16), None,
+                         unity=unity, kind="idealization",
+                         element_names=[f"({a}, {b})" for a in base.element_names
+                                        for b in M.element_names],
+                         params={"base": base},
+                         laws_checked=base.laws_checked)
+        del self.add, self.mul          # left to the cached properties below
+        self.graded_base, self.module = gr, M
+
+    @cached_property
+    def add(self) -> np.ndarray:
+        return _pair_table(self.graded_base.ring.add, self.module.add)
+
+    @cached_property
+    def mul(self) -> np.ndarray:
+        return _idealization_mul(self.graded_base, self.module)
+
+    def products(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        M, m = self.module, self.module.order
+        r1, v1 = np.divmod(np.asarray(rows, dtype=np.intp)[:, None], m)
+        r2, v2 = np.divmod(np.asarray(cols, dtype=np.intp), m)
+        at = M.left[r1, v2].astype(np.intp)        # r1 v2 + v1 r2, read off M.add
+        at *= m
+        at += M.right[v1, r2]
+        out = self.graded_base.ring.mul[r1, r2] * np.uint16(m)
+        out += M.add.take(at).astype(np.uint16, copy=False)
+        return out
+
+
 def _idealization(gr: GradedRing, M: GradedBimodule,
                   cap: int = DEFAULT_RING_CAP) -> GradedRing:
     """make_idealization without validate_bimodule, for bimodules that are
-    valid by construction (regular_bimodule, quotient_bimodule)."""
+    valid by construction (regular_bimodule, quotient_bimodule). As pairs
+    add digit by digit, the component of (r, v) at g is (r_g, v_g), at
+    r_g*m + v_g: the decomposition comes from R's and M's, and building
+    R(+)M reads no table."""
     n, m = gr.order, M.order
-    order = n * m
-    _check_cap(order, cap, "idealization")
-    base = gr.ring
-    # index (r, v) -> r*m + v: digit 0 is the ring part, digit 1 the module part
-    add = _pair_table(base.add, M.add)
-    mul = _idealization_mul(gr, M)
-    neg = base.neg.astype(np.int64)[:, None] * m + M.neg[None, :]
-    names = [f"({a}, {b})" for a in base.element_names for b in M.element_names]
-    unity = None
-    if base.unity is not None and M.unital:
-        unity = base.unity * m
-    ring = FiniteRing(order, add, neg.ravel().astype(np.uint16), mul,
-                      unity=unity, element_names=names, kind="idealization",
-                      params={"base": base, "module_order": m, "module_label": M.label},
-                      laws_checked=base.laws_checked)
+    _check_cap(n * m, cap, "idealization")
     comps = [idealization_subset(gr.component_mask(g), M.components[g], n, m)
              for g in range(gr.group.order)]
-    return GradedRing(ring, Grading(gr.group, comps))
+    module = _decomposition_table(M.add, M.components, M.name)
+    decomp = (gr.decomp[:, None, :] * m + module[None, :, :]).reshape(n * m, -1)
+    return GradedRing(IdealizationRing(gr, M), Grading(gr.group, comps), decomp)
 
 
 def _idealization_mul(gr: GradedRing, M: GradedBimodule) -> np.ndarray:
@@ -418,17 +455,25 @@ def idealization_subset(pmask: int, module_mask: int, ring_order: int,
 
 
 def embed_ideal_in_idealization(xgr: GradedRing, P: IdealSubset | int) -> IdealSubset:
-    """P x M inside R x M, for an idealization built by make_idealization."""
-    if xgr.ring.kind != "idealization":
+    """P x M inside R x M, for an idealization built by make_idealization.
+
+    When P is a two-sided ideal of R by `ideal_check` (a member of R's
+    enumerated lattice passes it unchecked), so is P x M of R(+)M: the
+    pairs add digit by digit, and (r, v)(p, w) = (rp, rw + vp) and
+    (p, w)(r, v) = (pr, pv + wr) lie in P x M as rp and pr lie in P. It is
+    then recorded in R(+)M's `ideal_check` memo with its graded defect, and
+    no closure check runs on R(+)M."""
+    ring = xgr.ring
+    if not isinstance(ring, IdealizationRing):
         raise ConstructionError("expected an idealization ring")
-    m = xgr.ring.params["module_order"]
-    n = xgr.order // m
+    gr, m = ring.graded_base, ring.module.order
     pmask = P.mask if isinstance(P, IdealSubset) else int(P)
-    full_module = (1 << m) - 1
-    mask = idealization_subset(pmask, full_module, n, m)
+    mask = idealization_subset(pmask, (1 << m) - 1, gr.order, m)
+    defect = graded_defect(xgr, mask)
+    if ideal_check(gr, pmask)[0]:
+        xgr.memo(("ideal_check", mask), lambda: (True, None, defect))
     sidedness = P.sidedness if isinstance(P, IdealSubset) else TWO_SIDED
-    return IdealSubset(mask, sidedness,
-                       graded=graded_defect(xgr, mask) is None)
+    return IdealSubset(mask, sidedness, graded=defect is None)
 
 
 # ---------------------------------------------------------------------------

@@ -38,14 +38,17 @@ class Grading:
 class GradedRing:
     ring: FiniteRing
     grading: Grading
-    decomp: np.ndarray = field(init=False, repr=False)       # (n, |G|) component of x at g
+    # (n, |G|) component of x at g: folded from the add table unless given,
+    # as an idealization's is, from R's and M's
+    decomp: np.ndarray | None = field(default=None, repr=False)
     degree: np.ndarray = field(init=False, repr=False)       # (n,) degree or -1
     hom_mask: int = field(init=False, repr=False)
     _cache: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
-        self.decomp = _decomposition_table(self.ring.add, self.grading.components,
-                                         self.ring.name)
+        if self.decomp is None:
+            self.decomp = _decomposition_table(self.ring.add, self.grading.components,
+                                               self.ring.name)
         nonzero = self.decomp != 0
         counts = nonzero.sum(axis=1)
         deg = np.where(counts == 1, np.argmax(nonzero, axis=1), -1)

@@ -343,7 +343,9 @@ def ideal_check(gr: GradedRing, mask: int) -> tuple[bool, tuple | None, int | No
     Decided once per ring and mask, as the tables never change. On a ring
     recorded as one (`laws_checked`), a member of the memoized two-sided
     lattice, graded and two-sided by construction, passes unchecked; a
-    lattice not yet enumerated is not enumerated here.
+    lattice not yet enumerated is not enumerated here. An idealization's
+    entry for P x M may already be recorded when P was embedded
+    (`constructions.embed_ideal_in_idealization`).
     """
     def check():
         masks = gr._cache.get(f"lattice:{TWO_SIDED}", ()) if gr.ring.laws_checked else ()

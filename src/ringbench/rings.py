@@ -2,7 +2,11 @@
 
 Rings are not assumed commutative or unital. Elements are dense indices
 0..order-1, zero is always index 0, and tables are numpy uint16 arrays
-(no carrier may exceed the 65536 indices that dtype can hold).
+(no carrier may exceed the 65536 indices that dtype can hold). The tables
+are dense, but an idealization R(+)M (`constructions.IdealizationRing`)
+builds its two only when they are first read: its products on index sets
+(`FiniteRing.products`, which the classifier's kernels read) come from
+its pair rule and R's and M's own tables.
 
 Validation is exact at every size without the O(n^3) triple scan. It is
 decided from the walk by which `groups.greedy_generators` picks additive
@@ -83,6 +87,10 @@ class FiniteRing:
 
     def name(self, i: int) -> str:
         return self.element_names[i]
+
+    def products(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """(len(rows), len(cols)) uint16 table of rows[i] * cols[j]."""
+        return self.mul[np.ix_(rows, cols)]
 
     def is_commutative(self) -> bool:
         return bool((self.mul == self.mul.T).all())

@@ -236,3 +236,23 @@ def test_runner_owns_every_property_outcome():
     keys = [k.value for k in table.keys]
     assert keys == list(PROPERTY_IDS)
     assert [v.id for v in table.values] == [f"_check_{k.lower()}" for k in keys]
+
+
+def _mul_ix_gather(node: ast.AST) -> bool:
+    """`<...>.mul[np.ix_(...)]` or `mul[np.ix_(...)]`: a gather from the dense table."""
+    return (isinstance(node, ast.Subscript) and _named(node.value) == "mul"
+            and isinstance(node.slice, ast.Call) and _named(node.slice.func) == "ix_")
+
+
+def test_kernels_read_products_through_the_ring():
+    """classify.py gathers products on index sets through
+    FiniteRing.products, which an idealization evaluates from its pair rule,
+    never as ring.mul[np.ix_(...)]: only raw_product_mask does, on the raw
+    route that stays independent of the kernels. The sandwich, triple and
+    product kernels call products."""
+    tree = _tree(PACKAGE / "classify.py")
+    gathers = {owner for owner, node in _top_level_owner(tree) if _mul_ix_gather(node)}
+    assert gathers == {"raw_product_mask"}
+    readers = {owner for owner, node in _top_level_owner(tree)
+               if isinstance(node, ast.Call) and _named(node.func) == "products"}
+    assert {"_sandwich_kernel", "_triple_kernel", "_products"} <= readers

@@ -16,13 +16,14 @@ from conftest import (
     build_ring,
     loop_search,
 )
-from ringbench import classify, ideals, rings, theorems
+from ringbench import classify, constructions, ideals, rings, theorems
 from ringbench.bitsets import bools_from_mask
 from ringbench.groups import first_offender, greedy_generators
 from slice_oracles import differences, widen_census
 import test_ideal_words
 import test_idealization_tables
 import test_kernel_oracle
+import test_pair_rule
 import test_rings
 import test_twin_scan
 import test_validation
@@ -36,6 +37,7 @@ BOX_TRIPLES = classify._Boxes.triples
 PACK = classify._pack
 PAIR_TABLE = rings._pair_table
 P16_TABLES = theorems._p16_tables
+EMBED = constructions.embed_ideal_in_idealization
 VERDICTS = theorems.RingContext.verdicts
 
 # rings where additive spans of single elements are often not ideals
@@ -409,3 +411,35 @@ def test_verdict_memo_without_degree_is_caught(monkeypatch):
     monkeypatch.setattr(theorems.RingContext, "verdicts", by_kind)
     with pytest.raises(AssertionError):
         test_verdict_vectors.check_vector_rings()
+
+
+def test_unmutated_pair_rule_agrees():
+    test_pair_rule.check_explicit_rings()
+
+
+def test_pair_rule_with_swapped_module_terms_is_caught(monkeypatch):
+    """R(+)M's products with r1 v2 and v1 r2 swapped for v2 r1 and r2 v1:
+    equal on a commutative ring's regular bimodule, not on a matrix ring's."""
+    def swapped(self, rows, cols):
+        M, m = self.module, self.module.order
+        r1, v1 = np.divmod(np.asarray(rows, dtype=np.intp)[:, None], m)
+        r2, v2 = np.divmod(np.asarray(cols, dtype=np.intp), m)
+        low = M.add[M.right[v2, r1], M.left[r2, v1]].astype(np.uint16)
+        return self.graded_base.ring.mul[r1, r2] * np.uint16(m) + low
+
+    monkeypatch.setattr(constructions.IdealizationRing, "products", swapped)
+    with pytest.raises(AssertionError):
+        test_pair_rule.check_explicit_rings()
+
+
+def test_extension_recorded_for_a_non_ideal_is_caught(monkeypatch):
+    """P(+)M recorded as a graded two-sided ideal whatever P is, so that the
+    reals of gaussian(4), which are no ideal, pass as one in R(+)M."""
+    def recorded(xgr, P):
+        emb = EMBED(xgr, P)
+        xgr.memo(("ideal_check", emb.mask), lambda: (True, None, None))
+        return emb
+
+    monkeypatch.setattr(constructions, "embed_ideal_in_idealization", recorded)
+    with pytest.raises(AssertionError):
+        test_pair_rule.check_explicit_rings()

@@ -23,6 +23,7 @@ from conftest import (
     raw_triple_verdicts,
 )
 from ringbench.classify import (
+    find_g_triple_zeros,
     is_g_weakly_2_absorbing,
     is_graded_2_absorbing,
     is_graded_strongly_weakly_2_absorbing,
@@ -82,8 +83,21 @@ def check_vectors(gr, masks, vector, kinds, label: str) -> int:
 
 
 def check_context(ctx) -> int:
-    return check_vectors(ctx.gr, ctx.lattice(), ctx.verdicts,
-                         ELEMENT_KINDS + IDEAL_KINDS, ctx.label)
+    checked = check_vectors(ctx.gr, ctx.lattice(), ctx.verdicts,
+                            ELEMENT_KINDS + IDEAL_KINDS, ctx.label)
+    check_censuses(ctx)
+    return checked
+
+
+def check_censuses(ctx) -> None:
+    """Once the g-weakly vectors are held, each census takes its g-weakly
+    bit from them: it equals find_g_triple_zeros's, triples and bit."""
+    for p in ctx.lattice():
+        for g in ctx.valid_degrees(p):
+            got, fresh = ctx.census(p, g), find_g_triple_zeros(ctx.gr, p, g)
+            assert got.p_is_g_weakly_2_absorbing == fresh.p_is_g_weakly_2_absorbing, \
+                (ctx.label, p, g)
+            assert got.triples.tobytes() == fresh.triples.tobytes(), (ctx.label, p, g)
 
 
 def check_extensions(ctx) -> int:
