@@ -11,7 +11,14 @@ from hypothesis import HealthCheck, given, settings
 from conftest import TRIANGULAR_Z2_Z4, build_ring, graded_cases
 from ringbench import constructions
 from ringbench.grading import _decomposition_table
-from ringbench.ideals import TWO_SIDED, additive_span, check_closure, graded_defect, ideal_check
+from ringbench.ideals import (
+    TWO_SIDED,
+    additive_span,
+    check_closure,
+    graded_defect,
+    graded_ideal_masks,
+    ideal_check,
+)
 from ringbench.theorems import RingContext, default_corpus, run_property
 from test_idealization_tables import _modules
 
@@ -43,7 +50,7 @@ def _subsets(gr, limit: int = 12) -> list[int]:
     """R's graded ideals, and the additive spans of its first elements, which
     are often not ideals (the reals of a gaussian ring) or not graded."""
     spans = [additive_span(gr, [x]) for x in range(min(gr.order, limit))]
-    return list(dict.fromkeys(RingContext(gr, "").lattice() + tuple(spans)))
+    return list(dict.fromkeys(graded_ideal_masks(gr) + tuple(spans)))
 
 
 def check_recorded(xgr, pmasks, *context) -> int:
