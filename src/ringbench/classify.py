@@ -592,13 +592,6 @@ def _census(gr: GradedRing, pmask: int, g: int) -> tuple[dict, _Boxes]:
     return tk, _ideal_scan(gr, tk, pmask, tk["zero"], False)
 
 
-def _g_triple_zeros(gr: GradedRing, pmask: int, g: int, weakly: bool) -> GTripleZeroCensus:
-    """The census of a graded ideal at a degree it leaves uncovered, with
-    weakly, the ideal's g-weakly verdict, as the caller holds it."""
-    tk, boxes = _census(gr, pmask, g)
-    return GTripleZeroCensus(g, tk["X"].astype(np.uint16)[boxes.triples()], weakly)
-
-
 def find_g_triple_zeros(gr: GradedRing, P: IdealSubset | int,
                         g: int) -> GTripleZeroCensus:
     """Triples (x, y, z) in R_g with x*R_e*y*R_e*z = 0 and no pairwise
@@ -606,7 +599,9 @@ def find_g_triple_zeros(gr: GradedRing, P: IdealSubset | int,
     P's g-weakly verdict from one scan, with no witness built."""
     P = require_graded_ideal(gr, P, proper=False)
     _require_degree(gr, P, g)
-    return _g_triple_zeros(gr, P.mask, g, _decide(gr, g, P.mask, "weakly")[0] is None)
+    tk, boxes = _census(gr, P.mask, g)
+    weakly = _decide(gr, g, P.mask, "weakly")[0] is None
+    return GTripleZeroCensus(g, tk["X"].astype(np.uint16)[boxes.triples()], weakly)
 
 
 # ---------------------------------------------------------------------------

@@ -372,13 +372,14 @@ class IdealizationRing(FiniteRing):
     (r, v) at index r*m + v: digit 0 is the ring part, digit 1 the module
     part. `products` evaluates the rule on just the pairs asked for, from
     R's mul and M's add and actions; the dense add and mul tables are built
-    when first read. graded_base is R and module is M."""
+    when first read. graded_base is R, module is M and pair_components the
+    grading R_g x M_g."""
 
     def __init__(self, gr: GradedRing, M: GradedBimodule):
-        base, m = gr.ring, M.order
+        base, n, m = gr.ring, gr.order, M.order
         neg = base.neg.astype(np.int64)[:, None] * m + M.neg[None, :]
         unity = base.unity * m if base.unity is not None and M.unital else None
-        super().__init__(gr.order * m, None, neg.ravel().astype(np.uint16), None,
+        super().__init__(n * m, None, neg.ravel().astype(np.uint16), None,
                          unity=unity, kind="idealization",
                          element_names=[f"({a}, {b})" for a in base.element_names
                                         for b in M.element_names],
@@ -386,6 +387,9 @@ class IdealizationRing(FiniteRing):
                          laws_checked=base.laws_checked)
         del self.add, self.mul          # left to the cached properties below
         self.graded_base, self.module = gr, M
+        self.pair_components = [
+            idealization_subset(gr.component_mask(g), M.components[g], n, m)
+            for g in range(gr.group.order)]
 
     @cached_property
     def add(self) -> np.ndarray:
@@ -406,21 +410,26 @@ class IdealizationRing(FiniteRing):
         out += M.add.take(at).astype(np.uint16, copy=False)
         return out
 
+    def decomposition(self, components: list[int]) -> np.ndarray | None:
+        """At pair_components: as pairs add digit by digit, the component of
+        (r, v) at g is (r_g, v_g), at r_g*m + v_g, so it comes from R's and
+        M's and no table of R(+)M is read. Any other grading is folded."""
+        if components != self.pair_components:
+            return None
+        M, m = self.module, self.module.order
+        module = _decomposition_table(M.add, M.components, M.name)
+        decomp = self.graded_base.decomp[:, None, :] * m + module[None, :, :]
+        return decomp.reshape(self.order, -1)
+
 
 def _idealization(gr: GradedRing, M: GradedBimodule,
                   cap: int = DEFAULT_RING_CAP) -> GradedRing:
     """make_idealization without validate_bimodule, for bimodules that are
-    valid by construction (regular_bimodule, quotient_bimodule). As pairs
-    add digit by digit, the component of (r, v) at g is (r_g, v_g), at
-    r_g*m + v_g: the decomposition comes from R's and M's, and building
-    R(+)M reads no table."""
-    n, m = gr.order, M.order
-    _check_cap(n * m, cap, "idealization")
-    comps = [idealization_subset(gr.component_mask(g), M.components[g], n, m)
-             for g in range(gr.group.order)]
-    module = _decomposition_table(M.add, M.components, M.name)
-    decomp = (gr.decomp[:, None, :] * m + module[None, :, :]).reshape(n * m, -1)
-    return GradedRing(IdealizationRing(gr, M), Grading(gr.group, comps), decomp)
+    valid by construction (regular_bimodule, quotient_bimodule). Building
+    it reads no table of R(+)M (`IdealizationRing.decomposition`)."""
+    _check_cap(gr.order * M.order, cap, "idealization")
+    ring = IdealizationRing(gr, M)
+    return GradedRing(ring, Grading(gr.group, ring.pair_components))
 
 
 def _idealization_mul(gr: GradedRing, M: GradedBimodule) -> np.ndarray:

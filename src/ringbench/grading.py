@@ -38,17 +38,16 @@ class Grading:
 class GradedRing:
     ring: FiniteRing
     grading: Grading
-    # (n, |G|) component of x at g: folded from the add table unless given,
-    # as an idealization's is, from R's and M's
-    decomp: np.ndarray | None = field(default=None, repr=False)
+    decomp: np.ndarray = field(init=False, repr=False)       # (n, |G|) component of x at g
     degree: np.ndarray = field(init=False, repr=False)       # (n,) degree or -1
     hom_mask: int = field(init=False, repr=False)
     _cache: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
-        if self.decomp is None:
-            self.decomp = _decomposition_table(self.ring.add, self.grading.components,
-                                               self.ring.name)
+        # the ring's own when it has one (an idealization's, from R's and M's)
+        decomp = self.ring.decomposition(self.grading.components)
+        self.decomp = decomp if decomp is not None else _decomposition_table(
+            self.ring.add, self.grading.components, self.ring.name)
         nonzero = self.decomp != 0
         counts = nonzero.sum(axis=1)
         deg = np.where(counts == 1, np.argmax(nonzero, axis=1), -1)

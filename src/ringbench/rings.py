@@ -92,6 +92,12 @@ class FiniteRing:
         """(len(rows), len(cols)) uint16 table of rows[i] * cols[j]."""
         return self.mul[np.ix_(rows, cols)]
 
+    def decomposition(self, components: list[int]) -> np.ndarray | None:
+        """The (n, len(components)) component of each element at each degree,
+        when the ring knows it without its add table; None here, and
+        `grading.GradedRing` folds it from add."""
+        return None
+
     def is_commutative(self) -> bool:
         return bool((self.mul == self.mul.T).all())
 

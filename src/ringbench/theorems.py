@@ -157,12 +157,9 @@ class RingContext:
         """lattice() but R, its largest mask and so its last: positions agree."""
         return self.lattice()[:-1]
 
-    def _positions(self) -> dict[int, int]:
-        return self._memo("positions", lambda: {m: i for i, m in enumerate(self.lattice())})
-
     def at(self, mask: int) -> int:
         """The position of a graded ideal in lattice()."""
-        return self._positions()[mask]
+        return self._memo("positions", lambda: {m: i for i, m in enumerate(self.lattice())})[mask]
 
     def one_sided(self, sidedness: str) -> tuple[int, ...]:
         return graded_ideal_masks(self.gr, self._sidedness(sidedness), self.ideal_cap)
@@ -188,15 +185,8 @@ class RingContext:
             xc.gr, g, [xc.extension(p) for p in self.lattice()], kind, xc.ideal_cap))
 
     def census(self, p: int, g: int):
-        """find_g_triple_zeros of P at g; at a lattice member P that leaves
-        R_g uncovered, P's g-weakly bit is read from verdicts("weakly", g)
-        when this context holds that vector."""
-        def build():
-            held = self._memos.get(("verdicts", "weakly", g))
-            if held is not None and p in self._positions() and g in self.valid_degrees(p):
-                return classify._g_triple_zeros(self.gr, p, g, bool(held[self.at(p)]))
-            return find_g_triple_zeros(self.gr, self.subset(p), g)
-        return self._memo(("census", p, g), build)
+        return self._memo(("census", p, g),
+                          lambda: find_g_triple_zeros(self.gr, self.subset(p), g))
 
     def slices(self) -> list[tuple]:
         """The (g, P) with P_g != R_g and P g-weakly 2-absorbing, which

@@ -10,7 +10,8 @@ from hypothesis import HealthCheck, given, settings
 
 from conftest import TRIANGULAR_Z2_Z4, build_ring, graded_cases
 from ringbench import constructions
-from ringbench.grading import _decomposition_table
+from ringbench.grading import GradedRing, Grading, _decomposition_table
+from ringbench.groups import make_cyclic
 from ringbench.ideals import (
     TWO_SIDED,
     additive_span,
@@ -44,6 +45,9 @@ def check_decomposition(xgr, *context) -> None:
     folded = _decomposition_table(xgr.ring.add, xgr.grading.components, xgr.ring.name)
     assert xgr.decomp.dtype == folded.dtype, context
     assert np.array_equal(xgr.decomp, folded), context
+    # any grading but R_g x M_g is folded from R(+)M's add table
+    trivial = GradedRing(xgr.ring, Grading(make_cyclic(1), [(1 << xgr.order) - 1]))
+    assert np.array_equal(trivial.decomp, np.arange(xgr.order)[:, None]), context
 
 
 def _subsets(gr, limit: int = 12) -> list[int]:
