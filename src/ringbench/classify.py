@@ -513,21 +513,16 @@ def _completely_weakly_scan(gr: GradedRing, tk: dict, pmask: int,
 
 
 def _decide(gr: GradedRing, g: int | None, pmask: int,
-            kind: str) -> tuple[tuple[int, int, int] | None, int | None]:
-    """(first, count) of one scan of _kernel(gr, g, P): its first triple, as
-    positions of X, or None; and for the census its number of triples,
-    else None. The kinds scan the rows of the x side's kernel inside P
-    ("plain"), inside P and not zero ("weakly") or zero ("census"), or the
-    distinct products ("cw", completely weakly)."""
+            kind: str) -> tuple[int, int, int] | None:
+    """The first triple of one scan of _kernel(gr, g, P), as positions of X,
+    or None. The kinds scan the rows of the x side's kernel inside P
+    ("plain") or inside P and not zero ("weakly"), or the distinct products
+    ("cw", completely weakly); _census scans the zero rows."""
     tk, inside, outside = _kernel(gr, g, pmask)
     if kind == "cw":
-        return _completely_weakly_scan(gr, tk, pmask, outside).first(), None
-    if kind == "census":
-        rows = tk["zero"]
-    else:
-        rows = inside & ~tk["zero"] if kind == "weakly" else inside
-    boxes = _ideal_scan(gr, tk, pmask, rows, kind != "census")
-    return boxes.first(), boxes.count() if kind == "census" else None
+        return _completely_weakly_scan(gr, tk, pmask, outside).first()
+    rows = inside & ~tk["zero"] if kind == "weakly" else inside
+    return _ideal_scan(gr, tk, pmask, rows, True).first()
 
 
 def _triple_witness(gr: GradedRing, x: int, y: int, z: int) -> dict:
@@ -543,7 +538,7 @@ def _witness_at(gr: GradedRing, g: int | None, hit: tuple[int, int, int]) -> dic
 
 
 def _verdict(gr: GradedRing, g: int | None, pmask: int, kind: str) -> Verdict:
-    hit = _decide(gr, g, pmask, kind)[0]
+    hit = _decide(gr, g, pmask, kind)
     return Verdict(True) if hit is None else Verdict(False, _witness_at(gr, g, hit))
 
 
@@ -600,7 +595,7 @@ def find_g_triple_zeros(gr: GradedRing, P: IdealSubset | int,
     P = require_graded_ideal(gr, P, proper=False)
     _require_degree(gr, P, g)
     tk, boxes = _census(gr, P.mask, g)
-    weakly = _decide(gr, g, P.mask, "weakly")[0] is None
+    weakly = _decide(gr, g, P.mask, "weakly") is None
     return GTripleZeroCensus(g, tk["X"].astype(np.uint16)[boxes.triples()], weakly)
 
 
@@ -788,7 +783,7 @@ def lattice_verdicts(gr: GradedRing, g: int | None, masks, kind: str,
     predicate is undefined: at the whole ring, and at P with P_g = R_g."""
     if kind in ("plain", "weakly"):
         def first(m):
-            return _decide(gr, g, m, kind)[0]
+            return _decide(gr, g, m, kind)
     elif kind in ("weakly_prime", "strongly_weakly") and g is None:
         t = lattice_table(gr, TWO_SIDED, cap)
 
@@ -965,8 +960,9 @@ def classify_ideal(gr: GradedRing, P: IdealSubset | int,
                 entry[mode] = verdict.value
                 if verdict.witness is not None:
                     entry[f"{mode}_witness"] = verdict.witness
-            first, entry["triple_zeros"] = _decide(gr, g, P.mask, "census")
-            if first is not None:
+            boxes = _census(gr, P.mask, g)[1]
+            entry["triple_zeros"] = boxes.count()
+            if (first := boxes.first()) is not None:
                 entry["first_triple_zero"] = _witness_at(gr, g, first)
         report.g_variants[g] = entry
     return report

@@ -120,7 +120,8 @@ def _elem(gr: GradedRing, x: int) -> dict:
 
 class RingContext:
     """Per-ring shared state for the property checks: ideal lattices, verdict
-    memos, quotient and idealization constructions, all built on demand."""
+    memos, quotient constructions and the idealizations' verdict vectors,
+    all built on demand."""
 
     def __init__(self, gr: GradedRing, label: str,
                  ideal_cap: int = DEFAULT_IDEAL_CAP,
@@ -178,12 +179,6 @@ class RingContext:
         return self._memo(("verdicts", kind, g), lambda: classify.lattice_verdicts(
             self.gr, g, self.lattice(), kind, self.ideal_cap))
 
-    def extended(self, xc: "RingContext", kind: str, g: int | None = None) -> np.ndarray:
-        """verdicts at each P(+)M in xc, the context of an idealization R(+)M,
-        in the order of P in lattice(); R(+)M's own lattice is never read."""
-        return xc._memo(("extended", kind, g), lambda: classify.lattice_verdicts(
-            xc.gr, g, [xc.extension(p) for p in self.lattice()], kind, xc.ideal_cap))
-
     def census(self, p: int, g: int):
         return self._memo(("census", p, g),
                           lambda: find_g_triple_zeros(self.gr, self.subset(p), g))
@@ -228,17 +223,22 @@ class RingContext:
             self.quotient(kmask).graded_ring, f"{self.label}/{kmask:#x}",
             self.ideal_cap, self.ring_cap))
 
-    def extension(self, p: int) -> int:
-        """P(+)M's mask, in the context of an idealization R(+)M: one
-        embedding per ideal P of R and idealization, which records P(+)M
-        in R(+)M's ideal_check memo, so no closure check runs on R(+)M."""
-        return self._memo(("extension", p),
-                          lambda: embed_ideal_in_idealization(self.gr, p).mask)
+    def idealizations(self) -> list[tuple[str, GradedBimodule, dict]]:
+        """(label, M, vectors) for the regular bimodule and every quotient
+        bimodule by a proper nonzero graded ideal whose idealization fits
+        the cap. vectors[kind, g][i] is R(+)M's verdict at P(+)M, P =
+        lattice()[i]: ("plain", None), ("weakly", None) and ("weakly", g) at
+        every degree g. Each R(+)M is dropped before the next is built."""
+        def vectors(M: GradedBimodule) -> dict:
+            xgr = _idealization(self.gr, M, self.ring_cap)
+            # one embedding per P, which records P(+)M in R(+)M's ideal_check
+            # memo, so no closure check runs on R(+)M; its lattice is never read
+            masks = [embed_ideal_in_idealization(xgr, p).mask for p in self.lattice()]
+            keys = [("plain", None), ("weakly", None)]
+            keys += [("weakly", g) for g in range(self.gr.group.order)]
+            return {(kind, g): classify.lattice_verdicts(xgr, g, masks, kind, self.ideal_cap)
+                    for kind, g in keys}
 
-    def idealizations(self) -> list[tuple[str, GradedBimodule, "RingContext"]]:
-        """(label, M, context of the idealization by M) for the regular
-        bimodule and every quotient bimodule by a proper nonzero graded
-        ideal, keeping only those whose idealization fits the cap."""
         def build():
             n, mods = self.gr.order, []
             if n * n <= self.ring_cap:
@@ -250,10 +250,7 @@ class RingContext:
                 info = ideal_info(self.gr, kmask)
                 label = "quotient([" + ", ".join(info["generator_names"]) + "])"
                 mods.append((label, quotient_bimodule(self.quotient(kmask))))
-            return [(label, M, RingContext(_idealization(self.gr, M, self.ring_cap),
-                                           f"idealization({self.label}, {label})",
-                                           self.ideal_cap, self.ring_cap))
-                    for label, M in mods]
+            return [(label, M, vectors(M)) for label, M in mods]
         return self._memo("idealizations", build)
 
 
@@ -659,8 +656,8 @@ def _check_p14(ctx: RingContext, out: PropertyOutcome) -> None:
     """P extends to a graded 2-absorbing ideal of the idealization exactly
     when P is graded 2-absorbing. Needs unity."""
     base = ctx.verdicts("plain").tolist()
-    for mlabel, _, xc in _idealizations(ctx, out):
-        for p, lhs, rhs in zip(ctx.proper_ideals(), ctx.extended(xc, "plain").tolist(), base):
+    for mlabel, _, vectors in _idealizations(ctx, out):
+        for p, lhs, rhs in zip(ctx.proper_ideals(), vectors["plain", None].tolist(), base):
             out.hit()
             if lhs != rhs:
                 out.violate(module=mlabel, P=ideal_info(ctx.gr, p),
@@ -671,8 +668,8 @@ def _check_p15(ctx: RingContext, out: PropertyOutcome) -> None:
     """If the extension of P to the idealization is weakly 2-absorbing, so is
     P itself. Needs unity."""
     w2 = ctx.verdicts("weakly")
-    for mlabel, _, xc in _idealizations(ctx, out):
-        for i in np.flatnonzero(ctx.extended(xc, "weakly")):
+    for mlabel, _, vectors in _idealizations(ctx, out):
+        for i in np.flatnonzero(vectors["weakly", None]):
             out.hit()
             if not w2[i]:
                 out.violate(module=mlabel, P=ideal_info(ctx.gr, ctx.lattice()[i]))
@@ -726,12 +723,12 @@ def _check_p16(ctx: RingContext, out: PropertyOutcome) -> None:
     unity. Each set depends on two of x, y, z, so a census is read off
     three tables per (M, g), built once a census is nonempty."""
     gr = ctx.gr
-    for mlabel, M, xc in _idealizations(ctx, out):
+    for mlabel, M, vectors in _idealizations(ctx, out):
         tables = {}
         for i, p in enumerate(ctx.lattice()):
             for g in ctx.valid_degrees(p):
                 out.hit()
-                lhs = bool(ctx.extended(xc, "weakly", g)[i])
+                lhs = bool(vectors["weakly", g][i])
                 base = bool(ctx.verdicts("weakly", g)[i])
                 detail = None
                 triples = ctx.census(p, g).triples if base else ()

@@ -3,10 +3,10 @@ kept as its differential oracle: R(+)M's tables by broadcast digit sums,
 P(+)M embedded afresh at every use, and P16's module sets evaluated triple
 by triple from the census rows.
 
-The loops read the same RingContext lattices and censuses as the fast
-path, but embed P into R(+)M afresh and ask each verdict of the public
-classify.is_* predicates, one ideal at a time, so that they stay
-independent of the verdict vectors.
+The loops read the same RingContext lattices, bimodules and censuses as
+the fast path, but build each R(+)M themselves, embed P into it afresh and
+ask each verdict of the public classify.is_* predicates, one ideal at a
+time, so that they stay independent of the verdict vectors.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from ringbench.classify import (
     is_graded_2_absorbing,
     is_graded_weakly_2_absorbing,
 )
-from ringbench.constructions import embed_ideal_in_idealization
+from ringbench.constructions import _idealization, embed_ideal_in_idealization
 from ringbench.rings import _digit_sum
 from ringbench.theorems import PropertyOutcome, _elem, _idealizations, run_property
 
@@ -70,10 +70,11 @@ def loop_p16_first(gr, M, g: int, triples: np.ndarray):
 
 def loop_p14(ctx) -> PropertyOutcome:
     out = PropertyOutcome("P14", ctx.label)
-    for mlabel, _, xc in _idealizations(ctx, out):
+    for mlabel, M, _ in _idealizations(ctx, out):
+        xgr = _idealization(ctx.gr, M)
         for p in ctx.proper_ideals():
             out.hit()
-            lhs = is_graded_2_absorbing(xc.gr, embed_ideal_in_idealization(xc.gr, p)).value
+            lhs = is_graded_2_absorbing(xgr, embed_ideal_in_idealization(xgr, p)).value
             rhs = is_graded_2_absorbing(ctx.gr, p).value
             if lhs != rhs:
                 out.violate(module=mlabel, P=ideal_info(ctx.gr, p),
@@ -83,10 +84,11 @@ def loop_p14(ctx) -> PropertyOutcome:
 
 def loop_p15(ctx) -> PropertyOutcome:
     out = PropertyOutcome("P15", ctx.label)
-    for mlabel, _, xc in _idealizations(ctx, out):
+    for mlabel, M, _ in _idealizations(ctx, out):
+        xgr = _idealization(ctx.gr, M)
         for p in ctx.proper_ideals():
-            pxm = embed_ideal_in_idealization(xc.gr, p)
-            if not is_graded_weakly_2_absorbing(xc.gr, pxm).value:
+            pxm = embed_ideal_in_idealization(xgr, p)
+            if not is_graded_weakly_2_absorbing(xgr, pxm).value:
                 continue
             out.hit()
             if not is_graded_weakly_2_absorbing(ctx.gr, p).value:
@@ -97,12 +99,13 @@ def loop_p15(ctx) -> PropertyOutcome:
 def loop_p16(ctx) -> PropertyOutcome:
     out = PropertyOutcome("P16", ctx.label)
     gr = ctx.gr
-    for mlabel, M, xc in _idealizations(ctx, out):
+    for mlabel, M, _ in _idealizations(ctx, out):
+        xgr = _idealization(ctx.gr, M)
         for p in ctx.lattice():
-            pxm = embed_ideal_in_idealization(xc.gr, p).mask
+            pxm = embed_ideal_in_idealization(xgr, p).mask
             for g in ctx.valid_degrees(p):
                 out.hit()
-                lhs = is_g_weakly_2_absorbing(xc.gr, pxm, g).value
+                lhs = is_g_weakly_2_absorbing(xgr, pxm, g).value
                 base = is_g_weakly_2_absorbing(ctx.gr, p, g).value
                 first = loop_p16_first(gr, M, g, ctx.census(p, g).triples) if base else None
                 detail = None

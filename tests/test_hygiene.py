@@ -256,3 +256,26 @@ def test_kernels_read_products_through_the_ring():
     readers = {owner for owner, node in _top_level_owner(tree)
                if isinstance(node, ast.Call) and _named(node.func) == "products"}
     assert {"_sandwich_kernel", "_triple_kernel", "_products"} <= readers
+
+
+def _calls(tree: ast.AST, name: str) -> list[ast.Call]:
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _named(node.func) == name]
+
+
+def test_idealizations_are_built_only_for_their_vectors():
+    """theorems.py builds R(+)M with _idealization only inside
+    RingContext.idealizations, which keeps R(+)M's verdict vectors and not
+    R(+)M: that method makes no RingContext, and no RingContext(...) call
+    anywhere takes an _idealization(...) result."""
+    tree = _tree(PACKAGE / "theorems.py")
+    context = next(node for node in tree.body
+                   if isinstance(node, ast.ClassDef) and node.name == "RingContext")
+    method = next(fn for fn in context.body
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "idealizations")
+    inside = {id(node) for node in ast.walk(method)}
+    builds = _calls(tree, "_idealization")
+    assert builds and [node.lineno for node in builds if id(node) not in inside] == []
+    assert _calls(method, "RingContext") == []
+    assert [node.lineno for node in _calls(tree, "RingContext")
+            if _calls(node, "_idealization")] == []

@@ -1,10 +1,15 @@
 """The idealization side of P14-P16 against the routes it replaced
 (tests/idealization_oracles.py): R(+)M's tables and names, the one
-embedding of P into each R(+)M, and P16's per-(M, g) tables."""
+embedding of P into each R(+)M, P16's per-(M, g) tables, and that one
+R(+)M at a time is alive while its verdict vectors are filled."""
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 
 from conftest import TRIANGULAR_Z2_Z4, build_ring, graded_cases
@@ -24,7 +29,7 @@ from ringbench.constructions import (
     regular_bimodule,
 )
 from ringbench.ideals import enumerate_graded_ideals
-from ringbench.theorems import RingContext, default_corpus
+from ringbench.theorems import RingContext, default_corpus, evaluate_ring, run_property
 
 # 2Z_8 = {0, 2, 4, 6}: Z_4 with x*y = 2xy, which has no unity
 NON_UNITAL = ("ring: table([[0,1,2,3],[1,2,3,0],[2,3,0,1],[3,0,1,2]], "
@@ -111,14 +116,23 @@ def shift_idealization_subset(pmask: int, module_mask: int, n: int, m: int) -> i
 
 
 def check_extensions(ctx) -> None:
-    """Each idealization context's memoized P(+)M is the embedding of P into
-    that idealization, and its bits are the shift oracle's."""
-    for mlabel, M, xc in ctx.idealizations():
-        for p in ctx.lattice():
-            mask = xc.extension(p)
-            assert mask == embed_ideal_in_idealization(xc.gr, p).mask, (ctx.label, mlabel, p)
-            assert mask == shift_idealization_subset(p, (1 << M.order) - 1,
-                                                     ctx.gr.order, M.order), (ctx.label, mlabel, p)
+    """ctx.idealizations() embeds each P of the lattice once into each
+    R(+)M, in lattice order, and P(+)M's bits are the shift oracle's."""
+    embedded = []
+
+    def embed(xgr, p):
+        emb = embed_ideal_in_idealization(xgr, p)
+        embedded.append((xgr.ring.module, p, emb.mask))
+        return emb
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(theorems, "embed_ideal_in_idealization", embed)
+        found = ctx.idealizations()
+    assert [(id(M), p) for M, p, _ in embedded] == \
+        [(id(M), p) for _, M, _ in found for p in ctx.lattice()], ctx.label
+    for M, p, mask in embedded:
+        assert mask == shift_idealization_subset(p, (1 << M.order) - 1,
+                                                 ctx.gr.order, M.order), (ctx.label, M.label, p)
 
 
 EXTENSION_RINGS = ("zn(4)", "zn(16)", "gaussian(8)", "product(gaussian(2), gaussian(4))")
@@ -218,3 +232,53 @@ def test_drawn_p16_tables_match_the_loop(case):
     modules = _modules(gr)
     check_p16_census(RingContext(gr, expr), modules)
     check_p16_rows(gr, modules, per_degree=12)
+
+
+def alive_at_each_build(label: str) -> tuple[list[int], int]:
+    """P14-P16 on a fresh context of label's ring: how many R(+)M are alive,
+    the new one included, as each is built, and how many once all three
+    have run. Cyclic garbage is not collected meanwhile, so an R(+)M counts
+    as dropped only when its last reference is."""
+    refs, alive = [], []
+    init = constructions.IdealizationRing.__init__
+
+    def tracked(self, *args):
+        alive.append(1 + sum(r() is not None for r in refs))
+        refs.append(weakref.ref(self))
+        init(self, *args)
+
+    ctx = RingContext(build_ring(f"ring: {label}"), label)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(constructions.IdealizationRing, "__init__", tracked)
+            for pid in ("P14", "P15", "P16"):
+                assert run_property(ctx.gr, pid, label, ctx=ctx).skipped is None, pid
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return alive, sum(r() is not None for r in refs)
+
+
+def test_one_idealization_alive_at_a_time():
+    """Each R(+)M is dropped before the next is built, and none outlives
+    the run: only verdict vectors and bimodules stay in the memo."""
+    for label, count in (("zn(8)", 3), ("product(zn(4), product(zn(2), zn(4)))", 17)):
+        alive, after = alive_at_each_build(label)
+        assert alive == [1] * count, label
+        assert after == 0, label
+
+
+def test_p14_to_p16_agree_whichever_runs_first():
+    """Whichever of P14-P16 runs first on a fresh context fills every
+    idealization vector; each order gives evaluate_ring's outcomes."""
+    pids = ["P14", "P15", "P16"]
+    for label in ("zn(8)", "matrix(zn(2), 2)", "product(gaussian(2), zn(2))"):
+        gr = build_ring(f"ring: {label}")
+        expected = [o.to_dict() for o in evaluate_ring(gr, label, pids)]
+        for first in pids:
+            ctx = RingContext(gr, label)
+            got = {pid: run_property(gr, pid, label, ctx=ctx).to_dict()
+                   for pid in [first] + [p for p in pids if p != first]}
+            assert [got[pid] for pid in pids] == expected, (label, first)

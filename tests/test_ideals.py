@@ -22,6 +22,7 @@ from conftest import (
 from ringbench import ideals
 from ringbench.bitsets import indices_from_mask, popcount
 from ringbench.classify import ideal_info
+from ringbench.constructions import _idealization
 from ringbench.ideals import (
     LEFT,
     RIGHT,
@@ -126,8 +127,8 @@ def closure_cases(draw):
         expr, gr, _, _ = draw(graded_cases())
     if gr.order <= 16 and draw(st.booleans()):
         ctx = RingContext(gr, expr)
-        mlabel, _, xc = draw(st.sampled_from(ctx.idealizations()))
-        gr = xc.gr
+        mlabel, M, _ = draw(st.sampled_from(ctx.idealizations()))
+        gr = _idealization(gr, M)
         expr = f"idealization({expr}, {mlabel})"
     n = gr.order
     lattice = graded_ideal_masks(gr, draw(st.sampled_from((TWO_SIDED, LEFT, RIGHT))))

@@ -39,6 +39,7 @@ PAIR_TABLE = rings._pair_table
 P16_TABLES = theorems._p16_tables
 EMBED = constructions.embed_ideal_in_idealization
 VERDICTS = theorems.RingContext.verdicts
+IDEALIZATIONS = theorems.RingContext.idealizations
 
 # rings where additive spans of single elements are often not ideals
 CLOSURE_RINGS = ("ring: matrix(zn(2), 2)", "ring: gaussian(4)", TRIANGULAR_Z2_Z4)
@@ -376,20 +377,17 @@ def test_p16_t2_from_x_times_mg_is_caught(monkeypatch):
         test_idealization_tables.check_p16_row_rings()
 
 
-def test_extension_memo_shared_between_modules_is_caught(monkeypatch):
-    """P(+)M memoized per base ring and P, not per idealization context, so
-    the second bimodule of a ring reads the first one's mask."""
-    shared = {}
+def test_idealization_g_weakly_vectors_at_degree_none_are_caught(monkeypatch):
+    """Each idealization's g-weakly vector filled at degree None, so every
+    degree reads R(+)M's weakly 2-absorbing vector."""
+    def at_none(self):
+        return [(label, M, {(kind, g): vectors[kind, None if kind == "weakly" else g]
+                            for kind, g in vectors})
+                for label, M, vectors in IDEALIZATIONS(self)]
 
-    def extension(self, p):
-        key = (id(self.gr.ring.params["base"]), p)
-        if key not in shared:
-            shared[key] = theorems.embed_ideal_in_idealization(self.gr, p).mask
-        return shared[key]
-
-    monkeypatch.setattr(theorems.RingContext, "extension", extension)
+    monkeypatch.setattr(theorems.RingContext, "idealizations", at_none)
     with pytest.raises(AssertionError):
-        check_extension_rings()
+        test_verdict_vectors.check_vector_rings()
 
 
 def test_verdict_vector_rolled_by_one_ideal_is_caught(monkeypatch):

@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 
 from conftest import TRIANGULAR_Z2_Z4, build_ring, graded_cases
-from ringbench import constructions
+from ringbench import constructions, theorems
 from ringbench.grading import GradedRing, Grading, _decomposition_table
 from ringbench.groups import make_cyclic
 from ringbench.ideals import (
@@ -127,15 +127,22 @@ def test_drawn_pair_rule_matches_dense_route(case):
     check_ring(gr, expr)
 
 
-def test_p14_to_p16_leave_the_idealization_tables_unbuilt():
+def test_p14_to_p16_leave_the_idealization_tables_unbuilt(monkeypatch):
     """Each P(+)M is recorded when embedded, and the kernels read R(+)M's
-    products from its pair rule, so neither dense table is built."""
+    products from its pair rule, so neither dense table is built. The
+    R(+)M that P14-P16 build are kept here, as the context drops them."""
+    built = []
+
+    def idealization(gr, M, cap):
+        built.append(constructions._idealization(gr, M, cap))
+        return built[-1]
+
+    monkeypatch.setattr(theorems, "_idealization", idealization)
     label = "product(gaussian(2), gaussian(4))"
     ctx = RingContext(build_ring(f"ring: {label}"), label)
     for pid in ("P14", "P15", "P16"):
         out = run_property(ctx.gr, pid, label, ctx=ctx)
         assert out.skipped is None and out.instances > 0, pid
-    found = ctx.idealizations()
-    assert len(found) == 5
-    for mlabel, _, xc in found:
-        assert not {"add", "mul"} & set(vars(xc.gr.ring)), mlabel
+    assert len(ctx.idealizations()) == len(built) == 5
+    for (mlabel, _, _), xgr in zip(ctx.idealizations(), built):
+        assert not {"add", "mul"} & set(vars(xgr.ring)), mlabel

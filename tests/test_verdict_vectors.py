@@ -6,8 +6,8 @@ classify.is_* predicate's value and the verdict recomputed from the raw
 kernels (raw_triple_verdicts, raw_g_sandwich_kernels, raw_ideal_verdicts);
 each entry where the predicate is undefined (at R, or at P with P_g = R_g)
 must be False. The idealization vectors, aligned with the base lattice
-through P(+)M, are checked the same way, and must never enumerate R(+)M's
-own lattice.
+through P(+)M, are checked the same way on an R(+)M built here, and must
+never enumerate R(+)M's own lattice.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from ringbench.classify import (
     is_graded_weakly_2_absorbing,
     is_graded_weakly_prime,
 )
+from ringbench.constructions import _idealization, embed_ideal_in_idealization
 from ringbench.theorems import RingContext, evaluate_ring
 
 ELEMENT_KINDS = ("plain", "weakly")
@@ -61,30 +62,31 @@ def _raw(gr, p: int, kind: str, g: int | None) -> bool:
     return not hyp.any()
 
 
-def check_vectors(gr, masks, vector, kinds, label: str) -> int:
+def check_vectors(gr, masks, vector, keys, label: str) -> int:
     """vector(kind, g) against the public predicates and the raw route at
-    masks, for each kind at g None and, for the element kinds, at every
-    degree; returns the number of defined entries checked."""
+    masks, for each (kind, g) of keys; returns the number of defined
+    entries checked."""
     full, checked = (1 << gr.order) - 1, 0
-    for kind in kinds:
-        degrees = [None] + (list(range(gr.group.order)) if kind in ELEMENT_KINDS else [])
-        for g in degrees:
-            vec = vector(kind, g)
-            assert vec.dtype == bool and vec.shape == (len(masks),), (label, kind, g)
-            comp = full if g is None else gr.component_mask(g)
-            for p, got in zip(masks, vec.tolist()):
-                where = (label, kind, g, p)
-                if p & comp == comp:
-                    assert got is False, where
-                    continue
-                assert got == _public(gr, p, kind, g) == _raw(gr, p, kind, g), where
-                checked += 1
+    for kind, g in keys:
+        vec = vector(kind, g)
+        assert vec.dtype == bool and vec.shape == (len(masks),), (label, kind, g)
+        comp = full if g is None else gr.component_mask(g)
+        for p, got in zip(masks, vec.tolist()):
+            where = (label, kind, g, p)
+            if p & comp == comp:
+                assert got is False, where
+                continue
+            assert got == _public(gr, p, kind, g) == _raw(gr, p, kind, g), where
+            checked += 1
     return checked
 
 
 def check_context(ctx) -> int:
+    """Each kind at g None and, for the element kinds, at every degree."""
+    degrees = [None] + list(range(ctx.gr.group.order))
+    keys = [(kind, g) for kind in ELEMENT_KINDS for g in degrees]
     checked = check_vectors(ctx.gr, ctx.lattice(), ctx.verdicts,
-                            ELEMENT_KINDS + IDEAL_KINDS, ctx.label)
+                            keys + [(kind, None) for kind in IDEAL_KINDS], ctx.label)
     check_censuses(ctx)
     return checked
 
@@ -99,12 +101,17 @@ def check_censuses(ctx) -> None:
 
 
 def check_extensions(ctx) -> int:
-    """Each idealization's vectors at P(+)M, for P in the base lattice."""
+    """Each idealization's vectors at P(+)M, for P in the base lattice:
+    2-absorbing and weakly 2-absorbing, and g-weakly at every degree."""
+    keys = [("plain", None), ("weakly", None)]
+    keys += [("weakly", g) for g in range(ctx.gr.group.order)]
     checked = 0
-    for mlabel, _, xc in ctx.idealizations():
-        masks = [xc.extension(p) for p in ctx.lattice()]
-        checked += check_vectors(xc.gr, masks, lambda kind, g: ctx.extended(xc, kind, g),
-                                 ELEMENT_KINDS, f"{ctx.label} by {mlabel}")
+    for mlabel, M, vectors in ctx.idealizations():
+        assert list(vectors) == keys, (ctx.label, mlabel)
+        xgr = _idealization(ctx.gr, M)
+        masks = [embed_ideal_in_idealization(xgr, p).mask for p in ctx.lattice()]
+        checked += check_vectors(xgr, masks, lambda kind, g: vectors[kind, g],
+                                 keys, f"{ctx.label} by {mlabel}")
     return checked
 
 
