@@ -113,7 +113,7 @@ def _parse_degrees(text: str | None, gr: GradedRing) -> list[int] | None:
 
 def _corpus_for(args) -> list:
     if args.corpus == "default":
-        return default_corpus(args.ring_cap, args.ideal_cap)
+        return default_corpus()
     return directory_corpus(args.corpus)
 
 

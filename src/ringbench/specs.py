@@ -24,10 +24,11 @@ builds without that check, to report the failure itself.
 
 Inside one corpus run (theorems._map_over_corpus) a build memo keeps every
 ring subexpression that occurs in two or more of the run's members, keyed
-by its structure (constructor kinds, arguments and literal texts, never
-source positions) and the ring cap. A repeat gets the kept FiniteRing and
-Grading in a fresh GradedRing, whose caches start empty. A build that
-raises is not kept, and outside a run every build is fresh.
+by the expression (whose equality reads constructor kinds, arguments and
+literal texts, never source positions) and the ring cap. A repeat gets the
+kept FiniteRing and Grading in a fresh GradedRing, whose caches start
+empty. A build that raises is not kept, and outside a run every build is
+fresh.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .constructions import (
@@ -83,27 +84,34 @@ class ParseError(ValueError):
 
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"line {line}, column {col}: {message}")
+        self.message = message
         self.line = line
         self.col = col
+
+    def __reduce__(self):
+        # args holds the formatted text, which __init__ cannot take back
+        return type(self), (self.message, self.line, self.col)
 
 
 @dataclass(frozen=True)
 class Literal:
-    """Unparsed element literal with its source position."""
+    """Unparsed element literal with its source position, which equality
+    and hashing ignore."""
 
     text: str
-    line: int
-    col: int
+    line: int = field(compare=False)
+    col: int = field(compare=False)
 
 
 @dataclass(frozen=True)
 class RingExpr:
-    """One node of a ring constructor expression."""
+    """One node of a ring constructor expression; equality and hashing
+    ignore its source position."""
 
     kind: str
     args: tuple
-    line: int
-    col: int
+    line: int = field(compare=False)
+    col: int = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -478,22 +486,6 @@ _memo: dict = {}                  # key -> (FiniteRing, Grading, literal parser)
 _memo_keys: frozenset = frozenset()   # keys the memo may keep; empty when off
 
 
-def _expr_key(expr: RingExpr) -> tuple:
-    """Structural key of an expression: kinds, arguments and literal texts,
-    without source positions."""
-    return (expr.kind, tuple(_arg_key(a) for a in expr.args))
-
-
-def _arg_key(arg):
-    if isinstance(arg, RingExpr):
-        return _expr_key(arg)
-    if isinstance(arg, Literal):
-        return arg.text
-    if isinstance(arg, tuple):
-        return tuple(_arg_key(a) for a in arg)
-    return arg
-
-
 def _subexpressions(expr: RingExpr):
     yield expr
     for arg in expr.args:
@@ -510,7 +502,7 @@ def shared_subexpressions(spec_texts, ring_cap: int) -> frozenset:
             doc = parse_document(text)
         except ParseError:
             continue
-        counts.update({(_expr_key(e), ring_cap) for e in _subexpressions(doc.ring)})
+        counts.update({(e, ring_cap) for e in _subexpressions(doc.ring)})
     return frozenset(key for key, c in counts.items() if c > 1)
 
 
@@ -557,7 +549,7 @@ def _generated_ideal(built: _Built, lits: tuple[Literal, ...]) -> IdealSubset:
 
 def _build_expr(expr: RingExpr, ring_cap: int, check_tables: bool) -> _Built:
     """Build expr, through the corpus run's memo when its key is shared."""
-    key = (_expr_key(expr), ring_cap) if _memo_keys and check_tables else None
+    key = (expr, ring_cap) if _memo_keys and check_tables else None
     if key not in _memo_keys:
         return _construct(expr, ring_cap, check_tables)
     if key in _memo:

@@ -11,6 +11,7 @@ import pytest
 from ringbench import cli, ideals
 from ringbench.ideals import generate_ideal
 from ringbench.specs import build_document, parse_document
+from ringbench.theorems import default_corpus
 
 
 def run_cli(argv, capsys):
@@ -292,3 +293,42 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     code, out, err = run_cli(["census", "-"], capsys)
     assert code == 3 and out == ""
     assert err == "internal error: KeyError: 'boom'\n"
+
+
+def _both_worker_counts(monkeypatch, capsys, argv) -> list[tuple[int, str, str]]:
+    """argv at 1 and at 2 workers, on a host that offers two CPUs."""
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    return [run_cli([*argv, "--workers", w], capsys) for w in ("1", "2")]
+
+
+def test_malformed_member_exits_2_at_any_worker_count(tmp_path, monkeypatch, capsys):
+    """A ParseError raised in a pool worker reaches the parent intact."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name, expr in (("a", "zn(4)"), ("b", "quotient(zn(4), [x])"), ("c", "zn(3)")):
+        (corpus / f"{name}.spec").write_text(f"ring: {expr}\n")
+    want = "error: line 1, column 24: expected an integer literal, got 'x'\n"
+    for command in ("theorems", "search-q1"):
+        runs = _both_worker_counts(monkeypatch, capsys, [command, "--corpus", str(corpus)])
+        assert [(code, err) for code, _, err in runs] == [(2, want)] * 2, command
+
+
+def test_ring_cap_on_the_default_corpus_exits_2_from_the_run(monkeypatch, capsys):
+    want = ("error: M_2(base of order 4) has order 256, "
+            "exceeding the carrier cap 100\n")
+    runs = _both_worker_counts(monkeypatch, capsys, ["theorems", "--ring-cap", "100"])
+    assert [(code, err) for code, _, err in runs] == [(2, want)] * 2
+
+
+def test_ideal_cap_skips_alike_on_default_and_directory_corpus(tmp_path, capsys):
+    """--ideal-cap acts on members: the default corpus and a directory of
+    its 52 specs give the same per-property instance and skip counts."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for i, member in enumerate(default_corpus()):
+        (corpus / f"{i:02d}.spec").write_text(member.spec_text + "\n")
+    code, out, err = run_cli(["theorems", "--ideal-cap", "2"], capsys)
+    assert (code, err) == (0, "")
+    assert out.count("skips=") == 19
+    assert run_cli(["theorems", "--ideal-cap", "2", "--corpus", str(corpus)],
+                   capsys) == (0, out, "")

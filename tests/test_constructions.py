@@ -34,7 +34,7 @@ from ringbench.constructions import (
 from ringbench.grading import validate_grading
 from ringbench.ideals import IdealSubset, check_closure, generate_ideal
 from ringbench.rings import RingTooLargeError, validate_ring
-from ringbench.theorems import _BASE_LABELS, RingContext, _factor_graded_rings
+from ringbench.theorems import _BASE_IDEALS, RingContext, _factor_graded_rings
 
 
 def test_gaussian_quotient_matches_independent_construction():
@@ -288,7 +288,7 @@ def test_idealization_tables_match_gather_oracle():
     the in-place mul table equals the 4-D gather's in bytes, dtype and C
     layout, and the three order-4096 idealizations keep their pinned bytes."""
     pinned = {}
-    for label in _BASE_LABELS:
+    for label in _BASE_IDEALS:
         ctx = RingContext(build_ring(f"ring: {label}"), label)
         for mlabel, M, _ in ctx.idealizations():
             X = constructions._idealization(ctx.gr, M).ring

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from conftest import TRIANGULAR_Z2_Z4, UPPER_TRIANGULAR_F2, build_ring, loop_search
-from ringbench import classify, theorems
+from ringbench import classify, specs, theorems
 from ringbench.classify import raw_product_mask
+from ringbench.ideals import TWO_SIDED, enumerate_graded_ideals, minimal_homogeneous_generators
 from ringbench.theorems import (
     PROPERTY_IDS,
     PROPERTY_SUMMARIES,
@@ -245,6 +246,35 @@ def test_default_corpus_shape():
             if not x.startswith(("quotient(", "idealization("))]
     assert len(base) == 15
     assert "zn(8)" in base and "matrix(zn(8), 2)" in base
+
+
+def _oracle_labels() -> list[str]:
+    """The default corpus listed the long way: build each base ring and name
+    each proper graded two-sided ideal by its minimal generators."""
+    quotients = []
+    for base in theorems._BASE_IDEALS:
+        gr = build_ring(f"ring: {base}")
+        full = (1 << gr.order) - 1
+        for K in enumerate_graded_ideals(gr, TWO_SIDED):
+            if K.mask != full:
+                gens = ", ".join(gr.name(x) for x in minimal_homogeneous_generators(gr, K))
+                quotients.append(f"quotient({base}, [{gens}])")
+    return [*theorems._BASE_IDEALS, *quotients, *theorems._IDEALIZATION_LABELS]
+
+
+def test_default_corpus_table_matches_the_lattices():
+    corpus = default_corpus()
+    assert [m.label for m in corpus] == _oracle_labels()
+    assert all(m.spec_text == f"ring: {m.label}" for m in corpus)
+
+
+def test_default_corpus_builds_no_ring(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("default_corpus() built a ring")
+    monkeypatch.setattr(CorpusMember, "build", refuse)
+    monkeypatch.setattr(specs, "build_document", refuse)
+    monkeypatch.setattr(theorems, "build_document", refuse)
+    assert len(default_corpus()) == 52
 
 
 class _SerialPool:
