@@ -25,9 +25,9 @@ def _package_exceptions() -> list[type]:
 
 
 def _instance(cls: type) -> BaseException:
-    """cls built from its constructor's required arguments, or from one
-    message where it requires none."""
-    if "__init__" not in vars(cls):
+    """cls built from its own constructor's required arguments, or from
+    one message where it keeps the builtin constructor."""
+    if not inspect.isfunction(cls.__init__):
         return cls("bad input")
     hints = typing.get_type_hints(cls.__init__)
     required = [p.name for p in inspect.signature(cls.__init__).parameters.values()
